@@ -12,18 +12,15 @@ __version__ = "0.1.0"
 
 from .dataset import (
     PointCloud,
-    SpacingStats,
     fill_distance,
     load_cloud,
     local_fill_distance,
     random_unitary_embed,
     sample_sphere,
     save_cloud,
-    spacing_stats,
 )
 from .embedding import (
     Embedding,
-    embed_matrix_rank_check,
     embedding_from_kernel,
     laplacian_eigenmaps,
     load_embedding,

@@ -220,32 +220,33 @@ def cmd_loo_table(args, out: _Outputs) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="preimage", description="Invert embeddings by RBF interpolation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sphere_defaults, cond_defaults = SphereConfig(), ConditioningConfig()
 
     p = sub.add_parser("sphere", help="synthetic-sphere convergence experiment")
     p.add_argument("--n", type=_int_list, default=[10, 30, 100, 300, 1000], help="comma list of sample counts")
     p.add_argument("--seeds", type=int, default=5, help="number of seeds (0..k-1)")
     p.add_argument("--seed-list", type=_int_list, default=None, help="explicit comma list of seeds")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--sphere-dim", type=int, default=4)
-    p.add_argument("--ambient-dim", type=int, default=10)
-    p.add_argument("--embed-dim", type=int, default=5)
-    p.add_argument("--affinity-multiple", type=float, default=1.0)
-    p.add_argument("--gaussian-scales", type=_float_list, default=[0.25, 0.5, 1.0, 2.0])
-    p.add_argument("--shepard-scales", type=_float_list, default=[0.25, 0.5, 1.0, 2.0])
+    p.add_argument("--sphere-dim", type=int, default=sphere_defaults.sphere_dim)
+    p.add_argument("--ambient-dim", type=int, default=sphere_defaults.ambient_dim)
+    p.add_argument("--embed-dim", type=int, default=sphere_defaults.embed_dim)
+    p.add_argument("--affinity-multiple", type=float, default=sphere_defaults.affinity_multiple)
+    p.add_argument("--gaussian-scales", type=_float_list, default=list(sphere_defaults.gaussian_multiples))
+    p.add_argument("--shepard-scales", type=_float_list, default=list(sphere_defaults.shepard_multiples))
     p.add_argument("--cubic-only", action="store_true")
-    p.add_argument("--tail", choices=["linear", "none"], default="linear")
-    p.add_argument("--max-neighbors", type=int, default=200)
+    p.add_argument("--tail", choices=["linear", "none"], default=sphere_defaults.cubic_tail)
+    p.add_argument("--max-neighbors", type=int, default=sphere_defaults.max_neighbors)
     p.set_defaults(func=cmd_sphere)
 
     p = sub.add_parser("conditioning", help="condition-number sweeps of the kernel matrix")
     p.add_argument("--mode", choices=["vs_fill", "vs_epsilon"], required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--dim", type=int, default=5)
-    p.add_argument("--n-values", type=_int_list, default=[10, 20, 50, 100, 200, 500, 1000])
-    p.add_argument("--epsilon", type=float, default=1e-2)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--epsilon-values", type=_float_list, default=[float(v) for v in np.logspace(-2.0, 1.0, 13)])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=cond_defaults.ambient_dim)
+    p.add_argument("--n-values", type=_int_list, default=list(cond_defaults.n_values))
+    p.add_argument("--epsilon", type=float, default=cond_defaults.epsilon)
+    p.add_argument("--n", type=int, default=cond_defaults.n)
+    p.add_argument("--epsilon-values", type=_float_list, default=[float(v) for v in cond_defaults.epsilon_values])
+    p.add_argument("--seed", type=int, default=cond_defaults.seed)
     p.add_argument("--full-sphere", action="store_true")
     p.set_defaults(func=cmd_conditioning)
 
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", type=Path, required=True)
     p.add_argument("--coords", type=Path, default=None)
     p.add_argument("--embed-dim", type=int, default=None)
-    p.add_argument("--affinity-multiple", type=float, default=1.0)
+    p.add_argument("--affinity-multiple", type=float, default=sphere_defaults.affinity_multiple)
     p.add_argument("--gaussian-scales", type=_float_list, default=[0.5, 1.0, 2.0])
     p.add_argument("--shepard-scales", type=_float_list, default=[0.5, 1.0, 2.0])
     p.add_argument("--tail", choices=["linear", "none"], default="linear")

@@ -36,14 +36,6 @@ class PointCloud:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class SpacingStats:
-    """Worst-case and typical node spacing of an interpolation node set."""
-
-    fill_distance: float
-    local_fill_distance: float
-
-
 def sample_sphere(n: int, sphere_dim: int, quadrant_only: bool = False, seed: int = 0) -> PointCloud:
     """Draw n points uniformly from the unit sphere S^sphere_dim in R^(sphere_dim+1).
 
@@ -114,14 +106,6 @@ def fill_distance(nodes: PointCloud, domain_samples: PointCloud) -> float:
         raise ValueError(f"dimension mismatch: nodes in R^{nodes.dim}, domain samples in R^{domain_samples.dim}")
     d = cdist(domain_samples.points, nodes.points)
     return float(d.min(axis=1).max())
-
-
-def spacing_stats(nodes: PointCloud, domain_samples: PointCloud) -> SpacingStats:
-    """Both spacing measures of a node set against a set of domain samples."""
-    return SpacingStats(
-        fill_distance=fill_distance(nodes, domain_samples),
-        local_fill_distance=local_fill_distance(nodes),
-    )
 
 
 def save_cloud(cloud: PointCloud, path, format: str | None = None) -> None:

@@ -90,11 +90,6 @@ def unisolvency_rank(points: np.ndarray) -> int:
     return int(np.count_nonzero(s > tol))
 
 
-def embed_matrix_rank_check(emb: Embedding) -> int:
-    """Rank of [ones; coords^T]; equals d+1 exactly when the embedded nodes are 1-unisolvent."""
-    return unisolvency_rank(emb.coords)
-
-
 def save_embedding(emb: Embedding, directory) -> None:
     """Write coords and eigvecs as binary clouds plus a JSON sidecar."""
     p = Path(directory)

@@ -59,6 +59,7 @@ class SweepRow:
     scale_multiple: float | None
     e_avg: float
     failures: int
+    valid: bool  # LooReport.valid: at most 1% of the folds failed
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,8 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
 
     Each (n, seed, method, scale) gives one row pairing the coordinate-domain
     h_local with the leave-one-out average error. The slope of log e_avg
-    against log h_local is fitted on the cubic rows once at least three
-    distinct n values are present.
+    against log h_local is fitted on the valid cubic rows once they cover at
+    least three distinct n values.
     """
     n_values = list(n_values)
     if n_values != sorted(n_values) or len(set(n_values)) != len(n_values):
@@ -246,10 +247,11 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
                         scale_multiple=mult,
                         e_avg=rep.e_avg,
                         failures=len(rep.failures),
+                        valid=rep.valid,
                     )
                 )
     slope = resid = None
-    cubic_rows = [r for r in rows if r.method == METHOD_CUBIC and np.isfinite(r.e_avg)]
+    cubic_rows = [r for r in rows if r.method == METHOD_CUBIC and r.valid and np.isfinite(r.e_avg)]
     if len({r.n for r in cubic_rows}) >= 3:
         slope, resid = loglog_slope([r.h_local for r in cubic_rows], [r.e_avg for r in cubic_rows])
     return SweepResult(rows=rows, fitted_slope=slope, slope_residual=resid)

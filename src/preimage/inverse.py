@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from .dataset import PointCloud, load_cloud, save_cloud
 from .embedding import unisolvency_rank
-from .kernels import KernelSpec, eval_kernel
+from .kernels import KernelSpec, _node_kernel, _top_k, eval_kernel
 
 TAIL_NONE = "none"
 TAIL_LINEAR = "linear"
@@ -40,13 +40,10 @@ class NeighborhoodPolicy:
     """Cap on how many nearest nodes participate in a local fit."""
 
     max_neighbors: int = 200
-    metric: str = "euclidean"
 
     def __post_init__(self):
         if self.max_neighbors < 1:
             raise ValueError("max_neighbors must be >= 1")
-        if self.metric != "euclidean":
-            raise ValueError("only the euclidean metric is supported")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,17 +99,6 @@ def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
     return sol, cond
 
 
-def _check_duplicates(dmat: np.ndarray):
-    n = dmat.shape[0]
-    if n < 2:
-        return
-    iu = np.triu_indices(n, k=1)
-    zero = np.flatnonzero(dmat[iu] == 0.0)
-    if zero.size:
-        i, j = int(iu[0][zero[0]]), int(iu[1][zero[0]])
-        raise SingularSystemError(f"duplicate nodes at indices {i} and {j}")
-
-
 def fit_rbf(nodes: PointCloud, values: PointCloud, spec: KernelSpec, tail: str = TAIL_LINEAR) -> RbfModel:
     """Interpolate values (n x D) at nodes (n x d), one RBF per output coordinate.
 
@@ -127,9 +113,11 @@ def fit_rbf(nodes: PointCloud, values: PointCloud, spec: KernelSpec, tail: str =
     y = nodes.points
     x = values.points
     n, d = y.shape
-    dmat = squareform(pdist(y)) if n > 1 else np.zeros((1, 1))
-    _check_duplicates(dmat)
-    k = eval_kernel(spec, dmat)
+    dists = pdist(y)
+    if np.any(dists == 0.0):
+        i, j = np.argwhere(squareform(dists == 0.0))[0]  # first pair in pdist order
+        raise SingularSystemError(f"duplicate nodes at indices {i} and {j}")
+    k = _node_kernel(spec, dists)
     if tail == TAIL_NONE:
         sol, cond = _solve_with_cond(k, x)
         return RbfModel(y, sol, None, None, spec, tail, cond)
@@ -161,10 +149,12 @@ def eval_rbf(model: RbfModel, query) -> np.ndarray:
     return out[0] if single else out
 
 
-def _nearest_indices(points: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nodes nearest to query; ties keep the lower node index."""
+def _nearest_indices(points: np.ndarray, query: np.ndarray, k: int):
+    """Indices, in increasing order, of the k nodes nearest to query, and
+    their distances; ties keep the lower node index."""
     dist = np.linalg.norm(points - query[None, :], axis=1)
-    return np.sort(np.argsort(dist, kind="stable")[:k])
+    idx = np.sort(_top_k(dist, k))
+    return idx, dist[idx]
 
 
 def fit_local_rbf(
@@ -182,7 +172,7 @@ def fit_local_rbf(
     if tail == TAIL_LINEAR and policy.max_neighbors < nodes.dim + 2:
         raise ValueError(f"max_neighbors must be >= d+2 = {nodes.dim + 2} for the linear tail")
     k = min(nodes.n, policy.max_neighbors)
-    idx = _nearest_indices(nodes.points, q, k)
+    idx, _ = _nearest_indices(nodes.points, q, k)
     model = fit_rbf(PointCloud(nodes.points[idx]), PointCloud(values.points[idx]), spec, tail)
     return eval_rbf(model, q)
 
@@ -207,8 +197,7 @@ def shepard_eval(
     if q.ndim != 1 or q.shape[0] != nodes.dim:
         raise ValueError(f"query must be a single point in R^{nodes.dim}")
     k = min(nodes.n, policy.max_neighbors)
-    idx = _nearest_indices(nodes.points, q, k)
-    dist = np.linalg.norm(nodes.points[idx] - q[None, :], axis=1)
+    idx, dist = _nearest_indices(nodes.points, q, k)
     w = np.exp(-(epsilon**2) * dist * dist)
     total = w.sum()
     if total == 0.0:
@@ -236,14 +225,24 @@ def save_model(model: RbfModel, directory) -> None:
     (p / "model.json").write_text(json.dumps(meta, indent=2))
 
 
+def _load_block(p: Path, name: str, shape: tuple) -> np.ndarray:
+    points = load_cloud(p / f"{name}.pcld").points
+    if points.shape != shape:
+        rows, cols = points.shape
+        raise ValueError(f"{name} block is {rows}x{cols}; model.json expects {shape[0]}x{shape[1]}")
+    return points
+
+
 def load_model(directory) -> RbfModel:
+    """Read a model written by save_model, checking each block's shape against model.json."""
     p = Path(directory)
     meta = json.loads((p / "model.json").read_text())
-    nodes = load_cloud(p / "nodes.pcld").points
-    weights = load_cloud(p / "weights.pcld").points
+    n, dim_in, dim_out = int(meta["n"]), int(meta["dim_in"]), int(meta["dim_out"])
+    nodes = _load_block(p, "nodes", (n, dim_in))
+    weights = _load_block(p, "weights", (n, dim_out))
     gamma = beta = None
     if meta["tail"] == TAIL_LINEAR:
-        poly = load_cloud(p / "poly.pcld").points
+        poly = _load_block(p, "poly", (dim_in + 1, dim_out))
         gamma, beta = poly[0], poly[1:]
     return RbfModel(
         nodes=nodes,

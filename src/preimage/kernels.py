@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
 from .dataset import PointCloud
 
@@ -75,7 +75,7 @@ def thin_plate(rho: int = 2) -> KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Matrix of kernel values k(a_i, b_j); symmetric when both sets coincide."""
+    """Matrix of kernel values; symmetric when assembled on one node set."""
 
     entries: np.ndarray
     symmetric: bool = False
@@ -101,22 +101,20 @@ def eval_kernel(spec: KernelSpec, r):
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
 
-def kernel_matrix(spec: KernelSpec, a: PointCloud, b: PointCloud | None = None) -> KernelMatrix:
-    """Assemble entries k(a_i, b_j).
+def _node_kernel(spec: KernelSpec, dists: np.ndarray) -> np.ndarray:
+    """Exactly symmetric kernel matrix of a node set from its condensed
+    pairwise distances (pdist order): each unordered pair is evaluated once
+    and mirrored."""
+    m = squareform(eval_kernel(spec, dists))
+    diag = eval_kernel(spec, 0.0)
+    if diag != 0.0:
+        np.fill_diagonal(m, diag)
+    return m
 
-    When b is omitted or equals a, each unordered pair is computed once and
-    mirrored, so the result is exactly symmetric.
-    """
-    if b is None or b is a or (a.n == b.n and a.dim == b.dim and np.array_equal(a.points, b.points)):
-        values = eval_kernel(spec, pdist(a.points)) if a.n > 1 else np.empty(0)
-        m = squareform(values)
-        diag = eval_kernel(spec, 0.0)
-        if diag != 0.0:
-            np.fill_diagonal(m, diag)
-        return KernelMatrix(m, symmetric=True)
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: R^{a.dim} vs R^{b.dim}")
-    return KernelMatrix(eval_kernel(spec, cdist(a.points, b.points)), symmetric=False)
+
+def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> KernelMatrix:
+    """Assemble the symmetric node matrix k(x_i, x_j) of one cloud."""
+    return KernelMatrix(_node_kernel(spec, pdist(cloud.points)), symmetric=True)
 
 
 def condition_number(m: KernelMatrix) -> float:
@@ -142,6 +140,30 @@ def degree_vector(m: KernelMatrix) -> np.ndarray:
     return d
 
 
+def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest keys along the last axis, in increasing key
+    order; equal keys keep the lower index first (stable sort)."""
+    return np.argsort(keys, axis=-1, kind="stable")[..., :k]
+
+
+def _truncate_rows(values: np.ndarray, threshold: float | None, knn: int | None) -> np.ndarray:
+    """The one sparsification rule, applied to each row of values.
+
+    threshold zeroes every entry below the cutoff; knn keeps the knn largest
+    entries of each row (ties to the lower column, see _top_k) and zeroes the
+    rest. Callers check that exactly one of the two is given.
+    """
+    if threshold is not None:
+        return np.where(values < threshold, 0.0, values)
+    k = int(knn)
+    if not 1 <= k <= values.shape[-1]:
+        raise ValueError(f"knn must be in [1, {values.shape[-1]}]")
+    idx = _top_k(-values, k)
+    out = np.zeros_like(values)
+    np.put_along_axis(out, idx, np.take_along_axis(values, idx, axis=-1), axis=-1)
+    return out
+
+
 def sparsify(m: KernelMatrix, threshold: float | None = None, knn: int | None = None) -> KernelMatrix:
     """Sparsify a symmetric kernel matrix.
 
@@ -156,21 +178,12 @@ def sparsify(m: KernelMatrix, threshold: float | None = None, knn: int | None = 
     if e.shape[0] != e.shape[1] or not m.symmetric:
         raise ValueError("sparsify requires a symmetric square kernel matrix")
     if threshold is not None:
-        out = e.copy()
-        out[out < threshold] = 0.0
-        return KernelMatrix(out, symmetric=True)
-    k = int(knn)
-    if k >= n:
+        return KernelMatrix(_truncate_rows(e, threshold, None), symmetric=True)
+    if int(knn) >= n:
         raise ValueError(f"knn must be < n = {n}")
-    if k < 1:
-        raise ValueError("knn must be >= 1")
-    kept = np.zeros_like(e)
-    cols = np.arange(n)
-    for i in range(n):
-        row = e[i].copy()
-        row[i] = -np.inf  # the diagonal is restored separately
-        order = np.lexsort((cols, -row))[:k]
-        kept[i, order] = e[i, order]
+    off = e.copy()
+    np.fill_diagonal(off, -np.inf)  # the diagonal is restored separately
+    kept = _truncate_rows(off, None, knn)
     out = np.maximum(kept, kept.T)
     np.fill_diagonal(out, np.diag(e))
     return KernelMatrix(out, symmetric=True)

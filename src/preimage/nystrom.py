@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from .dataset import PointCloud
 from .embedding import Embedding
 from .inverse import TAIL_NONE, eval_rbf, fit_rbf
-from .kernels import KernelSpec, eval_kernel
+from .kernels import KernelSpec, _truncate_rows, eval_kernel
 
 NYSTROM_DIRECT = "nystrom_direct"
 RBF_FORM = "rbf_form"
@@ -19,6 +19,9 @@ RBF_FORM = "rbf_form"
 
 class ZeroDegreeError(ValueError):
     """The query point has no kernel mass on the training set."""
+
+
+_ZERO_DEGREE = "zero degree at query"
 
 
 @dataclass(frozen=True)
@@ -49,30 +52,39 @@ def _resolve(emb: Embedding, cloud, spec):
     return cloud, spec
 
 
-def _query_kernel_vector(cloud: PointCloud, spec: KernelSpec, query) -> np.ndarray:
-    q = np.asarray(query, dtype=float)
-    if q.ndim != 1 or q.shape[0] != cloud.dim:
-        raise ValueError(f"query must be a single point in R^{cloud.dim}")
-    return eval_kernel(spec, np.linalg.norm(cloud.points - q[None, :], axis=1))
+def _extend_rows(emb: Embedding, kvecs: np.ndarray, l: int):
+    """Extend eigenvector l from query-kernel vectors, one per row of kvecs.
 
-
-def _extend_with_kvec(emb: Embedding, kvec: np.ndarray, l: int) -> ExtensionResult:
+    Returns the values and the query degrees; a row whose degree is not
+    positive has no extension and gets NaN.
+    """
     lam = float(emb.eigvals[l])
     if lam == 0.0:
         raise ValueError(f"eigenvalue {l} is zero; extension undefined")
-    dq = float(kvec.sum())
-    if dq <= 0.0:
-        raise ZeroDegreeError("zero degree at query")
-    ktilde = kvec / np.sqrt(dq * emb.degrees)
-    return ExtensionResult(float(ktilde @ emb.eigvecs[:, l]) / lam, dq, NYSTROM_DIRECT)
+    dq = kvecs.sum(axis=1)
+    zero = dq <= 0.0
+    # an infinite degree scales those rows to 0 instead of dividing by 0
+    values = (kvecs / np.sqrt(np.where(zero, np.inf, dq)[:, None] * emb.degrees)) @ emb.eigvecs[:, l] / lam
+    values[zero] = np.nan
+    return values, dq
+
+
+def _extend_query(emb: Embedding, cloud: PointCloud, spec: KernelSpec, query, l: int) -> ExtensionResult:
+    q = np.asarray(query, dtype=float)
+    if q.ndim != 1 or q.shape[0] != cloud.dim:
+        raise ValueError(f"query must be a single point in R^{cloud.dim}")
+    kvec = eval_kernel(spec, np.linalg.norm(cloud.points - q[None, :], axis=1))
+    values, dq = _extend_rows(emb, kvec[None, :], l)
+    if dq[0] <= 0.0:
+        raise ZeroDegreeError(_ZERO_DEGREE)
+    return ExtensionResult(float(values[0]), float(dq[0]), NYSTROM_DIRECT)
 
 
 def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l: int) -> ExtensionResult:
     """Extend eigenvector l to an arbitrary query by the normalized-kernel sum
     (1/lambda_l) sum_j k(query, x_j) / sqrt(d(query) d_j) * phi_l(x_j)."""
     cloud, spec = _resolve(emb, cloud, spec)
-    kvec = _query_kernel_vector(cloud, spec, query)
-    return _extend_with_kvec(emb, kvec, l)
+    return _extend_query(emb, cloud, spec, query, l)
 
 
 def nystrom_via_rbf(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l: int) -> ExtensionResult:
@@ -82,31 +94,11 @@ def nystrom_via_rbf(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec |
     Agrees with nystrom_extend whenever the kernel matrix is nonsingular.
     """
     cloud, spec = _resolve(emb, cloud, spec)
-    lam = float(emb.eigvals[l])
-    if lam == 0.0:
-        raise ValueError(f"eigenvalue {l} is zero; extension undefined")
-    kvec = _query_kernel_vector(cloud, spec, query)
-    dq = float(kvec.sum())
-    if dq <= 0.0:
-        raise ZeroDegreeError("zero degree at query")
+    dq = _extend_query(emb, cloud, spec, query, l).degree_at_query
     rescaled = np.sqrt(emb.degrees) * emb.eigvecs[:, l]
     model = fit_rbf(cloud, PointCloud(rescaled[:, None]), spec, tail=TAIL_NONE)
     value = float(eval_rbf(model, np.asarray(query, dtype=float))[0]) / np.sqrt(dq)
     return ExtensionResult(value, dq, RBF_FORM)
-
-
-def _truncate_kvec(kvec: np.ndarray, threshold: float | None, knn: int | None) -> np.ndarray:
-    if threshold is not None:
-        out = kvec.copy()
-        out[out < threshold] = 0.0
-        return out
-    k = int(knn)
-    if not 1 <= k <= kvec.size:
-        raise ValueError(f"knn must be in [1, {kvec.size}]")
-    order = np.lexsort((np.arange(kvec.size), -kvec))[:k]
-    out = np.zeros_like(kvec)
-    out[order] = kvec[order]
-    return out
 
 
 def _delta_max(values: np.ndarray) -> float:
@@ -147,18 +139,15 @@ def discontinuity_scan(
     ts = np.linspace(0.0, 1.0, steps)
     queries = a[None, :] + ts[:, None] * (b - a)[None, :]
     kall = eval_kernel(spec, cdist(queries, cloud.points))
-    full = np.full(steps, np.nan)
-    sparse = np.full(steps, np.nan)
-    failures = []
-    for i in range(steps):
-        try:
-            full[i] = _extend_with_kvec(emb, kall[i], l).value
-        except ZeroDegreeError as e:
-            failures.append((i, "full", str(e)))
-        try:
-            sparse[i] = _extend_with_kvec(emb, _truncate_kvec(kall[i], threshold, knn), l).value
-        except ZeroDegreeError as e:
-            failures.append((i, "sparse", str(e)))
+    full, dq_full = _extend_rows(emb, kall, l)
+    sparse, dq_sparse = _extend_rows(emb, _truncate_rows(kall, threshold, knn), l)
+    zero = {"full": dq_full <= 0.0, "sparse": dq_sparse <= 0.0}
+    failures = [
+        (int(i), kind, _ZERO_DEGREE)
+        for i in np.flatnonzero(zero["full"] | zero["sparse"])
+        for kind in ("full", "sparse")
+        if zero[kind][i]
+    ]
     return ScanProfile(
         ts=ts,
         values_full=full,

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from preimage.cli import main
+from preimage.cli import build_parser, main
 from preimage.dataset import PointCloud, load_cloud, save_cloud
+from preimage.evaluation import ConditioningConfig, SphereConfig
 
 
 @pytest.fixture
@@ -50,6 +51,34 @@ class TestSphereCommand:
         assert main(["sphere", "--n", "6", "--seeds", "1", "--cubic-only", "--out", str(out)]) == 1
         assert not (out / "rows.csv").exists()
         assert not (out / "manifest.json").exists()
+
+
+    def test_defaults_meet_convergence_criterion(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["sphere", "--cubic-only", "--n", "10,30,100", "--seed-list", "0,1", "--out", str(out)]) == 0
+        slope = json.loads((out / "summary.json").read_text())["slope"]
+        assert 1.5 <= slope <= 2.5
+
+
+class TestParserDefaults:
+    def test_defaults_are_config_fields(self):
+        parser = build_parser()
+        sphere, cond = SphereConfig(), ConditioningConfig()
+        args = vars(parser.parse_args(["sphere", "--out", "o"]))
+        for flag, field in [("sphere_dim", "sphere_dim"), ("ambient_dim", "ambient_dim"), ("embed_dim", "embed_dim"),
+                            ("affinity_multiple", "affinity_multiple"), ("gaussian_scales", "gaussian_multiples"),
+                            ("shepard_scales", "shepard_multiples"), ("tail", "cubic_tail"),
+                            ("max_neighbors", "max_neighbors")]:
+            value = getattr(sphere, field)
+            assert args[flag] == (list(value) if isinstance(value, tuple) else value), flag
+        args = vars(parser.parse_args(["loo-table", "--values", "v", "--out", "o"]))
+        assert args["affinity_multiple"] == sphere.affinity_multiple
+        args = vars(parser.parse_args(["conditioning", "--mode", "vs_fill", "--out", "o"]))
+        for flag, field in [("dim", "ambient_dim"), ("n_values", "n_values"), ("epsilon", "epsilon"), ("n", "n"),
+                            ("epsilon_values", "epsilon_values"), ("seed", "seed")]:
+            value = getattr(cond, field)
+            assert args[flag] == (list(value) if isinstance(value, tuple) else value), flag
+        assert args["full_sphere"] == (not cond.quadrant_only)
 
 
 class TestConditioningCommand:

@@ -9,7 +9,6 @@ from preimage.dataset import (
     random_unitary_embed,
     sample_sphere,
     save_cloud,
-    spacing_stats,
 )
 
 from conftest import random_rotation
@@ -158,12 +157,11 @@ class TestFillDistance:
         with pytest.raises(ValueError, match="dimension mismatch"):
             fill_distance(PointCloud([[0.0]]), PointCloud([[0.0, 1.0]]))
 
-    def test_spacing_stats(self):
+    def test_fill_and_local_fill_of_one_node_set(self):
         nodes = PointCloud([[0.0], [1.0], [2.0]])
         domain = PointCloud([[0.0], [0.5], [2.0], [3.0]])
-        stats = spacing_stats(nodes, domain)
-        assert stats.fill_distance == 1.0
-        assert stats.local_fill_distance == 1.0
+        assert fill_distance(nodes, domain) == 1.0
+        assert local_fill_distance(nodes) == 1.0
 
 
 class TestCloudIO:

@@ -4,8 +4,6 @@ import scipy.linalg
 
 from preimage.dataset import PointCloud, local_fill_distance, sample_sphere, random_unitary_embed
 from preimage.embedding import (
-    Embedding,
-    embed_matrix_rank_check,
     embedding_from_kernel,
     laplacian_eigenmaps,
     load_embedding,
@@ -110,28 +108,16 @@ class TestLaplacianEigenmaps:
 
 
 class TestRankCheck:
-    def make_embedding(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        n, d = coords.shape
-        return Embedding(
-            coords=coords,
-            eigvals=np.ones(d + 1),
-            eigvecs=np.ones((n, d + 1)),
-            degrees=np.ones(n),
-        )
-
     def test_distinct_line_nodes(self):
-        emb = self.make_embedding([[0.0], [1.0], [2.5]])
-        assert embed_matrix_rank_check(emb) == 2
+        assert unisolvency_rank([[0.0], [1.0], [2.5]]) == 2
 
     def test_degenerate_identical_coords(self):
-        emb = self.make_embedding(np.full((5, 2), 3.0))
-        assert embed_matrix_rank_check(emb) == 1
+        assert unisolvency_rank(np.full((5, 2), 3.0)) == 1
 
     def test_sphere_pipeline_full_rank(self):
         cloud = random_unitary_embed(sample_sphere(100, 4, seed=0), 10, seed=1)
         emb = laplacian_eigenmaps(cloud, gaussian(0.25 / local_fill_distance(cloud)), d=5)
-        assert embed_matrix_rank_check(emb) == 6
+        assert unisolvency_rank(emb.coords) == 6
 
     def test_agrees_with_qr_oracle(self, rng):
         # oracle: column-pivoted QR rank of the same certificate matrix

