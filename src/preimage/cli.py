@@ -10,9 +10,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import PointCloud, load_cloud, local_fill_distance, save_cloud
+from .dataset import PointCloud, load_cloud, local_fill_distance, save_cloud, write_table
 from .embedding import embedding_from_kernel, laplacian_eigenmaps
 from .evaluation import (
+    TABLE_SCALE_MULTIPLES,
     ConditioningConfig,
     SphereConfig,
     conditioning_sweep,
@@ -58,6 +59,10 @@ def _point(text: str):
     return np.array([float(v) for v in text.split(",")])
 
 
+def _write_json(out: _Outputs, path, doc: dict) -> None:
+    out.path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(out: _Outputs, path, args: argparse.Namespace, seeds) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     for k, v in config.items():
@@ -76,7 +81,7 @@ def _write_manifest(out: _Outputs, path, args: argparse.Namespace, seeds) -> Non
             "python": platform.python_version(),
         },
     }
-    out.path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out, path, manifest)
 
 
 def _kernel_from_args(args) -> "object":
@@ -107,17 +112,14 @@ def cmd_sphere(args, out: _Outputs) -> int:
     )
     result = convergence_sweep(args.n, config, seeds)
     sweep_to_csv(result, out.path(args.out / "rows.csv"))
-    medians = median_rows(result.rows)
-    with open(out.path(args.out / "medians.csv"), "w", newline="") as f:
-        f.write("n,method,scale_multiple,median_e_avg,seeds\n")
-        for m in medians:
-            mult = "" if m["scale_multiple"] is None else f"{m['scale_multiple']:.17g}"
-            f.write(f"{m['n']},{m['method']},{mult},{m['median_e_avg']:.17g},{m['seeds']}\n")
+    columns = ["n", "method", "scale_multiple", "median_e_avg", "seeds"]
+    medians = [[m[c] for c in columns] for m in median_rows(result.rows)]
+    write_table(out.path(args.out / "medians.csv"), columns, medians)
     summary = {"n_values": args.n, "seeds": seeds, "methods": sorted({r.method for r in result.rows})}
     if result.fitted_slope is not None:
         summary["slope"] = result.fitted_slope
         summary["slope_residual"] = result.slope_residual
-    out.path(args.out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out, args.out / "summary.json", summary)
     _write_manifest(out, args.out / "manifest.json", args, seeds)
     return 0
 
@@ -184,13 +186,16 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
         emb, cloud, spec, (start, stop), args.steps, threshold=args.threshold, knn=args.knn, l=args.eigvec
     )
     scan_to_csv(profile, out.path(args.out / "scan.csv"))
+    # a gap near 0 means eigenvalue --eigvec is repeated, so its eigenvector is not determined by the inputs
+    others = np.delete(emb.eigvals, args.eigvec)
     summary = {
         "delta_max_full": profile.delta_max_full,
         "delta_max_sparse": profile.delta_max_sparse,
         "failures": len(profile.failures),
         "diagnostic_only": profile.diagnostic_only,
+        "eigval_gap": float(np.abs(others - emb.eigvals[args.eigvec]).min()),
     }
-    out.path(args.out / "scan_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out, args.out / "scan_summary.json", summary)
     _write_manifest(out, args.out / "manifest.json", args, [args.seed])
     return 0
 
@@ -289,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=str, default=None, help="comma-separated point")
     p.add_argument("--stop", type=str, default=None, help="comma-separated point")
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--embed-on", choices=["sparse", "full"], default="sparse")
+    embed_on_help = "applies to --threshold only; --knn always embeds the full kernel"
+    p.add_argument("--embed-on", choices=["sparse", "full"], default="sparse", help=embed_on_help)
     p.set_defaults(func=cmd_nystrom_scan)
 
     p = sub.add_parser("loo-table", help="leave-one-out error table over methods and scales")
@@ -297,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coords", type=Path, default=None)
     p.add_argument("--embed-dim", type=int, default=None)
     p.add_argument("--affinity-multiple", type=float, default=sphere_defaults.affinity_multiple)
-    p.add_argument("--gaussian-scales", type=_float_list, default=[0.5, 1.0, 2.0])
-    p.add_argument("--shepard-scales", type=_float_list, default=[0.5, 1.0, 2.0])
-    p.add_argument("--tail", choices=["linear", "none"], default="linear")
-    p.add_argument("--max-neighbors", type=int, default=200)
+    p.add_argument("--gaussian-scales", type=_float_list, default=list(TABLE_SCALE_MULTIPLES))
+    p.add_argument("--shepard-scales", type=_float_list, default=list(TABLE_SCALE_MULTIPLES))
+    p.add_argument("--tail", choices=["linear", "none"], default=TAIL_LINEAR)
+    p.add_argument("--max-neighbors", type=int, default=NeighborhoodPolicy().max_neighbors)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_loo_table)
 

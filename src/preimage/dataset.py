@@ -1,5 +1,7 @@
-"""Point clouds: synthetic manifold samples, file IO, and node-spacing statistics."""
+"""Point clouds: synthetic manifold samples, node-spacing statistics, and every file format."""
 
+import csv
+import json
 import struct
 import warnings
 from dataclasses import dataclass
@@ -108,37 +110,59 @@ def fill_distance(nodes: PointCloud, domain_samples: PointCloud) -> float:
     return float(d.min(axis=1).max())
 
 
-def save_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
-    """Write a cloud to `path` as csv or binary (inferred from a .csv suffix)."""
+def save_cloud(cloud: PointCloud, path) -> None:
+    """Write a cloud to `path`: csv for a .csv suffix, binary otherwise."""
     path = Path(path)
-    format = format or ("csv" if path.suffix == ".csv" else "binary")
-    if format == "binary":
+    if path.suffix != ".csv":
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<QQ", cloud.n, cloud.dim))
             f.write(np.ascontiguousarray(cloud.points, dtype="<f8").tobytes())
-    elif format == "csv":
+    else:
         with open(path, "w") as f:
             f.write(f"# {cloud.n} points in R^{cloud.dim}\n")
             for row in cloud.points:
                 f.write(",".join(repr(float(v)) for v in row) + "\n")
-    else:
-        raise ValueError(f"unknown format {format!r}")
 
 
-def load_cloud(path, format: str | None = None, dim: int | None = None) -> PointCloud:
-    """Read a cloud written by save_cloud; `dim`, when given, is enforced."""
+def load_cloud(path) -> PointCloud:
+    """Read a cloud written by save_cloud; the suffix selects the format as there."""
     path = Path(path)
-    format = format or ("csv" if path.suffix == ".csv" else "binary")
-    if format == "binary":
-        cloud = _load_binary(path)
-    elif format == "csv":
-        cloud = _load_csv(path)
-    else:
-        raise ValueError(f"unknown format {format!r}")
-    if dim is not None and cloud.dim != dim:
-        raise ValueError(f"ragged table: points have {cloud.dim} fields, expected {dim}")
-    return cloud
+    return _load_csv(path) if path.suffix == ".csv" else _load_binary(path)
+
+
+def save_bundle(directory, sidecar: str, meta: dict, blocks: dict) -> None:
+    """Write a bundle: JSON sidecar `sidecar` holding meta, plus one `<name>.pcld` block per 2-d array."""
+    p = Path(directory)
+    p.mkdir(parents=True, exist_ok=True)
+    for name, array in blocks.items():
+        save_cloud(PointCloud(array), p / f"{name}.pcld")
+    (p / sidecar).write_text(json.dumps(meta, indent=2))
+
+
+def load_block(directory, name: str, shape: tuple) -> np.ndarray:
+    """Read block `name` of a bundle; ValueError unless it has the `shape` its sidecar implies."""
+    points = load_cloud(Path(directory) / f"{name}.pcld").points
+    if points.shape != shape:
+        rows, cols = points.shape
+        raise ValueError(f"{name} block is {rows}x{cols}; the sidecar expects {shape[0]}x{shape[1]}")
+    return points
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table, every cell by one rule: empty for None, .17g for a float, str() otherwise."""
+    with open(Path(path), "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _load_binary(path: Path) -> PointCloud:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import PointCloud, load_cloud, local_fill_distance, save_cloud
+from .dataset import PointCloud, load_block, local_fill_distance, save_bundle
 from .kernels import GAUSSIAN, KernelMatrix, KernelSpec, degree_vector, gaussian, kernel_matrix
 
 
@@ -91,30 +91,26 @@ def unisolvency_rank(points: np.ndarray) -> int:
 
 
 def save_embedding(emb: Embedding, directory) -> None:
-    """Write coords and eigvecs as binary clouds plus a JSON sidecar."""
-    p = Path(directory)
-    p.mkdir(parents=True, exist_ok=True)
-    save_cloud(PointCloud(emb.coords), p / "coords.pcld")
-    save_cloud(PointCloud(emb.eigvecs), p / "eigvecs.pcld")
+    """Write an embedding as a bundle: embedding.json plus coords and eigvecs blocks."""
     meta = {
         "eigvals": [float(v) for v in emb.eigvals],
         "degrees": [float(v) for v in emb.degrees],
         "spec": emb.spec.to_dict() if emb.spec is not None else None,
     }
-    (p / "embedding.json").write_text(json.dumps(meta, indent=2))
+    save_bundle(directory, "embedding.json", meta, {"coords": emb.coords, "eigvecs": emb.eigvecs})
 
 
 def load_embedding(directory) -> Embedding:
-    p = Path(directory)
-    meta = json.loads((p / "embedding.json").read_text())
-    coords = load_cloud(p / "coords.pcld").points
-    eigvecs = load_cloud(p / "eigvecs.pcld").points
+    """Read an embedding written by save_embedding; with n = len(degrees) and d+1 = len(eigvals)
+    in embedding.json, coords must be n x d and eigvecs n x (d+1)."""
+    meta = json.loads((Path(directory) / "embedding.json").read_text())
+    eigvals, degrees = np.array(meta["eigvals"]), np.array(meta["degrees"])
+    n, d = degrees.size, eigvals.size - 1
     spec = KernelSpec.from_dict(meta["spec"]) if meta["spec"] is not None else None
     return Embedding(
-        coords=coords,
-        eigvals=np.array(meta["eigvals"]),
-        eigvecs=eigvecs,
-        degrees=np.array(meta["degrees"]),
+        coords=load_block(directory, "coords", (n, d)),
+        eigvals=eigvals,
+        eigvecs=load_block(directory, "eigvecs", (n, d + 1)),
+        degrees=degrees,
         spec=spec,
-        source=None,
     )

@@ -1,13 +1,12 @@
 """Leave-one-out harness, parameter sweeps, and convergence-rate estimation."""
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import PointCloud, local_fill_distance, random_unitary_embed, sample_sphere
+from .dataset import PointCloud, local_fill_distance, random_unitary_embed, sample_sphere, write_table
 from .embedding import laplacian_eigenmaps
 from .inverse import (
     TAIL_LINEAR,
@@ -27,6 +26,9 @@ METHOD_SHEPARD = "shepard"
 
 LOO_CSV_COLUMNS = ["n", "seed", "h_local", "method", "scale_multiple", "e_avg", "failures"]
 COND_CSV_COLUMNS = ["parameter", "n", "h_local", "method", "cond"]
+
+# default gaussian and shepard scale multiples of a one-dataset scale table
+TABLE_SCALE_MULTIPLES = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +53,6 @@ class LooReport:
 
 @dataclass(frozen=True)
 class SweepRow:
-    parameter: float
     n: int
     seed: int | None
     h_local: float
@@ -97,7 +98,7 @@ class SphereConfig:
     shepard_multiples: tuple = (0.25, 0.5, 1.0, 2.0)
     include_cubic: bool = True
     cubic_tail: str = TAIL_LINEAR
-    max_neighbors: int = 200
+    max_neighbors: int = NeighborhoodPolicy().max_neighbors
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,6 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
                 rep = loo_error(ambient, coords, method, mult, tail=config.cubic_tail, policy=policy, seed=seed)
                 rows.append(
                     SweepRow(
-                        parameter=float(n),
                         n=n,
                         seed=seed,
                         h_local=rep.h_local,
@@ -322,8 +322,8 @@ class TableRow:
 def scale_table(
     values: PointCloud,
     coords: PointCloud,
-    gaussian_multiples=(0.5, 1.0, 2.0),
-    shepard_multiples=(0.5, 1.0, 2.0),
+    gaussian_multiples=TABLE_SCALE_MULTIPLES,
+    shepard_multiples=TABLE_SCALE_MULTIPLES,
     include_cubic: bool = True,
     tail: str = TAIL_LINEAR,
     policy: NeighborhoodPolicy | None = None,
@@ -349,23 +349,13 @@ def scale_table(
     ]
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def sweep_to_csv(result: SweepResult, path) -> None:
     """LOO sweep rows with the fixed schema n, seed, h_local, method, scale_multiple, e_avg, failures."""
-    with open(Path(path), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(LOO_CSV_COLUMNS)
-        for r in result.rows:
-            writer.writerow(
-                [r.n, _cell(r.seed), _cell(r.h_local), r.method, _cell(r.scale_multiple), _cell(r.e_avg), r.failures]
-            )
+    write_table(
+        path,
+        LOO_CSV_COLUMNS,
+        [[r.n, r.seed, r.h_local, r.method, r.scale_multiple, r.e_avg, r.failures] for r in result.rows],
+    )
 
 
 def sweep_to_json(result: SweepResult, path) -> None:
@@ -380,22 +370,16 @@ def sweep_to_json(result: SweepResult, path) -> None:
 
 def conditioning_to_csv(result: SweepResult, path) -> None:
     """Conditioning rows with the fixed schema parameter, n, h_local, method, cond."""
-    with open(Path(path), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(COND_CSV_COLUMNS)
-        for r in result.rows:
-            writer.writerow([_cell(r.parameter), r.n, _cell(r.h_local), r.method, _cell(r.cond)])
+    write_table(path, COND_CSV_COLUMNS, [[r.parameter, r.n, r.h_local, r.method, r.cond] for r in result.rows])
 
 
 def table_to_csv(rows, path, dataset: str | None = None) -> None:
     """Scale-table rows; the is_min column marks the lowest error per dataset."""
-    with open(Path(path), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["dataset", "method", "scale_multiple", "e_avg", "failures", "is_min"])
-        for r in rows:
-            writer.writerow(
-                [dataset or "", r.method, _cell(r.scale_multiple), _cell(r.e_avg), r.failures, int(r.is_min)]
-            )
+    write_table(
+        path,
+        ["dataset", "method", "scale_multiple", "e_avg", "failures", "is_min"],
+        [[dataset, r.method, r.scale_multiple, r.e_avg, r.failures, int(r.is_min)] for r in rows],
+    )
 
 
 def median_rows(rows):

@@ -11,7 +11,7 @@ import scipy.linalg
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .dataset import PointCloud, load_cloud, save_cloud
+from .dataset import PointCloud, load_block, save_bundle
 from .embedding import unisolvency_rank
 from .kernels import KernelSpec, _node_kernel, _top_k, eval_kernel
 
@@ -206,14 +206,10 @@ def shepard_eval(
 
 
 def save_model(model: RbfModel, directory) -> None:
-    """Write a fitted model as a JSON sidecar plus binary blocks."""
-    p = Path(directory)
-    p.mkdir(parents=True, exist_ok=True)
-    save_cloud(PointCloud(model.nodes), p / "nodes.pcld")
-    save_cloud(PointCloud(model.weights), p / "weights.pcld")
+    """Write a fitted model as a bundle: model.json plus nodes, weights and (linear tail) poly blocks."""
+    blocks = {"nodes": model.nodes, "weights": model.weights}
     if model.tail == TAIL_LINEAR:
-        poly = np.vstack([model.poly_gamma[None, :], model.poly_beta])
-        save_cloud(PointCloud(poly), p / "poly.pcld")
+        blocks["poly"] = np.vstack([model.poly_gamma[None, :], model.poly_beta])
     meta = {
         "spec": model.spec.to_dict(),
         "tail": model.tail,
@@ -222,27 +218,18 @@ def save_model(model: RbfModel, directory) -> None:
         "dim_out": model.dim_out,
         "condition": model.condition,
     }
-    (p / "model.json").write_text(json.dumps(meta, indent=2))
-
-
-def _load_block(p: Path, name: str, shape: tuple) -> np.ndarray:
-    points = load_cloud(p / f"{name}.pcld").points
-    if points.shape != shape:
-        rows, cols = points.shape
-        raise ValueError(f"{name} block is {rows}x{cols}; model.json expects {shape[0]}x{shape[1]}")
-    return points
+    save_bundle(directory, "model.json", meta, blocks)
 
 
 def load_model(directory) -> RbfModel:
     """Read a model written by save_model, checking each block's shape against model.json."""
-    p = Path(directory)
-    meta = json.loads((p / "model.json").read_text())
+    meta = json.loads((Path(directory) / "model.json").read_text())
     n, dim_in, dim_out = int(meta["n"]), int(meta["dim_in"]), int(meta["dim_out"])
-    nodes = _load_block(p, "nodes", (n, dim_in))
-    weights = _load_block(p, "weights", (n, dim_out))
+    nodes = load_block(directory, "nodes", (n, dim_in))
+    weights = load_block(directory, "weights", (n, dim_out))
     gamma = beta = None
     if meta["tail"] == TAIL_LINEAR:
-        poly = _load_block(p, "poly", (dim_in + 1, dim_out))
+        poly = load_block(directory, "poly", (dim_in + 1, dim_out))
         gamma, beta = poly[0], poly[1:]
     return RbfModel(
         nodes=nodes,

@@ -75,10 +75,9 @@ def thin_plate(rho: int = 2) -> KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Matrix of kernel values; symmetric when assembled on one node set."""
+    """Matrix of kernel values; exactly symmetric when assembled on one node set."""
 
     entries: np.ndarray
-    symmetric: bool = False
 
     @property
     def n(self) -> int:
@@ -114,7 +113,7 @@ def _node_kernel(spec: KernelSpec, dists: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> KernelMatrix:
     """Assemble the symmetric node matrix k(x_i, x_j) of one cloud."""
-    return KernelMatrix(_node_kernel(spec, pdist(cloud.points)), symmetric=True)
+    return KernelMatrix(_node_kernel(spec, pdist(cloud.points)))
 
 
 def condition_number(m: KernelMatrix) -> float:
@@ -175,10 +174,10 @@ def sparsify(m: KernelMatrix, threshold: float | None = None, knn: int | None = 
         raise ValueError("specify exactly one of threshold, knn")
     e = m.entries
     n = e.shape[0]
-    if e.shape[0] != e.shape[1] or not m.symmetric:
+    if e.shape[0] != e.shape[1] or not np.array_equal(e, e.T):
         raise ValueError("sparsify requires a symmetric square kernel matrix")
     if threshold is not None:
-        return KernelMatrix(_truncate_rows(e, threshold, None), symmetric=True)
+        return KernelMatrix(_truncate_rows(e, threshold, None))
     if int(knn) >= n:
         raise ValueError(f"knn must be < n = {n}")
     off = e.copy()
@@ -186,4 +185,4 @@ def sparsify(m: KernelMatrix, threshold: float | None = None, knn: int | None = 
     kept = _truncate_rows(off, None, knn)
     out = np.maximum(kept, kept.T)
     np.fill_diagonal(out, np.diag(e))
-    return KernelMatrix(out, symmetric=True)
+    return KernelMatrix(out)

@@ -1,14 +1,12 @@
 """Nystrom extension of normalized-kernel eigenvectors, its rescaled-RBF
 reformulation, and discontinuity diagnostics under kernel sparsification."""
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import PointCloud
+from .dataset import PointCloud, write_table
 from .embedding import Embedding
 from .inverse import TAIL_NONE, eval_rbf, fit_rbf
 from .kernels import KernelSpec, _truncate_rows, eval_kernel
@@ -161,8 +159,5 @@ def discontinuity_scan(
 
 def scan_to_csv(profile: ScanProfile, path) -> None:
     """Emit a scan as CSV with columns step, t, value_full, value_sparse."""
-    with open(Path(path), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "t", "value_full", "value_sparse"])
-        for i, t in enumerate(profile.ts):
-            writer.writerow([i, f"{t:.17g}", f"{profile.values_full[i]:.17g}", f"{profile.values_sparse[i]:.17g}"])
+    rows = zip(range(len(profile.ts)), profile.ts, profile.values_full, profile.values_sparse)
+    write_table(path, ["step", "t", "value_full", "value_sparse"], rows)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from preimage.cli import build_parser, main
 from preimage.dataset import PointCloud, load_cloud, save_cloud
-from preimage.evaluation import ConditioningConfig, SphereConfig
+from preimage.evaluation import TABLE_SCALE_MULTIPLES, ConditioningConfig, SphereConfig
+from preimage.inverse import TAIL_LINEAR, NeighborhoodPolicy
 
 
 @pytest.fixture
@@ -26,6 +28,21 @@ class TestSphereCommand:
         assert manifest["seeds"] == [0]
         assert manifest["command"] == "sphere"
         assert "numpy" in manifest["versions"]
+
+    def test_medians_csv_reads_back(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["sphere", "--n", "10,14", "--seeds", "2", "--gaussian-scales", "0.5", "--shepard-scales", "",
+                     "--out", str(out)]) == 0
+        with open(out / "medians.csv", newline="") as f:
+            medians = list(csv.DictReader(f))
+        with open(out / "rows.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(m["n"], m["method"], m["scale_multiple"]) for m in medians] == [
+            ("10", "cubic", ""), ("10", "gaussian", "0.5"), ("14", "cubic", ""), ("14", "gaussian", "0.5")]
+        for m in medians:
+            group = [float(r["e_avg"]) for r in rows if all(r[c] == m[c] for c in ("n", "method", "scale_multiple"))]
+            assert m["seeds"] == "2" and len(group) == 2
+            assert float(m["median_e_avg"]) == float(np.median(group))
 
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -73,6 +90,9 @@ class TestParserDefaults:
             assert args[flag] == (list(value) if isinstance(value, tuple) else value), flag
         args = vars(parser.parse_args(["loo-table", "--values", "v", "--out", "o"]))
         assert args["affinity_multiple"] == sphere.affinity_multiple
+        assert args["gaussian_scales"] == args["shepard_scales"] == list(TABLE_SCALE_MULTIPLES)
+        assert args["tail"] == TAIL_LINEAR
+        assert args["max_neighbors"] == NeighborhoodPolicy().max_neighbors == sphere.max_neighbors
         args = vars(parser.parse_args(["conditioning", "--mode", "vs_fill", "--out", "o"]))
         for flag, field in [("dim", "ambient_dim"), ("n_values", "n_values"), ("epsilon", "epsilon"), ("n", "n"),
                             ("epsilon_values", "epsilon_values"), ("seed", "seed")]:
@@ -152,6 +172,20 @@ class TestNystromScanCommand:
         assert len(lines) == 51
         summary = json.loads((out / "scan_summary.json").read_text())
         assert summary["delta_max_sparse"] >= summary["delta_max_full"]
+
+    def test_eigval_gap_zero_on_two_far_apart_clusters(self, tmp_path, rng):
+        # the kernel between clusters 100 apart underflows to 0, so eigenvalue 1
+        # has multiplicity 2 and eigenvector 1 is not determined by the inputs
+        one = rng.uniform(0.0, 1.0, size=(30, 2))
+        gaps = {}
+        for name, points in [("one", one), ("two", np.vstack([one, one + 100.0]))]:
+            save_cloud(PointCloud(points), tmp_path / f"{name}.pcld")
+            assert main(["nystrom-scan", "--cloud", str(tmp_path / f"{name}.pcld"), "--threshold", "0.4",
+                         "--embed-on", "full", "--epsilon-multiple", "0.25", "--steps", "20",
+                         "--out", str(tmp_path / name)]) == 0
+            gaps[name] = json.loads((tmp_path / name / "scan_summary.json").read_text())["eigval_gap"]
+        assert gaps["two"] < 1e-12
+        assert gaps["one"] > 1e-2
 
 
 class TestLooTableCommand:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from preimage.dataset import (
     random_unitary_embed,
     sample_sphere,
     save_cloud,
+    write_table,
 )
 
 from conftest import random_rotation
@@ -185,12 +188,6 @@ class TestCloudIO:
         path.write_text("# header\n1.0,2.0\n3.0,4.0\n")
         assert load_cloud(path).n == 2
 
-    def test_declared_dim_mismatch(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("1.0,2.0\n")
-        with pytest.raises(ValueError, match="ragged table"):
-            load_cloud(path, dim=3)
-
     def test_ragged_rows(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("1.0,2.0\n3.0\n")
@@ -226,3 +223,15 @@ class TestCloudIO:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_cloud(path)
+
+
+class TestWriteTable:
+    def test_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        x = 0.1 + 0.2  # needs all 17 significant digits
+        write_table(path, ["a", "b", "c", "d"], [[None, x, 7, "cubic"], [np.float64(2.5e-7), None, np.int64(-3), ""]])
+        assert path.read_bytes() == b"a,b,c,d\r\n,0.30000000000000004,7,cubic\r\n2.4999999999999999e-07,,-3,\r\n"
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert float(rows[1][1]) == x
+        assert float(rows[2][0]) == 2.5e-7

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from preimage.dataset import PointCloud, local_fill_distance, sample_sphere, random_unitary_embed
+from preimage.dataset import PointCloud, local_fill_distance, sample_sphere, random_unitary_embed, save_cloud
 from preimage.embedding import (
     embedding_from_kernel,
     laplacian_eigenmaps,
@@ -152,3 +152,12 @@ class TestSerialization:
         assert np.array_equal(back.eigvals, emb.eigvals)
         assert np.array_equal(back.degrees, emb.degrees)
         assert back.spec == emb.spec
+
+    @pytest.mark.parametrize("block,shape", [("coords", (14, 2)), ("coords", (13, 3)), ("eigvecs", (14, 3))])
+    def test_corrupted_block_rejected(self, rng, tmp_path, block, shape):
+        # a 14-point embedding with d=3; each block is replaced by one of the wrong shape
+        emb = laplacian_eigenmaps(PointCloud(rng.normal(size=(14, 3))), gaussian(0.8), d=3)
+        save_embedding(emb, tmp_path)
+        save_cloud(PointCloud(rng.normal(size=shape)), tmp_path / f"{block}.pcld")
+        with pytest.raises(ValueError, match=f"{block} block"):
+            load_embedding(tmp_path)

@@ -248,6 +248,7 @@ class TestCsvWriters:
         assert len(doc["rows"]) == 3
         assert doc["fitted_slope"] == res.fitted_slope
         assert {"n", "seed", "h_local", "method", "scale_multiple", "e_avg", "failures"} <= set(doc["rows"][0])
+        assert "parameter" not in doc["rows"][0]
 
     def test_median_rows(self):
         cfg = SphereConfig(gaussian_multiples=(), shepard_multiples=())

@@ -80,7 +80,6 @@ class TestKernelMatrix:
     def test_two_points_cubic(self):
         m = kernel_matrix(cubic(), PointCloud([[0.0], [1.0]]))
         assert m.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        assert m.symmetric
 
     def test_gaussian_random_cloud(self, rng):
         cloud = PointCloud(rng.normal(size=(5, 3)))
@@ -91,17 +90,17 @@ class TestKernelMatrix:
 
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(KernelMatrix(np.eye(3), symmetric=True)) == 1.0
+        assert condition_number(KernelMatrix(np.eye(3))) == 1.0
 
     def test_diagonal_ratio(self):
-        assert condition_number(KernelMatrix(np.diag([10.0, 1.0]), symmetric=True)) == pytest.approx(10.0)
+        assert condition_number(KernelMatrix(np.diag([10.0, 1.0]))) == pytest.approx(10.0)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             condition_number(KernelMatrix(np.ones((2, 3))))
 
     def test_singular_returns_inf(self):
-        assert condition_number(KernelMatrix(np.zeros((2, 2)), symmetric=True)) == np.inf
+        assert condition_number(KernelMatrix(np.zeros((2, 2)))) == np.inf
 
     def test_small_scale_gaussian_dwarfs_cubic(self):
         # 200 quadrant-sphere points: the epsilon=1e-2 gaussian matrix is
@@ -131,7 +130,7 @@ class TestConditionNumber:
 
 class TestDegreeVector:
     def test_all_ones(self):
-        d = degree_vector(KernelMatrix(np.ones((2, 2)), symmetric=True))
+        d = degree_vector(KernelMatrix(np.ones((2, 2))))
         assert d.tolist() == [2.0, 2.0]
 
     def test_gaussian_rows_at_least_one(self, rng):
@@ -141,7 +140,7 @@ class TestDegreeVector:
     def test_isolated_node(self):
         e = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="isolated node"):
-            degree_vector(KernelMatrix(e, symmetric=True))
+            degree_vector(KernelMatrix(e))
 
     def test_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -193,7 +192,7 @@ class TestSparsify:
         assert np.array_equal(out, out.T)
 
     def test_requires_symmetric(self, rng):
-        m = KernelMatrix(rng.normal(size=(4, 4)), symmetric=False)
+        m = KernelMatrix(rng.normal(size=(4, 4)))
         with pytest.raises(ValueError, match="symmetric"):
             sparsify(m, threshold=0.1)
 
@@ -229,13 +228,13 @@ class TestSparsifyReference:
             n = int(local.integers(3, 25))
             a = local.integers(0, 4, size=(n, n)) / 4.0
             e = np.triu(a, 1) + np.triu(a, 1).T + np.eye(n)
-            m = KernelMatrix(e, symmetric=True)
+            m = KernelMatrix(e)
             for k in range(1, n):
                 assert np.array_equal(sparsify(m, knn=k).entries, sparsify_knn_row_loop(e, k))
 
     def test_tie_keeps_lower_column(self):
         e = np.array([[1.0, 0.5, 0.5, 0.5], [0.5, 1.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0], [0.5, 0.0, 0.0, 1.0]])
-        out = sparsify(KernelMatrix(e, symmetric=True), knn=1).entries
+        out = sparsify(KernelMatrix(e), knn=1).entries
         # row 0 keeps column 1 of three equal entries; rows 1-3 keep column 0
         assert out[0].tolist() == [1.0, 0.5, 0.5, 0.5]
         assert out[1].tolist() == [0.5, 1.0, 0.0, 0.0]
