@@ -195,6 +195,8 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
         "diagnostic_only": profile.diagnostic_only,
         "eigval_gap": float(np.abs(others - emb.eigvals[args.eigvec]).min()),
     }
+    # strict JSON has no NaN: a profile without two consecutive finite steps has a null jump
+    summary.update({k: None for k in ("delta_max_full", "delta_max_sparse") if not np.isfinite(summary[k])})
     _write_json(out, args.out / "scan_summary.json", summary)
     _write_manifest(out, args.out / "manifest.json", args, [args.seed])
     return 0

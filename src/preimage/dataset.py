@@ -1,4 +1,4 @@
-"""Point clouds: synthetic manifold samples, node-spacing statistics, and every file format."""
+"""Point clouds: synthetic manifold samples, the one nearest-node lookup, node spacing, and every file format."""
 
 import csv
 import json
@@ -8,9 +8,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 _MAGIC = b"PCLD"
+_BLOCK_DISTANCES = 1 << 20  # nearest() holds at most this many distances at once: 8 MB of float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +82,36 @@ def random_unitary_embed(cloud: PointCloud, target_dim: int, seed: int = 0) -> P
     return PointCloud(cloud.points @ q[: cloud.dim, :])
 
 
+def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest keys along the last axis, in increasing key order; equal keys
+    keep the lower index first (a stable sort, or for k = 1 argmin, which returns the first minimum)."""
+    if k == 1:
+        return np.argmin(keys, axis=-1)[..., None]
+    return np.argsort(keys, axis=-1, kind="stable")[..., :k]
+
+
+def nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool = False):
+    """(indices, distances) of the k points nearest to each query, both m x k.
+
+    Rows list their points in increasing point index; equidistant points go to the lower index
+    (_top_k). exclude_self means the queries are the points: row i leaves out point i but not
+    its duplicates. cdist runs on one block of queries at a time (memory grows with n, not m x n).
+    """
+    n, m = points.shape[0], queries.shape[0]
+    if not 1 <= k <= n - exclude_self:
+        raise ValueError(f"k must be in [1, {n - exclude_self}]")
+    idx = np.empty((m, k), dtype=np.intp)
+    dist = np.empty((m, k))
+    rows = max(1, _BLOCK_DISTANCES // n)
+    for start in range(0, m, rows):
+        d = cdist(queries[start : start + rows], points)
+        if exclude_self:
+            d[np.arange(len(d)), np.arange(start, start + len(d))] = np.inf
+        idx[start : start + rows] = np.sort(_top_k(d, k), axis=1)
+        dist[start : start + rows] = np.take_along_axis(d, idx[start : start + rows], axis=1)
+    return idx, dist
+
+
 def local_fill_distance(nodes: PointCloud) -> float:
     """Mean distance from each node to its nearest other node.
 
@@ -90,12 +121,10 @@ def local_fill_distance(nodes: PointCloud) -> float:
     """
     if nodes.n < 2:
         raise ValueError("local fill distance needs at least 2 nodes")
-    d = squareform(pdist(nodes.points))
-    np.fill_diagonal(d, np.inf)
-    nearest = d.min(axis=1)
-    if np.any(nearest == 0.0):
+    d = nearest(nodes.points, nodes.points, 1, exclude_self=True)[1][:, 0]
+    if np.any(d == 0.0):
         warnings.warn("duplicate points in node set; local fill distance includes zeros")
-    return float(nearest.mean())
+    return float(d.mean())
 
 
 def fill_distance(nodes: PointCloud, domain_samples: PointCloud) -> float:
@@ -106,8 +135,7 @@ def fill_distance(nodes: PointCloud, domain_samples: PointCloud) -> float:
     """
     if nodes.dim != domain_samples.dim:
         raise ValueError(f"dimension mismatch: nodes in R^{nodes.dim}, domain samples in R^{domain_samples.dim}")
-    d = cdist(domain_samples.points, nodes.points)
-    return float(d.min(axis=1).max())
+    return float(nearest(nodes.points, domain_samples.points, 1)[1].max())
 
 
 def save_cloud(cloud: PointCloud, path) -> None:

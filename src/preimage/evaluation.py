@@ -6,17 +6,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import PointCloud, local_fill_distance, random_unitary_embed, sample_sphere, write_table
+from .dataset import PointCloud, local_fill_distance, nearest, random_unitary_embed, sample_sphere, write_table
 from .embedding import laplacian_eigenmaps
 from .inverse import (
     TAIL_LINEAR,
     TAIL_NONE,
     InterpolationError,
     NeighborhoodPolicy,
+    _shepard_average,
     eval_rbf,
-    fit_local_rbf,
     fit_rbf,
-    shepard_eval,
 )
 from .kernels import condition_number, cubic, gaussian, kernel_matrix
 
@@ -124,12 +123,13 @@ def loo_error(
     policy: NeighborhoodPolicy | None = None,
     seed: int | None = None,
 ) -> LooReport:
-    """Reconstruct each point from the remaining n-1 and report the mean l2 residual.
+    """Reconstruct each point from its k = min(n-1, max_neighbors) nearest others.
 
-    Fits honor the neighbor policy: folds larger than max_neighbors use the
-    nearest-neighbor local fit. The gaussian and shepard scales are given as a
-    multiple of 1/h_local of the coordinate nodes; the cubic uses `tail`
-    (linear by default) and the gaussian always solves the plain system.
+    One dataset.nearest table gives every fold its nodes (all the other points when
+    n-1 <= max_neighbors) and gives h_local; gaussian and shepard scales are multiples of
+    1/h_local. The cubic (`tail`, linear by default) and the gaussian (plain system) are fitted
+    on a fold's nodes, shepard averages their values, and a fold whose fit fails, e.g. on
+    duplicate nodes, holds NaN.
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
     if values.n != coords.n:
@@ -137,39 +137,30 @@ def loo_error(
     n, d = coords.n, coords.dim
     if n < 3:
         raise ValueError("leave-one-out needs at least 3 points")
-    if method == METHOD_CUBIC and tail == TAIL_LINEAR and n < d + 3:
-        raise ValueError(f"cubic with linear tail needs n >= d+3 = {d + 3}")
-    h = local_fill_distance(coords)
+    k = min(n - 1, policy.max_neighbors)
+    if method == METHOD_CUBIC and tail == TAIL_LINEAR and k < d + 2:
+        raise ValueError(f"cubic with linear tail needs d+2 = {d + 2} nodes per fold (n >= d+3, max_neighbors >= d+2)")
+    idx, dist = nearest(coords.points, coords.points, k, exclude_self=True)
+    h = float(dist.min(axis=1).mean())
     if method in (METHOD_GAUSSIAN, METHOD_SHEPARD):
         if scale_multiple is None or scale_multiple <= 0:
             raise ValueError(f"{method} needs a positive scale multiple of 1/h_local")
         epsilon = scale_multiple / h
+        spec, fit_tail = gaussian(epsilon), TAIL_NONE
     elif method == METHOD_CUBIC:
-        spec = cubic()
+        spec, fit_tail = cubic(), tail
     else:
         raise ValueError(f"unknown method {method!r}")
 
     errors = np.full(n, np.nan)
     failures = []
-    all_idx = np.arange(n)
     for j in range(n):
-        rest = all_idx != j
-        train_nodes = PointCloud(coords.points[rest])
-        train_values = PointCloud(values.points[rest])
-        query = coords.points[j]
         try:
             if method == METHOD_SHEPARD:
-                pred = shepard_eval(train_nodes, train_values, query, epsilon, policy)
+                pred = _shepard_average(dist[j], values.points[idx[j]], epsilon)
             else:
-                if method == METHOD_GAUSSIAN:
-                    spec = gaussian(epsilon)
-                    fit_tail = TAIL_NONE
-                else:
-                    fit_tail = tail
-                if train_nodes.n > policy.max_neighbors:
-                    pred = fit_local_rbf(train_nodes, train_values, spec, fit_tail, policy, query)
-                else:
-                    pred = eval_rbf(fit_rbf(train_nodes, train_values, spec, fit_tail), query)
+                model = fit_rbf(PointCloud(coords.points[idx[j]]), PointCloud(values.points[idx[j]]), spec, fit_tail)
+                pred = eval_rbf(model, coords.points[j])
             errors[j] = np.linalg.norm(values.points[j] - pred)
         except InterpolationError:
             failures.append(j)

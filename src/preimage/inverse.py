@@ -11,9 +11,9 @@ import scipy.linalg
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .dataset import PointCloud, load_block, save_bundle
+from .dataset import PointCloud, load_block, nearest, save_bundle
 from .embedding import unisolvency_rank
-from .kernels import KernelSpec, _node_kernel, _top_k, eval_kernel
+from .kernels import KernelSpec, _node_kernel, eval_kernel
 
 TAIL_NONE = "none"
 TAIL_LINEAR = "linear"
@@ -149,14 +149,6 @@ def eval_rbf(model: RbfModel, query) -> np.ndarray:
     return out[0] if single else out
 
 
-def _nearest_indices(points: np.ndarray, query: np.ndarray, k: int):
-    """Indices, in increasing order, of the k nodes nearest to query, and
-    their distances; ties keep the lower node index."""
-    dist = np.linalg.norm(points - query[None, :], axis=1)
-    idx = np.sort(_top_k(dist, k))
-    return idx, dist[idx]
-
-
 def fit_local_rbf(
     nodes: PointCloud,
     values: PointCloud,
@@ -171,8 +163,7 @@ def fit_local_rbf(
         raise ValueError(f"query must be a single point in R^{nodes.dim}")
     if tail == TAIL_LINEAR and policy.max_neighbors < nodes.dim + 2:
         raise ValueError(f"max_neighbors must be >= d+2 = {nodes.dim + 2} for the linear tail")
-    k = min(nodes.n, policy.max_neighbors)
-    idx, _ = _nearest_indices(nodes.points, q, k)
+    idx = nearest(nodes.points, q[None, :], min(nodes.n, policy.max_neighbors))[0][0]
     model = fit_rbf(PointCloud(nodes.points[idx]), PointCloud(values.points[idx]), spec, tail)
     return eval_rbf(model, q)
 
@@ -196,13 +187,17 @@ def shepard_eval(
     q = np.asarray(query, dtype=float)
     if q.ndim != 1 or q.shape[0] != nodes.dim:
         raise ValueError(f"query must be a single point in R^{nodes.dim}")
-    k = min(nodes.n, policy.max_neighbors)
-    idx, dist = _nearest_indices(nodes.points, q, k)
+    idx, dist = nearest(nodes.points, q[None, :], min(nodes.n, policy.max_neighbors))
+    return _shepard_average(dist[0], values.points[idx[0]], epsilon)
+
+
+def _shepard_average(dist: np.ndarray, values: np.ndarray, epsilon: float) -> np.ndarray:
+    """Average of the neighbours' values rows, weighted by exp(-epsilon^2 dist^2)."""
     w = np.exp(-(epsilon**2) * dist * dist)
     total = w.sum()
     if total == 0.0:
         raise ScaleUnderflowError("scale too large for spacing: all weights underflowed to 0")
-    return (w @ values.points[idx]) / total
+    return (w @ values) / total
 
 
 def save_model(model: RbfModel, directory) -> None:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .dataset import PointCloud
+from .dataset import PointCloud, _top_k
 
 GAUSSIAN = "gaussian"
 RADIAL_POWER = "radial_power"
@@ -137,12 +137,6 @@ def degree_vector(m: KernelMatrix) -> np.ndarray:
         i = int(np.argmin(d))
         raise ValueError(f"isolated node: row {i} has nonpositive degree {d[i]}")
     return d
-
-
-def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest keys along the last axis, in increasing key
-    order; equal keys keep the lower index first (stable sort)."""
-    return np.argsort(keys, axis=-1, kind="stable")[..., :k]
 
 
 def _truncate_rows(values: np.ndarray, threshold: float | None, knn: int | None) -> np.ndarray:

@@ -187,6 +187,23 @@ class TestNystromScanCommand:
         assert gaps["two"] < 1e-12
         assert gaps["one"] > 1e-2
 
+    def test_summary_is_strict_json_when_no_jump_is_defined(self, tmp_path):
+        # a segment across two clusters 100 apart leaves the thresholded query vector
+        # all zero at most steps, so no two consecutive steps of the sparse profile extend
+        rng = np.random.default_rng(0)
+        points = np.vstack([rng.uniform(0.0, 1.0, size=(75, 2)), rng.uniform(0.0, 1.0, size=(75, 2)) + 100.0])
+        save_cloud(PointCloud(points), tmp_path / "two.pcld")
+        assert main(["nystrom-scan", "--cloud", str(tmp_path / "two.pcld"), "--threshold", "0.4",
+                     "--epsilon-multiple", "0.25", "--steps", "20", "--out", str(tmp_path / "scan")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((tmp_path / "scan" / "scan_summary.json").read_text(), parse_constant=reject)
+        assert summary["failures"] > 0
+        assert summary["delta_max_sparse"] is None
+        assert summary["delta_max_full"] > 0.0
+
 
 class TestLooTableCommand:
     def test_table_marks_cubic_minimum(self, tmp_path):

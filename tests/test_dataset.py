@@ -2,12 +2,16 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist, squareform
 
+from preimage import dataset
 from preimage.dataset import (
     PointCloud,
+    _top_k,
     fill_distance,
     load_cloud,
     local_fill_distance,
+    nearest,
     random_unitary_embed,
     sample_sphere,
     save_cloud,
@@ -108,7 +112,71 @@ class TestRandomUnitaryEmbed:
             random_unitary_embed(PointCloud(np.eye(3)), 2, seed=0)
 
 
+def _brute_nearest(points, queries, k, exclude_self=False):
+    d = cdist(queries, points)
+    if exclude_self:
+        np.fill_diagonal(d, np.inf)
+    idx = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
+    return idx, np.take_along_axis(d, idx, axis=1)
+
+
+class TestNearest:
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_matches_brute_force_across_blocks(self, rng, monkeypatch, k):
+        # 100 distances per block of 20 points: blocks of 5 queries, 23 = 5+5+5+5+3
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 100)
+        points = rng.normal(size=(20, 4))
+        queries = rng.normal(size=(23, 4))
+        idx, dist = nearest(points, queries, k)
+        want_idx, want_dist = _brute_nearest(points, queries, k)
+        assert idx.shape == dist.shape == (23, k)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+    def test_exclude_self_across_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 70)  # blocks of 3 rows, the last of 2
+        points = rng.normal(size=(23, 3))
+        for k in (1, 4, 22):
+            idx, dist = nearest(points, points, k, exclude_self=True)
+            want_idx, want_dist = _brute_nearest(points, points, k, exclude_self=True)
+            assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+            assert not np.any(idx == np.arange(23)[:, None])
+
+    def test_ties_go_to_lower_index(self):
+        line = np.arange(5.0)[:, None]
+        assert nearest(line, np.array([[2.0]]), 2)[0].tolist() == [[1, 2]]  # 1 and 3 tie at distance 1
+        assert nearest(line, np.array([[2.0]]), 4)[0].tolist() == [[0, 1, 2, 3]]  # 0 and 4 tie at 2
+        assert nearest(np.array([[-1.0], [1.0]]), np.array([[0.0]]), 1)[0].tolist() == [[0]]
+
+    def test_exclude_self_keeps_a_duplicate(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
+        idx, dist = nearest(points, points, 1, exclude_self=True)
+        # the twins 0 and 2 find each other; point 1 is 1 from both and takes 0
+        assert idx[:, 0].tolist() == [2, 0, 0, 1]
+        assert dist[0, 0] == dist[2, 0] == 0.0
+        idx, _ = nearest(points, points, 2, exclude_self=True)
+        assert idx[0].tolist() == [1, 2] and idx[2].tolist() == [0, 1]
+
+    def test_k_one_path_equals_stable_argsort(self, rng):
+        keys = rng.integers(0, 4, size=(50, 9)).astype(float)  # many exact ties per row
+        assert np.array_equal(_top_k(keys, 1), np.argsort(keys, axis=-1, kind="stable")[..., :1])
+
+    def test_k_out_of_range(self, rng):
+        points = rng.normal(size=(5, 2))
+        with pytest.raises(ValueError, match="k must be"):
+            nearest(points, points, 5, exclude_self=True)
+        with pytest.raises(ValueError, match="k must be"):
+            nearest(points, points, 0)
+
+
 class TestLocalFillDistance:
+    def test_equals_dense_matrix_value_across_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 500)  # blocks of 10 of the 57 rows
+        pts = rng.normal(size=(57, 5))
+        d = squareform(pdist(pts))
+        np.fill_diagonal(d, np.inf)
+        assert local_fill_distance(PointCloud(pts)) == float(d.min(axis=1).mean())
+
     def test_equispaced_line(self):
         assert local_fill_distance(PointCloud([[0.0], [1.0], [2.0]])) == 1.0
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,15 @@ from preimage.evaluation import (
     sweep_to_json,
     table_to_csv,
 )
-from preimage.inverse import NeighborhoodPolicy
+from preimage.inverse import (
+    InterpolationError,
+    NeighborhoodPolicy,
+    eval_rbf,
+    fit_local_rbf,
+    fit_rbf,
+    shepard_eval,
+)
+from preimage.kernels import cubic, gaussian
 
 
 class TestLooError:
@@ -49,12 +58,23 @@ class TestLooError:
         with pytest.raises(ValueError, match="d\\+3"):
             loo_error(values, coords, "cubic", tail="linear")
 
+    def test_linear_tail_needs_enough_neighbours_up_front(self, rng, monkeypatch):
+        coords = PointCloud(rng.normal(size=(20, 3)))
+        values = PointCloud(rng.normal(size=(20, 2)))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted before the neighbour cap was checked")
+
+        monkeypatch.setattr(evaluation, "fit_rbf", no_fit)
+        with pytest.raises(ValueError, match="d\\+2"):
+            loo_error(values, coords, "cubic", tail="linear", policy=NeighborhoodPolicy(max_neighbors=4))
+
     def test_report_aggregation_contract(self, rng):
         coords = PointCloud(rng.normal(size=(15, 2)))
         values = PointCloud(rng.normal(size=(15, 3)))
         rep = loo_error(values, coords, "gaussian", scale_multiple=1.0, seed=9)
         assert rep.n == 15 and rep.seed == 9 and rep.method == "gaussian"
-        assert rep.h_local == pytest.approx(local_fill_distance(coords))
+        assert rep.h_local == local_fill_distance(coords)
         ok = np.isfinite(rep.per_point_errors)
         assert rep.e_avg == float(rep.per_point_errors[ok].mean())
         assert np.all(rep.per_point_errors[ok] >= 0.0)
@@ -67,13 +87,14 @@ class TestLooError:
         shuffled = loo_error(PointCloud(values_pts[perm]), PointCloud(coords_pts[perm]), "cubic")
         assert np.allclose(np.sort(base.per_point_errors), np.sort(shuffled.per_point_errors), atol=1e-10)
 
-    @pytest.mark.filterwarnings("ignore:duplicate points")
     def test_duplicate_training_point_interpolates(self, rng):
         coords_pts = rng.normal(size=(12, 2))
         values_pts = rng.normal(size=(12, 3))
         coords_pts[5] = coords_pts[11]
         values_pts[5] = values_pts[11]
-        rep = loo_error(PointCloud(values_pts), PointCloud(coords_pts), "cubic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # duplicates show as failed folds, not as a warning
+            rep = loo_error(PointCloud(values_pts), PointCloud(coords_pts), "cubic")
         # the duplicated pair reconstructs through its twin; every other fold
         # sees both twins among its nodes and fails as a singular system
         assert rep.per_point_errors[5] <= 1e-6
@@ -99,6 +120,65 @@ class TestLooError:
         coords = PointCloud(rng.normal(size=(10, 2)))
         with pytest.raises(ValueError, match="unknown method"):
             loo_error(coords, coords, "kriging")
+
+
+def _reference_loo(values, coords, method, scale_multiple, policy):
+    """The per-fold loop loo_error replaced: every fold copies the n-1 remaining
+    points, then fits globally or, above the cap, through fit_local_rbf."""
+    n = coords.n
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # local_fill_distance warns on duplicates
+        h = local_fill_distance(coords)
+    errors = np.full(n, np.nan)
+    failures = []
+    for j in range(n):
+        rest = np.arange(n) != j
+        train_nodes = PointCloud(coords.points[rest])
+        train_values = PointCloud(values.points[rest])
+        query = coords.points[j]
+        try:
+            if method == "shepard":
+                pred = shepard_eval(train_nodes, train_values, query, scale_multiple / h, policy)
+            else:
+                spec, tail = (cubic(), "linear") if method == "cubic" else (gaussian(scale_multiple / h), "none")
+                if train_nodes.n > policy.max_neighbors:
+                    pred = fit_local_rbf(train_nodes, train_values, spec, tail, policy, query)
+                else:
+                    pred = eval_rbf(fit_rbf(train_nodes, train_values, spec, tail), query)
+            errors[j] = np.linalg.norm(values.points[j] - pred)
+        except InterpolationError:
+            failures.append(j)
+    return h, errors, tuple(failures)
+
+
+def _fold_clouds(kind):
+    rng = np.random.default_rng(4)
+    if kind == "ties":
+        # a unit lattice: every interior point has four neighbours at exactly distance 1
+        g = np.arange(6.0)
+        coords = np.array([[x, y] for x in g for y in g])
+    else:
+        coords = rng.normal(size=(30, 3))
+        if kind == "duplicate":
+            coords[7] = coords[22]
+    values = rng.normal(size=(len(coords), 4))
+    return PointCloud(values), PointCloud(coords)
+
+
+class TestFoldPathReference:
+    @pytest.mark.parametrize("kind", ["random", "ties", "duplicate"])
+    @pytest.mark.parametrize("method,scale", [("cubic", None), ("gaussian", 1.0), ("shepard", 0.5)])
+    @pytest.mark.parametrize("max_neighbors", [200, 10])
+    def test_matches_per_fold_loop(self, kind, method, scale, max_neighbors):
+        values, coords = _fold_clouds(kind)
+        policy = NeighborhoodPolicy(max_neighbors=max_neighbors)
+        h, errors, failures = _reference_loo(values, coords, method, scale, policy)
+        rep = loo_error(values, coords, method, scale, policy=policy)
+        assert rep.h_local == h
+        assert np.array_equal(rep.per_point_errors, errors, equal_nan=True)
+        assert rep.failures == failures
+        if kind == "duplicate" and method != "shepard":
+            assert failures  # the clouds do reach the failed-fold path
 
 
 class TestConvergenceSweep:
