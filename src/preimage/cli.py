@@ -10,7 +10,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dataset import PointCloud, load_cloud, local_fill_distance, save_cloud, write_table
+from .dataset import PointCloud, load_cloud, local_fill_distance, save_cloud, spacing_scale, write_table
 from .embedding import embedding_from_kernel, laplacian_eigenmaps
 from .evaluation import (
     TABLE_SCALE_MULTIPLES,
@@ -145,9 +145,8 @@ def cmd_fit(args, out: _Outputs) -> int:
     values = load_cloud(args.values)
     spec = _kernel_from_args(args)
     model = fit_rbf(nodes, values, spec, tail=args.tail)
-    for name in ("model.json", "nodes.pcld", "weights.pcld", "poly.pcld"):
-        out.path(args.out / name)
-    save_model(model, args.out)
+    for path in save_model(model, args.out):
+        out.path(path)
     _write_manifest(out, args.out / "manifest.json", args, [])
     return 0
 
@@ -173,7 +172,7 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         cloud = PointCloud(rng.uniform(0.0, 1.0, size=(args.n, args.dim)))
-    spec = gaussian(args.epsilon_multiple / local_fill_distance(cloud))
+    spec = gaussian(spacing_scale(args.epsilon_multiple, local_fill_distance(cloud)))
     if args.threshold is not None and args.embed_on == "sparse":
         kmat = sparsify(kernel_matrix(spec, cloud), threshold=args.threshold)
         emb = embedding_from_kernel(kmat, args.embed_dim, spec=spec, source=cloud)
@@ -209,7 +208,7 @@ def cmd_loo_table(args, out: _Outputs) -> int:
     else:
         if args.embed_dim is None:
             raise ValueError("either --coords or --embed-dim is required")
-        spec = gaussian(args.affinity_multiple / local_fill_distance(values))
+        spec = gaussian(spacing_scale(args.affinity_multiple, local_fill_distance(values)))
         coords = PointCloud(laplacian_eigenmaps(values, spec, d=args.embed_dim).coords)
     rows = scale_table(
         values,

@@ -127,6 +127,13 @@ def local_fill_distance(nodes: PointCloud) -> float:
     return float(d.mean())
 
 
+def spacing_scale(multiple: float, h_local: float) -> float:
+    """The scale multiple / h_local; ValueError when h_local is 0, i.e. every point has a duplicate."""
+    if h_local == 0.0:
+        raise ValueError("h_local is 0: every point has a duplicate, so no scale is a multiple of 1/h_local")
+    return multiple / h_local
+
+
 def fill_distance(nodes: PointCloud, domain_samples: PointCloud) -> float:
     """Largest distance from any domain sample to its nearest node.
 
@@ -159,13 +166,25 @@ def load_cloud(path) -> PointCloud:
     return _load_csv(path) if path.suffix == ".csv" else _load_binary(path)
 
 
-def save_bundle(directory, sidecar: str, meta: dict, blocks: dict) -> None:
-    """Write a bundle: JSON sidecar `sidecar` holding meta, plus one `<name>.pcld` block per 2-d array."""
+def save_bundle(directory, sidecar: str, meta: dict, blocks: dict) -> list:
+    """Write a bundle: JSON sidecar `sidecar` holding meta, plus one `<name>.pcld` block per 2-d array.
+
+    Returns the paths written; a write that fails removes the files it had written.
+    """
     p = Path(directory)
     p.mkdir(parents=True, exist_ok=True)
-    for name, array in blocks.items():
-        save_cloud(PointCloud(array), p / f"{name}.pcld")
-    (p / sidecar).write_text(json.dumps(meta, indent=2))
+    written = []
+    try:
+        for name, array in blocks.items():
+            written.append(p / f"{name}.pcld")
+            save_cloud(PointCloud(array), written[-1])
+        written.append(p / sidecar)
+        written[-1].write_text(json.dumps(meta, indent=2))
+    except Exception:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return written
 
 
 def load_block(directory, name: str, shape: tuple) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import PointCloud, load_block, local_fill_distance, save_bundle
+from .dataset import PointCloud, load_block, local_fill_distance, save_bundle, spacing_scale
 from .kernels import GAUSSIAN, KernelMatrix, KernelSpec, degree_vector, gaussian, kernel_matrix
 
 
@@ -44,7 +44,7 @@ def laplacian_eigenmaps(cloud: PointCloud, spec: KernelSpec | None = None, d: in
     of the cloud, the usual spacing-matched heuristic.
     """
     if spec is None:
-        spec = gaussian(1.0 / local_fill_distance(cloud))
+        spec = gaussian(spacing_scale(1.0, local_fill_distance(cloud)))
     if spec.family != GAUSSIAN:
         raise ValueError("similarity kernel must be gaussian (positive affinities)")
     kmat = kernel_matrix(spec, cloud)

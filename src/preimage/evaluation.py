@@ -6,14 +6,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import PointCloud, local_fill_distance, nearest, random_unitary_embed, sample_sphere, write_table
-from .embedding import laplacian_eigenmaps
+from .dataset import (
+    PointCloud,
+    local_fill_distance,
+    nearest,
+    random_unitary_embed,
+    sample_sphere,
+    spacing_scale,
+    write_table,
+)
+from .embedding import laplacian_eigenmaps, unisolvency_rank
 from .inverse import (
     TAIL_LINEAR,
     TAIL_NONE,
     InterpolationError,
     NeighborhoodPolicy,
     _shepard_average,
+    _solve_with_cond,
+    _system,
     eval_rbf,
     fit_rbf,
 )
@@ -127,9 +137,16 @@ def loo_error(
 
     One dataset.nearest table gives every fold its nodes (all the other points when
     n-1 <= max_neighbors) and gives h_local; gaussian and shepard scales are multiples of
-    1/h_local. The cubic (`tail`, linear by default) and the gaussian (plain system) are fitted
-    on a fold's nodes, shepard averages their values, and a fold whose fit fails, e.g. on
-    duplicate nodes, holds NaN.
+    1/h_local (ValueError when h_local is 0). The cubic (`tail`, linear by default) and the
+    gaussian (plain system) interpolate a fold's nodes, shepard averages their values, and a
+    fold whose fit fails, e.g. on duplicate nodes, holds NaN.
+
+    When every fold is global (k = n-1), the cubic and gaussian folds come from one pivoted LU
+    of the full system M by Rippa's identity (Rippa 1999, Adv. Comput. Math. 11:193; Fasshauer
+    2007, Meshfree Approximation Methods with MATLAB, ch. 17): fold j's error is
+    |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0], and a fold fails where (M^-1)_jj is 0, the error
+    is not finite or its nodes lose unisolvency. Each fold is refitted on its own nodes when
+    k < n-1, for shepard, and when the full system has duplicate nodes or is singular.
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
     if values.n != coords.n:
@@ -145,25 +162,31 @@ def loo_error(
     if method in (METHOD_GAUSSIAN, METHOD_SHEPARD):
         if scale_multiple is None or scale_multiple <= 0:
             raise ValueError(f"{method} needs a positive scale multiple of 1/h_local")
-        epsilon = scale_multiple / h
+        epsilon = spacing_scale(scale_multiple, h)
         spec, fit_tail = gaussian(epsilon), TAIL_NONE
     elif method == METHOD_CUBIC:
         spec, fit_tail = cubic(), tail
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    errors = np.full(n, np.nan)
-    failures = []
-    for j in range(n):
+    errors = None
+    if method != METHOD_SHEPARD and k == n - 1:
         try:
-            if method == METHOD_SHEPARD:
-                pred = _shepard_average(dist[j], values.points[idx[j]], epsilon)
-            else:
-                model = fit_rbf(PointCloud(coords.points[idx[j]]), PointCloud(values.points[idx[j]]), spec, fit_tail)
-                pred = eval_rbf(model, coords.points[j])
-            errors[j] = np.linalg.norm(values.points[j] - pred)
+            errors, failures = _global_folds(coords.points, values.points, spec, fit_tail)
         except InterpolationError:
-            failures.append(j)
+            pass  # duplicate nodes or a singular full system: every fold is refitted below
+    if errors is None:
+        errors, failures = np.full(n, np.nan), []
+        for j in range(n):
+            try:
+                if method == METHOD_SHEPARD:
+                    pred = _shepard_average(dist[j], values.points[idx[j]], epsilon)
+                else:
+                    model = fit_rbf(PointCloud(coords.points[idx[j]]), PointCloud(values.points[idx[j]]), spec, fit_tail)
+                    pred = eval_rbf(model, coords.points[j])
+                errors[j] = np.linalg.norm(values.points[j] - pred)
+            except InterpolationError:
+                failures.append(j)
     ok = np.isfinite(errors)
     e_avg = float(errors[ok].mean()) if np.any(ok) else float("nan")
     return LooReport(
@@ -179,11 +202,55 @@ def loo_error(
     )
 
 
+def _global_folds(y: np.ndarray, x: np.ndarray, spec, tail: str):
+    """Every leave-one-out fold of a global fit from one factorization of the full system M.
+
+    Rippa's identity: with c = M^-1 [X; 0], fold j's residual x_j - s_j(y_j) is
+    c_j / (M^-1)_jj, so one lu_solve against [X; 0 | I[:, :n]] gives every fold. A fold is a
+    failure where (M^-1)_jj is 0 (its system is singular), where the error is not finite, and,
+    with the linear tail, where its n-1 nodes fail unisolvency_rank. Raises what fit_rbf raises
+    on the full node set (duplicates, a singular system, lost unisolvency).
+    """
+    n = y.shape[0]
+    m = _system(y, spec, tail)
+    rhs = np.zeros((m.shape[0], x.shape[1] + n))
+    rhs[:n, : x.shape[1]] = x
+    rhs[:n, x.shape[1] :] = np.eye(n)
+    sol, _ = _solve_with_cond(m, rhs)
+    diag = np.abs(np.diagonal(sol[:n, x.shape[1] :]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        errors = np.linalg.norm(sol[:n, : x.shape[1]], axis=1) / diag
+    failed = ~np.isfinite(errors)
+    if tail == TAIL_LINEAR:
+        failed |= ~_folds_unisolvent(y)
+    errors[failed] = np.nan
+    return errors, np.flatnonzero(failed).tolist()
+
+
+def _folds_unisolvent(y: np.ndarray) -> np.ndarray:
+    """Whether each fold's nodes (y without row j) pass unisolvency_rank, calling it only on the
+    folds a bound cannot clear.
+
+    With P = [1; y^T] = U S V^T, dropping column j leaves sigma_min^2 >= s_min^2 (1 - h_j), where
+    h_j = |V^T e_j|^2 is the leverage of node j (1 exactly when the fold loses rank), and
+    sigma_max <= s_max. A fold is cleared when its bound exceeds four times unisolvency_rank's
+    threshold max(d+1, n-1) sigma_max eps and 1 - h_j > 1e-8, far above the rounding in h_j.
+    """
+    n, d = y.shape
+    _, s, vt = np.linalg.svd(np.vstack([np.ones(n), y.T]), full_matrices=False)
+    room = 1.0 - np.sum(vt * vt, axis=0)
+    tol = max(d + 1, n) * s[0] * np.finfo(float).eps
+    ok = (room > 1e-8) & (s[-1] ** 2 * room > (4.0 * tol) ** 2)
+    for j in np.flatnonzero(~ok):
+        ok[j] = unisolvency_rank(np.delete(y, j, axis=0)) == d + 1
+    return ok
+
+
 def sphere_pipeline(n: int, config: SphereConfig, seed: int):
     """Sample, rotate, and embed one synthetic dataset; returns (ambient cloud, embedding)."""
     sphere = sample_sphere(n, config.sphere_dim, seed=seed)
     ambient = random_unitary_embed(sphere, config.ambient_dim, seed=seed + 1)
-    spec = gaussian(config.affinity_multiple / local_fill_distance(ambient))
+    spec = gaussian(spacing_scale(config.affinity_multiple, local_fill_distance(ambient)))
     emb = laplacian_eigenmaps(ambient, spec, d=config.embed_dim)
     return ambient, emb
 

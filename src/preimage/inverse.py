@@ -99,6 +99,33 @@ def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
     return sol, cond
 
 
+def _system(y: np.ndarray, spec: KernelSpec, tail: str) -> np.ndarray:
+    """Interpolation matrix of the nodes y (n x d): the kernel matrix K for tail="none", the
+    bordered [[K, P], [P^T, 0]] with P rows (1, y^(j)) for tail="linear".
+
+    Raises SingularSystemError on duplicate nodes and UnisolvencyError when the nodes do not
+    determine a degree-1 polynomial.
+    """
+    n, d = y.shape
+    dists = pdist(y)
+    if np.any(dists == 0.0):
+        i, j = np.argwhere(squareform(dists == 0.0))[0]  # first pair in pdist order
+        raise SingularSystemError(f"duplicate nodes at indices {i} and {j}")
+    k = _node_kernel(spec, dists)
+    if tail == TAIL_NONE:
+        return k
+    if tail != TAIL_LINEAR:
+        raise ValueError(f"unknown tail {tail!r}")
+    if unisolvency_rank(y) != d + 1:
+        raise UnisolvencyError("unisolvency failure: nodes do not determine a degree-1 polynomial")
+    p = np.hstack([np.ones((n, 1)), y])
+    m = np.zeros((n + d + 1, n + d + 1))
+    m[:n, :n] = k
+    m[:n, n:] = p
+    m[n:, :n] = p.T
+    return m
+
+
 def fit_rbf(nodes: PointCloud, values: PointCloud, spec: KernelSpec, tail: str = TAIL_LINEAR) -> RbfModel:
     """Interpolate values (n x D) at nodes (n x d), one RBF per output coordinate.
 
@@ -110,28 +137,12 @@ def fit_rbf(nodes: PointCloud, values: PointCloud, spec: KernelSpec, tail: str =
     """
     if nodes.n != values.n:
         raise ValueError(f"nodes ({nodes.n}) and values ({values.n}) must have the same point count")
-    y = nodes.points
-    x = values.points
-    n, d = y.shape
-    dists = pdist(y)
-    if np.any(dists == 0.0):
-        i, j = np.argwhere(squareform(dists == 0.0))[0]  # first pair in pdist order
-        raise SingularSystemError(f"duplicate nodes at indices {i} and {j}")
-    k = _node_kernel(spec, dists)
+    y, x = nodes.points, values.points
+    n = y.shape[0]
+    m = _system(y, spec, tail)
+    sol, cond = _solve_with_cond(m, np.vstack([x, np.zeros((m.shape[0] - n, x.shape[1]))]))
     if tail == TAIL_NONE:
-        sol, cond = _solve_with_cond(k, x)
         return RbfModel(y, sol, None, None, spec, tail, cond)
-    if tail != TAIL_LINEAR:
-        raise ValueError(f"unknown tail {tail!r}")
-    if unisolvency_rank(y) != d + 1:
-        raise UnisolvencyError("unisolvency failure: nodes do not determine a degree-1 polynomial")
-    p = np.hstack([np.ones((n, 1)), y])
-    m = np.zeros((n + d + 1, n + d + 1))
-    m[:n, :n] = k
-    m[:n, n:] = p
-    m[n:, :n] = p.T
-    rhs = np.vstack([x, np.zeros((d + 1, x.shape[1]))])
-    sol, cond = _solve_with_cond(m, rhs)
     return RbfModel(y, sol[:n], sol[n], sol[n + 1 :], spec, tail, cond)
 
 
@@ -200,8 +211,9 @@ def _shepard_average(dist: np.ndarray, values: np.ndarray, epsilon: float) -> np
     return (w @ values) / total
 
 
-def save_model(model: RbfModel, directory) -> None:
-    """Write a fitted model as a bundle: model.json plus nodes, weights and (linear tail) poly blocks."""
+def save_model(model: RbfModel, directory) -> list:
+    """Write a fitted model as a bundle: model.json plus nodes, weights and (linear tail) poly blocks.
+    Returns the paths written."""
     blocks = {"nodes": model.nodes, "weights": model.weights}
     if model.tail == TAIL_LINEAR:
         blocks["poly"] = np.vstack([model.poly_gamma[None, :], model.poly_beta])
@@ -213,7 +225,7 @@ def save_model(model: RbfModel, directory) -> None:
         "dim_out": model.dim_out,
         "condition": model.condition,
     }
-    save_bundle(directory, "model.json", meta, blocks)
+    return save_bundle(directory, "model.json", meta, blocks)
 
 
 def load_model(directory) -> RbfModel:

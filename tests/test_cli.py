@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from preimage import cli
 from preimage.cli import build_parser, main
 from preimage.dataset import PointCloud, load_cloud, save_cloud
 from preimage.evaluation import TABLE_SCALE_MULTIPLES, ConditioningConfig, SphereConfig
@@ -154,6 +155,18 @@ class TestFitInvertCommands:
         code = main(["invert", "--queries", str(tmp_path / "nodes.pcld"), "--out", str(tmp_path / "p.pcld")])
         assert code == 1
 
+    def test_failure_after_save_leaves_no_file(self, tmp_path, rng, monkeypatch):
+        self.make_data(tmp_path, rng)
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_manifest", fail)
+        out = tmp_path / "model"
+        assert main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
+                     "--out", str(out)]) == 1
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
     def test_gaussian_needs_epsilon(self, tmp_path, rng):
         self.make_data(tmp_path, rng)
         code = main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
@@ -203,6 +216,20 @@ class TestNystromScanCommand:
         assert summary["failures"] > 0
         assert summary["delta_max_sparse"] is None
         assert summary["delta_max_full"] > 0.0
+
+
+def _twinned_cloud(path):
+    """4 points each repeated twice: every point's nearest other point is its twin, so h_local = 0."""
+    save_cloud(PointCloud(np.repeat(np.random.default_rng(1).uniform(size=(4, 2)), 2, axis=0)), path)
+
+
+@pytest.mark.filterwarnings("ignore:duplicate points")
+@pytest.mark.parametrize("command", [["nystrom-scan", "--cloud"], ["loo-table", "--embed-dim", "1", "--values"]])
+def test_zero_spacing_names_duplicates(tmp_path, capsys, command):
+    _twinned_cloud(tmp_path / "twins.pcld")
+    assert main(command + [str(tmp_path / "twins.pcld"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "duplicate" in err and "division" not in err
 
 
 class TestLooTableCommand:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preimage import evaluation
 from preimage.dataset import PointCloud, local_fill_distance
@@ -121,15 +123,24 @@ class TestLooError:
         with pytest.raises(ValueError, match="unknown method"):
             loo_error(coords, coords, "kriging")
 
+    @pytest.mark.parametrize("method", ["gaussian", "shepard"])
+    def test_zero_spacing_names_duplicates(self, rng, method):
+        # 4 points each repeated twice: every nearest other point is a twin, so h_local = 0
+        pts = np.repeat(rng.normal(size=(4, 2)), 2, axis=0)
+        with pytest.raises(ValueError, match="duplicate"):
+            loo_error(PointCloud(pts), PointCloud(pts), method, scale_multiple=1.0)
 
-def _reference_loo(values, coords, method, scale_multiple, policy):
-    """The per-fold loop loo_error replaced: every fold copies the n-1 remaining
-    points, then fits globally or, above the cap, through fit_local_rbf."""
+
+def _reference_loo(values, coords, method, scale_multiple, policy, tail="linear"):
+    """The per-fold loop of the first loo_error: every fold copies the n-1 remaining points, then
+    fits globally or, above the cap, through fit_local_rbf. Also returns each global fold's
+    condition estimate (1 elsewhere)."""
     n = coords.n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # local_fill_distance warns on duplicates
         h = local_fill_distance(coords)
     errors = np.full(n, np.nan)
+    conds = np.ones(n)
     failures = []
     for j in range(n):
         rest = np.arange(n) != j
@@ -140,15 +151,26 @@ def _reference_loo(values, coords, method, scale_multiple, policy):
             if method == "shepard":
                 pred = shepard_eval(train_nodes, train_values, query, scale_multiple / h, policy)
             else:
-                spec, tail = (cubic(), "linear") if method == "cubic" else (gaussian(scale_multiple / h), "none")
+                spec, fit_tail = (cubic(), tail) if method == "cubic" else (gaussian(scale_multiple / h), "none")
                 if train_nodes.n > policy.max_neighbors:
-                    pred = fit_local_rbf(train_nodes, train_values, spec, tail, policy, query)
+                    pred = fit_local_rbf(train_nodes, train_values, spec, fit_tail, policy, query)
                 else:
-                    pred = eval_rbf(fit_rbf(train_nodes, train_values, spec, tail), query)
+                    model = fit_rbf(train_nodes, train_values, spec, fit_tail)
+                    conds[j] = model.condition
+                    pred = eval_rbf(model, query)
             errors[j] = np.linalg.norm(values.points[j] - pred)
         except InterpolationError:
             failures.append(j)
-    return h, errors, tuple(failures)
+    return h, errors, tuple(failures), conds
+
+
+def _assert_within_cond(got, want, conds):
+    """Equal NaN positions; finite errors within 64 eps cond of the explicit fold's condition
+    estimate, relative to the error where it exceeds 1."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    tol = 64 * np.finfo(float).eps * conds[ok] * np.maximum(1.0, want[ok])
+    assert np.all(np.abs(got[ok] - want[ok]) <= tol), np.max(np.abs(got[ok] - want[ok]) / tol)
 
 
 def _fold_clouds(kind):
@@ -157,6 +179,11 @@ def _fold_clouds(kind):
         # a unit lattice: every interior point has four neighbours at exactly distance 1
         g = np.arange(6.0)
         coords = np.array([[x, y] for x in g for y in g])
+    elif kind == "plane":
+        # 20 points of R^3 on the plane z = 0 except point 4: without it the linear tail is undetermined
+        coords = rng.normal(size=(20, 3))
+        coords[:, 2] = 0.0
+        coords[4, 2] = 1.0
     else:
         coords = rng.normal(size=(30, 3))
         if kind == "duplicate":
@@ -166,19 +193,54 @@ def _fold_clouds(kind):
 
 
 class TestFoldPathReference:
-    @pytest.mark.parametrize("kind", ["random", "ties", "duplicate"])
+    @pytest.mark.parametrize("kind", ["random", "ties", "duplicate", "plane"])
     @pytest.mark.parametrize("method,scale", [("cubic", None), ("gaussian", 1.0), ("shepard", 0.5)])
     @pytest.mark.parametrize("max_neighbors", [200, 10])
     def test_matches_per_fold_loop(self, kind, method, scale, max_neighbors):
         values, coords = _fold_clouds(kind)
         policy = NeighborhoodPolicy(max_neighbors=max_neighbors)
-        h, errors, failures = _reference_loo(values, coords, method, scale, policy)
+        h, errors, failures, conds = _reference_loo(values, coords, method, scale, policy)
         rep = loo_error(values, coords, method, scale, policy=policy)
         assert rep.h_local == h
-        assert np.array_equal(rep.per_point_errors, errors, equal_nan=True)
+        if method != "shepard" and max_neighbors >= coords.n - 1:
+            # one factorization of the full system (Rippa's identity), not n refits: equal to rounding
+            _assert_within_cond(rep.per_point_errors, errors, conds)
+        else:
+            assert np.array_equal(rep.per_point_errors, errors, equal_nan=True)
         assert rep.failures == failures
         if kind == "duplicate" and method != "shepard":
             assert failures  # the clouds do reach the failed-fold path
+        if kind == "plane" and method == "cubic" and max_neighbors == 200:
+            assert failures == (4,)  # fold 4's nodes lie on a plane: no linear tail is determined
+
+    def test_global_folds_skip_refits(self, monkeypatch):
+        values, coords = _fold_clouds("random")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a global fold was refitted")
+
+        monkeypatch.setattr(evaluation, "fit_rbf", no_fit)
+        for method, scale in [("cubic", None), ("gaussian", 1.0)]:
+            assert loo_error(values, coords, method, scale).failures == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 24),
+        d=st.integers(1, 3),
+        method_tail=st.sampled_from([("cubic", "linear"), ("gaussian", "none"), ("cubic", "none")]),
+    )
+    def test_closed_form_matches_refits(self, seed, n, d, method_tail):
+        method, tail = method_tail
+        rng = np.random.default_rng(seed)
+        coords = PointCloud(rng.uniform(-1.0, 1.0, size=(n, d)))
+        values = PointCloud(rng.normal(size=(n, 2)))
+        scale = 1.0 if method == "gaussian" else None
+        policy = NeighborhoodPolicy()
+        h, errors, failures, conds = _reference_loo(values, coords, method, scale, policy, tail=tail)
+        rep = loo_error(values, coords, method, scale, tail=tail, policy=policy)
+        assert rep.failures == failures
+        _assert_within_cond(rep.per_point_errors, errors, conds)
 
 
 class TestConvergenceSweep:
