@@ -77,5 +77,4 @@ from .evaluation import (
     scale_table,
     sphere_pipeline,
     sweep_to_csv,
-    sweep_to_json,
 )

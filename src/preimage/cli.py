@@ -185,7 +185,8 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
         emb, cloud, spec, (start, stop), args.steps, threshold=args.threshold, knn=args.knn, l=args.eigvec
     )
     scan_to_csv(profile, out.path(args.out / "scan.csv"))
-    # a gap near 0 means eigenvalue --eigvec is repeated, so its eigenvector is not determined by the inputs
+    # a gap near 0 means eigenvalue --eigvec is repeated, so its eigenvector is not determined by the inputs;
+    # solver says whether the embedding came from Lanczos or, for such inputs, the full eigh
     others = np.delete(emb.eigvals, args.eigvec)
     summary = {
         "delta_max_full": profile.delta_max_full,
@@ -193,6 +194,7 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
         "failures": len(profile.failures),
         "diagnostic_only": profile.diagnostic_only,
         "eigval_gap": float(np.abs(others - emb.eigvals[args.eigvec]).min()),
+        "solver": emb.solver,
     }
     # strict JSON has no NaN: a profile without two consecutive finite steps has a null jump
     summary.update({k: None for k in ("delta_max_full", "delta_max_sparse") if not np.isfinite(summary[k])})

@@ -5,9 +5,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .dataset import PointCloud, load_block, local_fill_distance, save_bundle, spacing_scale
 from .kernels import GAUSSIAN, KernelMatrix, KernelSpec, degree_vector, gaussian, kernel_matrix
+
+LANCZOS = "lanczos"
+EIGH = "eigh"
+# Lanczos eigenpairs are kept only when the d+2 eigenvalues found are pairwise
+# farther apart than this share of the largest; closer ones may be copies of a
+# repeated eigenvalue, of which Lanczos can miss some.
+SEPARATION_RTOL = 1e-6
+LANCZOS_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -17,6 +26,7 @@ class Embedding:
     coords holds the embedded points y^(i) (one per row); eigvecs holds the
     top d+1 orthonormal eigenvectors of D^(-1/2) K D^(-1/2) including the
     trivial constant-sign one, and coords is exactly its nontrivial columns.
+    solver names the eigensolver that produced them: "lanczos" or "eigh".
     """
 
     coords: np.ndarray
@@ -25,6 +35,7 @@ class Embedding:
     degrees: np.ndarray
     spec: KernelSpec | None = None
     source: PointCloud | None = None
+    solver: str = EIGH
 
     @property
     def n(self) -> int:
@@ -60,11 +71,44 @@ def embedding_from_kernel(
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1 = {n - 1}")
     deg = degree_vector(kmat)
     half = 1.0 / np.sqrt(deg)
-    ktilde = kmat.entries * half[:, None] * half[None, :]
+    ktilde = kmat.entries * half[:, None]
+    ktilde *= half[None, :]  # in place: the same products with one n x n temporary fewer
+    w, v, solver = _top_eigenpairs(ktilde, d + 1)
+    v = _fix_signs(v)
+    return Embedding(
+        coords=v[:, 1:].copy(), eigvals=w, eigvecs=v, degrees=deg, spec=spec, source=source, solver=solver
+    )
+
+
+def _top_eigenpairs(ktilde: np.ndarray, k: int):
+    """The k largest eigenpairs of a symmetric matrix, largest first, and the solver that found them.
+
+    Implicitly restarted Lanczos (ARPACK) computes the top k+1 pairs from a
+    fixed-seed Gaussian start vector; sqrt(degrees) would be a poor start, as
+    it is an exact eigenvector and the Krylov space breaks down on it. Its
+    result is kept only when every residual |K v - lambda v| is at rounding
+    level (n eps times the largest |lambda|) and the k+1 eigenvalues, the one
+    past the cut included, are pairwise separated by SEPARATION_RTOL. Anything
+    else, including k+1 >= n, runs the full np.linalg.eigh, so every input
+    the guard refuses gets exactly the eigenpairs a full eigh gives.
+    """
+    n = ktilde.shape[0]
+    if k + 1 < n:
+        v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+        try:
+            w, v = eigsh(ktilde, k=k + 1, which="LA", tol=0, v0=v0)
+        except ArpackError:  # no convergence, or no Krylov factorization: eigh decides
+            pass
+        else:
+            order = np.argsort(w)[::-1]
+            w, v = w[order], v[:, order]
+            scale = np.abs(w).max()
+            residual = np.linalg.norm(ktilde @ v - v * w, axis=0)
+            separation = -np.diff(w)
+            if np.all(residual <= n * np.finfo(float).eps * scale) and np.all(separation > SEPARATION_RTOL * scale):
+                return w[:k].copy(), v[:, :k], LANCZOS
     w, v = np.linalg.eigh(ktilde)
-    w = w[::-1][: d + 1].copy()
-    v = _fix_signs(v[:, ::-1][:, : d + 1])
-    return Embedding(coords=v[:, 1:].copy(), eigvals=w, eigvecs=v, degrees=deg, spec=spec, source=source)
+    return w[::-1][:k].copy(), v[:, ::-1][:, :k], EIGH
 
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
@@ -96,13 +140,15 @@ def save_embedding(emb: Embedding, directory) -> None:
         "eigvals": [float(v) for v in emb.eigvals],
         "degrees": [float(v) for v in emb.degrees],
         "spec": emb.spec.to_dict() if emb.spec is not None else None,
+        "solver": emb.solver,
     }
     save_bundle(directory, "embedding.json", meta, {"coords": emb.coords, "eigvecs": emb.eigvecs})
 
 
 def load_embedding(directory) -> Embedding:
     """Read an embedding written by save_embedding; with n = len(degrees) and d+1 = len(eigvals)
-    in embedding.json, coords must be n x d and eigvecs n x (d+1)."""
+    in embedding.json, coords must be n x d and eigvecs n x (d+1). A sidecar written before
+    solver was recorded came from the full eigh."""
     meta = json.loads((Path(directory) / "embedding.json").read_text())
     eigvals, degrees = np.array(meta["eigvals"]), np.array(meta["degrees"])
     n, d = degrees.size, eigvals.size - 1
@@ -113,4 +159,5 @@ def load_embedding(directory) -> Embedding:
         eigvecs=load_block(directory, "eigvecs", (n, d + 1)),
         degrees=degrees,
         spec=spec,
+        solver=meta.get("solver", EIGH),
     )

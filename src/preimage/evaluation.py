@@ -1,8 +1,6 @@
 """Leave-one-out harness, parameter sweeps, and convergence-rate estimation."""
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -414,16 +412,6 @@ def sweep_to_csv(result: SweepResult, path) -> None:
         LOO_CSV_COLUMNS,
         [[r.n, r.seed, r.h_local, r.method, r.scale_multiple, r.e_avg, r.failures] for r in result.rows],
     )
-
-
-def sweep_to_json(result: SweepResult, path) -> None:
-    """Sweep rows plus the fitted slope as one JSON document."""
-    doc = {
-        "rows": [asdict(r) for r in result.rows],
-        "fitted_slope": result.fitted_slope,
-        "slope_residual": result.slope_residual,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def conditioning_to_csv(result: SweepResult, path) -> None:

@@ -117,14 +117,15 @@ def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> KernelMatrix:
 
 
 def condition_number(m: KernelMatrix) -> float:
-    """sigma_max / sigma_min from a full SVD; +inf when sigma_min underflows to 0."""
+    """sigma_max / sigma_min of a symmetric matrix, whose singular values are
+    its |eigenvalues| (from eigvalsh); +inf when sigma_min is 0."""
     e = m.entries
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise ValueError("condition number requires a square matrix")
-    s = np.linalg.svd(e, compute_uv=False)
-    if s[-1] == 0.0:
+    if e.ndim != 2 or e.shape[0] != e.shape[1] or not np.array_equal(e, e.T):
+        raise ValueError("condition number requires a symmetric square matrix")
+    s = np.abs(np.linalg.eigvalsh(e))
+    if s.min() == 0.0:
         return float("inf")
-    return float(s[0] / s[-1])
+    return float(s.max() / s.min())
 
 
 def degree_vector(m: KernelMatrix) -> np.ndarray:

@@ -11,9 +11,6 @@ from .embedding import Embedding
 from .inverse import TAIL_NONE, eval_rbf, fit_rbf
 from .kernels import KernelSpec, _truncate_rows, eval_kernel
 
-NYSTROM_DIRECT = "nystrom_direct"
-RBF_FORM = "rbf_form"
-
 
 class ZeroDegreeError(ValueError):
     """The query point has no kernel mass on the training set."""
@@ -22,11 +19,16 @@ class ZeroDegreeError(ValueError):
 _ZERO_DEGREE = "zero degree at query"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionResult:
-    value: float
-    degree_at_query: float
-    path: str
+    """Extended values and query degrees: floats for one point, arrays for a block.
+
+    value has one entry per query row of a block and one per eigenvector of a
+    sequence l, in that order; degree_at_query has one per query row.
+    """
+
+    value: float | np.ndarray
+    degree_at_query: float | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,53 +52,57 @@ def _resolve(emb: Embedding, cloud, spec):
     return cloud, spec
 
 
-def _extend_rows(emb: Embedding, kvecs: np.ndarray, l: int):
-    """Extend eigenvector l from query-kernel vectors, one per row of kvecs.
+def _extend_rows(emb: Embedding, kvecs: np.ndarray, ls):
+    """Extend eigenvectors ls from query-kernel vectors, one query per row of kvecs.
 
-    Returns the values and the query degrees; a row whose degree is not
-    positive has no extension and gets NaN.
+    Returns the values, one row per query and one column per entry of ls, and
+    the query degrees; a row whose degree is not positive has no extension
+    and gets NaN.
     """
-    lam = float(emb.eigvals[l])
-    if lam == 0.0:
-        raise ValueError(f"eigenvalue {l} is zero; extension undefined")
+    lam = emb.eigvals[ls]
+    if np.any(lam == 0.0):
+        raise ValueError(f"eigenvalue {np.asarray(ls)[lam == 0.0][0]} is zero; extension undefined")
     dq = kvecs.sum(axis=1)
     zero = dq <= 0.0
     # an infinite degree scales those rows to 0 instead of dividing by 0
-    values = (kvecs / np.sqrt(np.where(zero, np.inf, dq)[:, None] * emb.degrees)) @ emb.eigvecs[:, l] / lam
+    values = (kvecs / np.sqrt(np.where(zero, np.inf, dq)[:, None] * emb.degrees)) @ emb.eigvecs[:, ls] / lam
     values[zero] = np.nan
     return values, dq
 
 
-def _extend_query(emb: Embedding, cloud: PointCloud, spec: KernelSpec, query, l: int) -> ExtensionResult:
-    q = np.asarray(query, dtype=float)
-    if q.ndim != 1 or q.shape[0] != cloud.dim:
-        raise ValueError(f"query must be a single point in R^{cloud.dim}")
-    kvec = eval_kernel(spec, np.linalg.norm(cloud.points - q[None, :], axis=1))
-    values, dq = _extend_rows(emb, kvec[None, :], l)
-    if dq[0] <= 0.0:
-        raise ZeroDegreeError(_ZERO_DEGREE)
-    return ExtensionResult(float(values[0]), float(dq[0]), NYSTROM_DIRECT)
+def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l) -> ExtensionResult:
+    """Extend eigenvector l to arbitrary queries by the normalized-kernel sum
+    (1/lambda_l) sum_j k(query, x_j) / sqrt(d(query) d_j) * phi_l(x_j).
 
-
-def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l: int) -> ExtensionResult:
-    """Extend eigenvector l to an arbitrary query by the normalized-kernel sum
-    (1/lambda_l) sum_j k(query, x_j) / sqrt(d(query) d_j) * phi_l(x_j)."""
+    query is one point or an (m, dim) block of points, and l one index or a
+    sequence of them; see ExtensionResult for the shapes returned. Raises
+    ZeroDegreeError when any query has no kernel mass on the training set.
+    """
     cloud, spec = _resolve(emb, cloud, spec)
-    return _extend_query(emb, cloud, spec, query, l)
+    q = np.asarray(query, dtype=float)
+    if q.ndim not in (1, 2) or q.shape[-1] != cloud.dim:
+        raise ValueError(f"query must be a point in R^{cloud.dim} or an (m, {cloud.dim}) block of points")
+    values, dq = _extend_rows(emb, eval_kernel(spec, cdist(np.atleast_2d(q), cloud.points)), np.atleast_1d(l))
+    zero = np.flatnonzero(dq <= 0.0)
+    if zero.size:
+        raise ZeroDegreeError(_ZERO_DEGREE if q.ndim == 1 else f"{_ZERO_DEGREE} row {zero[0]}")
+    values = values.reshape(q.shape[:-1] + np.shape(l))
+    return ExtensionResult(float(values) if values.ndim == 0 else values, float(dq[0]) if q.ndim == 1 else dq)
 
 
 def nystrom_via_rbf(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l: int) -> ExtensionResult:
     """Same extension through the plain-kernel interpolation route: fit the
     kernel system to sqrt(D) phi_l, evaluate, and rescale by 1/sqrt(d(query)).
 
-    Agrees with nystrom_extend whenever the kernel matrix is nonsingular.
+    Takes one point and one l. Agrees with nystrom_extend whenever the kernel
+    matrix is nonsingular.
     """
     cloud, spec = _resolve(emb, cloud, spec)
-    dq = _extend_query(emb, cloud, spec, query, l).degree_at_query
+    dq = nystrom_extend(emb, cloud, spec, query, l).degree_at_query
     rescaled = np.sqrt(emb.degrees) * emb.eigvecs[:, l]
     model = fit_rbf(cloud, PointCloud(rescaled[:, None]), spec, tail=TAIL_NONE)
     value = float(eval_rbf(model, np.asarray(query, dtype=float))[0]) / np.sqrt(dq)
-    return ExtensionResult(value, dq, RBF_FORM)
+    return ExtensionResult(value, dq)
 
 
 def _delta_max(values: np.ndarray) -> float:
@@ -137,8 +143,9 @@ def discontinuity_scan(
     ts = np.linspace(0.0, 1.0, steps)
     queries = a[None, :] + ts[:, None] * (b - a)[None, :]
     kall = eval_kernel(spec, cdist(queries, cloud.points))
-    full, dq_full = _extend_rows(emb, kall, l)
-    sparse, dq_sparse = _extend_rows(emb, _truncate_rows(kall, threshold, knn), l)
+    full, dq_full = _extend_rows(emb, kall, [l])
+    sparse, dq_sparse = _extend_rows(emb, _truncate_rows(kall, threshold, knn), [l])
+    full, sparse = full[:, 0], sparse[:, 0]
     zero = {"full": dq_full <= 0.0, "sparse": dq_sparse <= 0.0}
     failures = [
         (int(i), kind, _ZERO_DEGREE)

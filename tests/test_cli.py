@@ -190,15 +190,18 @@ class TestNystromScanCommand:
         # the kernel between clusters 100 apart underflows to 0, so eigenvalue 1
         # has multiplicity 2 and eigenvector 1 is not determined by the inputs
         one = rng.uniform(0.0, 1.0, size=(30, 2))
-        gaps = {}
+        gaps, solvers = {}, {}
         for name, points in [("one", one), ("two", np.vstack([one, one + 100.0]))]:
             save_cloud(PointCloud(points), tmp_path / f"{name}.pcld")
             assert main(["nystrom-scan", "--cloud", str(tmp_path / f"{name}.pcld"), "--threshold", "0.4",
                          "--embed-on", "full", "--epsilon-multiple", "0.25", "--steps", "20",
                          "--out", str(tmp_path / name)]) == 0
-            gaps[name] = json.loads((tmp_path / name / "scan_summary.json").read_text())["eigval_gap"]
+            summary = json.loads((tmp_path / name / "scan_summary.json").read_text())
+            gaps[name], solvers[name] = summary["eigval_gap"], summary["solver"]
         assert gaps["two"] < 1e-12
         assert gaps["one"] > 1e-2
+        # the repeated eigenvalue is refused by the Lanczos guard
+        assert solvers == {"one": "lanczos", "two": "eigh"}
 
     def test_summary_is_strict_json_when_no_jump_is_defined(self, tmp_path):
         # a segment across two clusters 100 apart leaves the thresholded query vector

@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from preimage.dataset import PointCloud, local_fill_distance, sample_sphere, random_unitary_embed, save_cloud
 from preimage.embedding import (
+    _fix_signs,
     embedding_from_kernel,
     laplacian_eigenmaps,
     load_embedding,
     save_embedding,
     unisolvency_rank,
 )
+from preimage.evaluation import SphereConfig, sphere_pipeline
 from preimage.kernels import cubic, gaussian, kernel_matrix, sparsify
 
 
@@ -107,6 +111,81 @@ class TestLaplacianEigenmaps:
         assert emb.degrees.tolist() == kmat.entries.sum(axis=1).tolist()
 
 
+def eigh_embedding(kmat, d):
+    """The full-eigh embedding written out: the eigenpairs every refused Lanczos result falls back to."""
+    e = kmat.entries
+    half = 1.0 / np.sqrt(e.sum(axis=1))
+    w, v = np.linalg.eigh(e * half[:, None] * half[None, :])
+    return w[::-1][: d + 1], _fix_signs(v[:, ::-1][:, : d + 1])
+
+
+def spacing_kernel(points, multiple=1.0):
+    cloud = PointCloud(points)
+    return kernel_matrix(gaussian(multiple / local_fill_distance(cloud)), cloud)
+
+
+def thresholded_cloud_kernel(seed):
+    # the nystrom-scan recipe: 150 uniform points of [0,1]^2, epsilon 0.5/h, threshold 0.4
+    cloud = PointCloud(np.random.default_rng([seed, 1, 0]).uniform(0.0, 1.0, size=(150, 2)))
+    return sparsify(kernel_matrix(gaussian(0.5 / local_fill_distance(cloud)), cloud), threshold=0.4)
+
+
+def regular_polygon(n):
+    t = 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+def square_grid(k):
+    return np.stack(np.meshgrid(np.arange(float(k)), np.arange(float(k))), -1).reshape(-1, 2)
+
+
+class TestEigensolverGuard:
+    @pytest.mark.parametrize(
+        "build,d",
+        [
+            # thresholded graphs: eigenvalue 1 once per component
+            pytest.param(lambda: thresholded_cloud_kernel(0), 2, id="threshold-seed0"),
+            pytest.param(lambda: thresholded_cloud_kernel(1), 2, id="threshold-seed1"),
+            pytest.param(lambda: thresholded_cloud_kernel(2), 5, id="threshold-seed2-d5"),
+            # exactly symmetric node sets: rotations and reflections pair up eigenvalues
+            pytest.param(lambda: spacing_kernel(regular_polygon(300)), 2, id="300-gon"),
+            pytest.param(lambda: spacing_kernel(regular_polygon(300)), 5, id="300-gon-d5"),
+            pytest.param(lambda: spacing_kernel(square_grid(12)), 2, id="12x12-grid"),
+            pytest.param(lambda: spacing_kernel(square_grid(12)), 5, id="12x12-grid-d5"),
+            # too small for Lanczos to find d+2 pairs
+            pytest.param(lambda: spacing_kernel(np.random.default_rng(3).normal(size=(4, 2))), 3, id="n=d+1"),
+            pytest.param(lambda: spacing_kernel(np.random.default_rng(3).normal(size=(5, 2))), 3, id="n=d+2"),
+        ],
+    )
+    def test_refused_inputs_get_full_eigh_bits(self, build, d):
+        kmat = build()
+        emb = embedding_from_kernel(kmat, d)
+        w, v = eigh_embedding(kmat, d)
+        assert emb.solver == "eigh"
+        assert np.array_equal(emb.eigvals, w)
+        assert np.array_equal(emb.eigvecs, v)
+        assert np.array_equal(emb.coords, v[:, 1:])
+
+    @pytest.mark.parametrize("n", [10, 30, 100, 300, 1000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lanczos_matches_eigh_on_sphere_pipeline(self, n, seed):
+        ambient, emb = sphere_pipeline(n, SphereConfig(), seed)
+        w, v = eigh_embedding(kernel_matrix(emb.spec, ambient), emb.d)
+        assert emb.solver == "lanczos"
+        assert np.abs(emb.eigvals - w).max() <= 1e-12
+        assert np.abs(emb.eigvecs - v).max() <= 1e-10
+
+    def test_lanczos_matches_eigh_at_roundtrip_size(self):
+        # 2,000 points of S^4 in R^10 at affinity 0.25/h, embedded in d = 5
+        cloud = random_unitary_embed(sample_sphere(2000, 4, seed=7), 10, seed=8)
+        kmat = spacing_kernel(cloud.points, 0.25)
+        emb = embedding_from_kernel(kmat, 5)
+        w, v = eigh_embedding(kmat, 5)
+        assert emb.solver == "lanczos"
+        assert np.abs(emb.eigvals - w).max() <= 1e-12
+        assert np.abs(emb.eigvecs - v).max() <= 1e-10
+
+
 class TestRankCheck:
     def test_distinct_line_nodes(self):
         assert unisolvency_rank([[0.0], [1.0], [2.5]]) == 2
@@ -152,6 +231,16 @@ class TestSerialization:
         assert np.array_equal(back.eigvals, emb.eigvals)
         assert np.array_equal(back.degrees, emb.degrees)
         assert back.spec == emb.spec
+        assert back.solver == emb.solver == "lanczos"
+
+    def test_sidecar_without_solver_reads_as_eigh(self, rng, tmp_path):
+        # bundles written before the solver was recorded all came from the full eigh
+        emb = laplacian_eigenmaps(PointCloud(rng.normal(size=(14, 3))), gaussian(0.8), d=3)
+        save_embedding(emb, tmp_path)
+        meta = json.loads((tmp_path / "embedding.json").read_text())
+        del meta["solver"]
+        (tmp_path / "embedding.json").write_text(json.dumps(meta))
+        assert load_embedding(tmp_path).solver == "eigh"
 
     @pytest.mark.parametrize("block,shape", [("coords", (14, 2)), ("coords", (13, 3)), ("eigvecs", (14, 3))])
     def test_corrupted_block_rejected(self, rng, tmp_path, block, shape):

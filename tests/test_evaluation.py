@@ -20,7 +20,6 @@ from preimage.evaluation import (
     scale_table,
     sphere_pipeline,
     sweep_to_csv,
-    sweep_to_json,
     table_to_csv,
 )
 from preimage.inverse import (
@@ -378,19 +377,6 @@ class TestCsvWriters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "dataset,method,scale_multiple,e_avg,failures,is_min"
         assert all(line.startswith("toy,") for line in lines[1:])
-
-    def test_sweep_json(self, tmp_path):
-        import json
-
-        cfg = SphereConfig(gaussian_multiples=(), shepard_multiples=())
-        res = convergence_sweep([10, 14, 18], cfg, seeds=[0])
-        path = tmp_path / "rows.json"
-        sweep_to_json(res, path)
-        doc = json.loads(path.read_text())
-        assert len(doc["rows"]) == 3
-        assert doc["fitted_slope"] == res.fitted_slope
-        assert {"n", "seed", "h_local", "method", "scale_multiple", "e_avg", "failures"} <= set(doc["rows"][0])
-        assert "parameter" not in doc["rows"][0]
 
     def test_median_rows(self):
         cfg = SphereConfig(gaussian_multiples=(), shepard_multiples=())

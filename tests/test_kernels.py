@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from preimage.dataset import PointCloud, sample_sphere
+from preimage.evaluation import ConditioningConfig, conditioning_sweep
 from preimage.kernels import (
     KernelMatrix,
     KernelSpec,
@@ -98,6 +99,30 @@ class TestConditionNumber:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             condition_number(KernelMatrix(np.ones((2, 3))))
+
+    def test_non_symmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            condition_number(KernelMatrix(np.array([[2.0, 1.0], [0.0, 1.0]])))
+
+    @pytest.mark.parametrize("mode", ["vs_fill", "vs_epsilon"])
+    def test_matches_svd_reference(self, mode):
+        # the sweep's node sets rebuilt, against the full SVD condition_number
+        # used before; past cond 1e12 both read rounding noise in sigma_min
+        config = ConditioningConfig()
+        rows = conditioning_sweep(mode, config).rows
+        for r in rows:
+            cloud = sample_sphere(r.n, config.ambient_dim - 1, config.quadrant_only, config.seed)
+            spec = cubic() if r.method == "cubic" else gaussian(config.epsilon if mode == "vs_fill" else r.parameter)
+            s = np.linalg.svd(kernel_matrix(spec, cloud).entries, compute_uv=False)
+            ref = s[0] / s[-1]
+            if ref <= 1e12:
+                assert abs(r.cond - ref) <= 64 * np.finfo(float).eps * ref * ref
+            else:
+                assert r.cond > 1e9
+        if mode == "vs_epsilon":  # paper criterion 3
+            gauss = [r.cond for r in rows if r.method == "gaussian"]
+            cub = [r.cond for r in rows if r.method == "cubic"]
+            assert gauss[0] / gauss[-1] >= 1e6 and cub[0] <= max(gauss) / 1e3
 
     def test_singular_returns_inf(self):
         assert condition_number(KernelMatrix(np.zeros((2, 2)))) == np.inf

@@ -52,7 +52,6 @@ class TestExtend:
                 res = nystrom_extend(emb, cloud, spec, cloud.points[i], l)
                 assert abs(res.value - emb.eigvecs[i, l]) < 1e-8
                 assert res.degree_at_query == pytest.approx(emb.degrees[i])
-                assert res.path == "nystrom_direct"
 
     def test_two_point_hand_formula(self):
         # two nodes at distance r: quadrature terms written out by hand
@@ -107,6 +106,44 @@ class TestExtend:
         assert a.value == b.value
 
 
+class TestBlockExtension:
+    def test_block_matches_per_point_calls(self, rng):
+        cloud, spec, emb = small_setup(rng, d=3)
+        queries = np.vstack([rng.uniform(-0.2, 1.2, size=(25, 3)), cloud.points[:5]])
+        ls = list(range(1, emb.d + 1))
+        block = nystrom_extend(emb, cloud, spec, queries, ls)
+        assert block.value.shape == (30, 3) and block.degree_at_query.shape == (30,)
+        one_l = nystrom_extend(emb, cloud, spec, queries, 2).value
+        assert one_l.shape == (30,)
+        # a matrix product and a per-call product may sum in another order; each
+        # is within n eps sum_j |w_j phi_l(x_j)| / lambda_l of the exact sum
+        weights = eval_kernel(spec, cdist(queries, cloud.points))
+        weights /= np.sqrt(weights.sum(axis=1)[:, None] * emb.degrees)
+        tol = 2 * cloud.n * np.finfo(float).eps * (weights @ np.abs(emb.eigvecs[:, ls])) / emb.eigvals[ls]
+        for i, q in enumerate(queries):
+            per_l = nystrom_extend(emb, cloud, spec, q, ls)
+            assert per_l.value.shape == (3,)
+            for j, l in enumerate(ls):
+                one = nystrom_extend(emb, cloud, spec, q, l)
+                assert block.degree_at_query[i] == per_l.degree_at_query == one.degree_at_query
+                assert abs(block.value[i, j] - one.value) <= tol[i, j]
+                assert abs(per_l.value[j] - one.value) <= tol[i, j]
+        assert np.all(np.abs(one_l - block.value[:, 1]) <= tol[:, 1])
+
+    def test_zero_degree_row_raises(self, rng):
+        cloud, spec, emb = small_setup(rng, eps=40.0)
+        queries = np.vstack([cloud.points[:3], np.full((1, 3), 1e6), cloud.points[3:5]])
+        with pytest.raises(ZeroDegreeError, match="row 3"):
+            nystrom_extend(emb, cloud, spec, queries, [1, 2])
+        nystrom_extend(emb, cloud, spec, np.delete(queries, 3, axis=0), [1, 2])
+
+    def test_query_shape_checked(self, rng):
+        cloud, spec, emb = small_setup(rng)
+        for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))):
+            with pytest.raises(ValueError, match="query"):
+                nystrom_extend(emb, cloud, spec, bad, 1)
+
+
 class TestRbfForm:
     def test_agrees_with_direct_on_random_draws(self):
         for draw in range(20):
@@ -120,7 +157,6 @@ class TestRbfForm:
             b = nystrom_via_rbf(emb, cloud, spec, q, l)
             assert abs(a.value - b.value) <= 1e-8 * max(abs(a.value), abs(b.value))
             assert a.degree_at_query == pytest.approx(b.degree_at_query)
-            assert b.path == "rbf_form"
 
     def test_reproduces_training_values(self, rng):
         cloud, spec, emb = small_setup(rng)
