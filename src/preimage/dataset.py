@@ -83,11 +83,27 @@ def random_unitary_embed(cloud: PointCloud, target_dim: int, seed: int = 0) -> P
 
 
 def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest keys along the last axis, in increasing key order; equal keys
-    keep the lower index first (a stable sort, or for k = 1 argmin, which returns the first minimum)."""
+    """Indices of the k smallest keys along the last axis, listed in increasing index order.
+
+    The set is the first k of a stable sort: of keys equal to the k-th smallest, the lower
+    indices are kept. argpartition at places k-1 and k finds the k-th and (k+1)-th smallest
+    key; only rows where they are not strictly increasing (a tie at the k-th key, or NaN) are
+    stably sorted to settle which of the tied indices are kept.
+    """
+    n = keys.shape[-1]
     if k == 1:
         return np.argmin(keys, axis=-1)[..., None]
-    return np.argsort(keys, axis=-1, kind="stable")[..., :k]
+    if k == n:
+        return np.broadcast_to(np.arange(n), keys.shape).copy()
+    flat = keys.reshape(-1, n)
+    part = np.argpartition(flat, (k - 1, k), axis=-1)
+    edge = np.take_along_axis(flat, part[:, k - 1 : k + 1], axis=-1)
+    chosen = part[:, :k].copy()
+    del part  # the n-wide index table goes before any tied row is sorted
+    tied = np.flatnonzero(~(edge[:, 0] < edge[:, 1]))
+    chosen[tied] = np.argsort(flat[tied], axis=-1, kind="stable")[:, :k]
+    chosen.sort(axis=-1)
+    return chosen.reshape(keys.shape[:-1] + (k,))
 
 
 def nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool = False):
@@ -107,7 +123,7 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool 
         d = cdist(queries[start : start + rows], points)
         if exclude_self:
             d[np.arange(len(d)), np.arange(start, start + len(d))] = np.inf
-        idx[start : start + rows] = np.sort(_top_k(d, k), axis=1)
+        idx[start : start + rows] = _top_k(d, k)
         dist[start : start + rows] = np.take_along_axis(d, idx[start : start + rows], axis=1)
     return idx, dist
 

@@ -19,11 +19,10 @@ from .inverse import (
     TAIL_NONE,
     InterpolationError,
     NeighborhoodPolicy,
+    _predict,
     _shepard_average,
     _solve_with_cond,
     _system,
-    eval_rbf,
-    fit_rbf,
 )
 from .kernels import condition_number, cubic, gaussian, kernel_matrix
 
@@ -45,6 +44,12 @@ class LooReport:
     per_point_errors has one slot per point; folds whose fit failed hold NaN
     and their indices are listed in failures. e_avg averages the successful
     folds only; valid is False when more than 1% of folds failed.
+
+    fold_condition holds, per fold, the 1-norm condition estimate (LAPACK
+    gecon) of the system that fold was solved from: its own system when it was
+    refitted, and the full n-point system, shared by every fold, when the folds
+    came from one factorization of it (Rippa's identity). Shepard folds, which
+    solve nothing, and failed folds hold NaN.
     """
 
     per_point_errors: np.ndarray
@@ -56,6 +61,7 @@ class LooReport:
     seed: int | None
     failures: tuple
     valid: bool
+    fold_condition: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,13 @@ def loo_error(
     |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0], and a fold fails where (M^-1)_jj is 0, the error
     is not finite or its nodes lose unisolvency. Each fold is refitted on its own nodes when
     k < n-1, for shepard, and when the full system has duplicate nodes or is singular.
+
+    A refitted fold is fit_rbf followed by eval_rbf without building either: it assembles its
+    system (inverse._system), solves it with one in-place getrf/gecon/getrs
+    (inverse._solve_with_cond), and evaluates the interpolant at the left-out point from the
+    table's distances to its nodes, the same cdist numbers eval_rbf would recompute. Each
+    (method, scale) pair is one call, so a grid of pairs redoes the table and each fold's
+    pairwise distances once per pair. The report carries each fold's condition estimate.
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
     if values.n != coords.n:
@@ -170,18 +183,22 @@ def loo_error(
     errors = None
     if method != METHOD_SHEPARD and k == n - 1:
         try:
-            errors, failures = _global_folds(coords.points, values.points, spec, fit_tail)
+            errors, conds, failures = _global_folds(coords.points, values.points, spec, fit_tail)
         except InterpolationError:
             pass  # duplicate nodes or a singular full system: every fold is refitted below
     if errors is None:
-        errors, failures = np.full(n, np.nan), []
+        errors, conds, failures = np.full(n, np.nan), np.full(n, np.nan), []
         for j in range(n):
             try:
                 if method == METHOD_SHEPARD:
                     pred = _shepard_average(dist[j], values.points[idx[j]], epsilon)
                 else:
-                    model = fit_rbf(PointCloud(coords.points[idx[j]]), PointCloud(values.points[idx[j]]), spec, fit_tail)
-                    pred = eval_rbf(model, coords.points[j])
+                    m = _system(coords.points[idx[j]], spec, fit_tail)
+                    rhs = np.zeros((m.shape[0], values.dim))
+                    rhs[:k] = values.points[idx[j]]
+                    sol, conds[j] = _solve_with_cond(m, rhs)
+                    poly = (sol[k], sol[k + 1 :]) if fit_tail == TAIL_LINEAR else ()
+                    pred = _predict(spec, dist[j : j + 1], coords.points[j : j + 1], sol[:k], *poly)[0]
                 errors[j] = np.linalg.norm(values.points[j] - pred)
             except InterpolationError:
                 failures.append(j)
@@ -197,6 +214,7 @@ def loo_error(
         seed=seed,
         failures=tuple(failures),
         valid=len(failures) <= 0.01 * n,
+        fold_condition=conds,
     )
 
 
@@ -204,17 +222,18 @@ def _global_folds(y: np.ndarray, x: np.ndarray, spec, tail: str):
     """Every leave-one-out fold of a global fit from one factorization of the full system M.
 
     Rippa's identity: with c = M^-1 [X; 0], fold j's residual x_j - s_j(y_j) is
-    c_j / (M^-1)_jj, so one lu_solve against [X; 0 | I[:, :n]] gives every fold. A fold is a
+    c_j / (M^-1)_jj, so one solve against [X; 0 | I[:, :n]] gives every fold. A fold is a
     failure where (M^-1)_jj is 0 (its system is singular), where the error is not finite, and,
-    with the linear tail, where its n-1 nodes fail unisolvency_rank. Raises what fit_rbf raises
-    on the full node set (duplicates, a singular system, lost unisolvency).
+    with the linear tail, where its n-1 nodes fail unisolvency_rank. Returns the errors, each
+    fold's condition estimate (M's, NaN where the fold failed) and the failed folds. Raises what
+    fit_rbf raises on the full node set (duplicates, a singular system, lost unisolvency).
     """
     n = y.shape[0]
     m = _system(y, spec, tail)
     rhs = np.zeros((m.shape[0], x.shape[1] + n))
     rhs[:n, : x.shape[1]] = x
     rhs[:n, x.shape[1] :] = np.eye(n)
-    sol, _ = _solve_with_cond(m, rhs)
+    sol, cond = _solve_with_cond(m, rhs)
     diag = np.abs(np.diagonal(sol[:n, x.shape[1] :]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         errors = np.linalg.norm(sol[:n, : x.shape[1]], axis=1) / diag
@@ -222,7 +241,8 @@ def _global_folds(y: np.ndarray, x: np.ndarray, spec, tail: str):
     if tail == TAIL_LINEAR:
         failed |= ~_folds_unisolvent(y)
     errors[failed] = np.nan
-    return errors, np.flatnonzero(failed).tolist()
+    conds = np.where(failed, np.nan, cond)
+    return errors, conds, np.flatnonzero(failed).tolist()
 
 
 def _folds_unisolvent(y: np.ndarray) -> np.ndarray:
@@ -255,11 +275,13 @@ def sphere_pipeline(n: int, config: SphereConfig, seed: int):
 
 def method_grid(config: SphereConfig):
     """(method, scale_multiple) pairs a sweep evaluates, cubic first."""
-    grid = []
-    if config.include_cubic:
-        grid.append((METHOD_CUBIC, None))
-    grid.extend((METHOD_GAUSSIAN, m) for m in config.gaussian_multiples)
-    grid.extend((METHOD_SHEPARD, m) for m in config.shepard_multiples)
+    return _grid(config.include_cubic, config.gaussian_multiples, config.shepard_multiples)
+
+
+def _grid(include_cubic: bool, gaussian_multiples, shepard_multiples) -> list:
+    grid = [(METHOD_CUBIC, None)] if include_cubic else []
+    grid.extend((METHOD_GAUSSIAN, m) for m in gaussian_multiples)
+    grid.extend((METHOD_SHEPARD, m) for m in shepard_multiples)
     return grid
 
 
@@ -387,14 +409,8 @@ def scale_table(
 ) -> list:
     """Leave-one-out error for every method/scale combination on one dataset,
     with the lowest entry marked."""
-    cfg = SphereConfig(
-        gaussian_multiples=tuple(gaussian_multiples),
-        shepard_multiples=tuple(shepard_multiples),
-        include_cubic=include_cubic,
-        cubic_tail=tail,
-    )
     entries = []
-    for method, mult in method_grid(cfg):
+    for method, mult in _grid(include_cubic, gaussian_multiples, shepard_multiples):
         rep = loo_error(values, coords, method, mult, tail=tail, policy=policy, seed=seed)
         entries.append((method, mult, rep.e_avg, len(rep.failures)))
     finite = [e for _, _, e, _ in entries if np.isfinite(e)]

@@ -2,12 +2,10 @@
 function, plus the Shepard moving-least-squares baseline."""
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist, squareform
 
@@ -78,21 +76,21 @@ class RbfModel:
 
 
 def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
-    """Pivoted-LU solve returning the solution and a 1-norm condition estimate.
+    """Pivoted-LU solve of m x = rhs, returning x and a 1-norm condition estimate of m.
 
-    Raises SingularSystemError on an exactly singular factorization; no
-    regularization is ever added, so ill-conditioning stays observable in the
-    returned estimate.
+    m must be exactly symmetric, and it is consumed: LAPACK's getrf factors its F-contiguous
+    view m.T, which equals m, in place, so callers pass a matrix they own and do not read it
+    afterwards. Raises SingularSystemError on an exactly zero pivot (getrf's info > 0) or a
+    non-finite solution; no regularization is ever added, so ill-conditioning stays observable
+    in the returned estimate.
     """
+    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (m,))
     anorm = np.linalg.norm(m, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # lu_factor warns on exact zero pivots; we raise instead
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-    if np.any(np.diag(lu) == 0.0):
+    lu, piv, info = getrf(m.T, overwrite_a=True)
+    if info > 0:
         raise SingularSystemError("singular system")
-    (gecon,) = get_lapack_funcs(("gecon",), (lu,))
     rcond, _ = gecon(lu, anorm)
-    sol = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    sol, _ = getrs(lu, piv, rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("singular system")
     cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
@@ -100,8 +98,8 @@ def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
 
 
 def _system(y: np.ndarray, spec: KernelSpec, tail: str) -> np.ndarray:
-    """Interpolation matrix of the nodes y (n x d): the kernel matrix K for tail="none", the
-    bordered [[K, P], [P^T, 0]] with P rows (1, y^(j)) for tail="linear".
+    """Interpolation matrix of the nodes y (n x d), exactly symmetric: the kernel matrix K for
+    tail="none", the bordered [[K, P], [P^T, 0]] with P rows (1, y^(j)) for tail="linear".
 
     Raises SingularSystemError on duplicate nodes and UnisolvencyError when the nodes do not
     determine a degree-1 polynomial.
@@ -118,11 +116,12 @@ def _system(y: np.ndarray, spec: KernelSpec, tail: str) -> np.ndarray:
         raise ValueError(f"unknown tail {tail!r}")
     if unisolvency_rank(y) != d + 1:
         raise UnisolvencyError("unisolvency failure: nodes do not determine a degree-1 polynomial")
-    p = np.hstack([np.ones((n, 1)), y])
-    m = np.zeros((n + d + 1, n + d + 1))
+    m = np.empty((n + d + 1, n + d + 1))
     m[:n, :n] = k
-    m[:n, n:] = p
-    m[n:, :n] = p.T
+    m[:n, n] = 1.0
+    m[:n, n + 1 :] = y
+    m[n:, :n] = m[:n, n:].T
+    m[n:, n:] = 0.0
     return m
 
 
@@ -153,11 +152,17 @@ def eval_rbf(model: RbfModel, query) -> np.ndarray:
     q2 = np.atleast_2d(q)
     if q2.shape[1] != model.dim_in:
         raise ValueError(f"query dimension {q2.shape[1]} does not match nodes in R^{model.dim_in}")
-    g = eval_kernel(model.spec, cdist(q2, model.nodes))
-    out = g @ model.weights
-    if model.tail == TAIL_LINEAR:
-        out = out + model.poly_gamma[None, :] + q2 @ model.poly_beta
+    out = _predict(model.spec, cdist(q2, model.nodes), q2, model.weights, model.poly_gamma, model.poly_beta)
     return out[0] if single else out
+
+
+def _predict(spec: KernelSpec, r: np.ndarray, q: np.ndarray, weights, gamma=None, beta=None) -> np.ndarray:
+    """Interpolant values at the queries q (m x d) from their distances r (m x n) to the nodes:
+    g(r) weights, plus gamma + q beta when the fit has a linear tail (gamma given)."""
+    out = eval_kernel(spec, r) @ weights
+    if gamma is not None:
+        out = out + gamma[None, :] + q @ beta
+    return out
 
 
 def fit_local_rbf(

@@ -89,23 +89,27 @@ def eval_kernel(spec: KernelSpec, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ValueError("negative distance")
-    if spec.family == GAUSSIAN:
-        out = np.exp(-(spec.epsilon**2) * arr * arr)
-    elif spec.family == RADIAL_POWER:
-        out = arr**spec.rho
-    else:
-        # continuous extension: r^rho log r -> 0 as r -> 0
-        safe = np.where(arr > 0, arr, 1.0)
-        out = np.where(arr > 0, safe**spec.rho * np.log(safe), 0.0)
+    out = _profile(spec, arr)
     return float(out) if np.isscalar(r) or arr.ndim == 0 else out
+
+
+def _profile(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """g(r) elementwise on a float array of distances the caller knows to be non-negative."""
+    if spec.family == GAUSSIAN:
+        return np.exp(-(spec.epsilon**2) * r * r)
+    if spec.family == RADIAL_POWER:
+        return r**spec.rho
+    # continuous extension: r^rho log r -> 0 as r -> 0
+    safe = np.where(r > 0, r, 1.0)
+    return np.where(r > 0, safe**spec.rho * np.log(safe), 0.0)
 
 
 def _node_kernel(spec: KernelSpec, dists: np.ndarray) -> np.ndarray:
     """Exactly symmetric kernel matrix of a node set from its condensed
-    pairwise distances (pdist order): each unordered pair is evaluated once
-    and mirrored."""
-    m = squareform(eval_kernel(spec, dists))
-    diag = eval_kernel(spec, 0.0)
+    pairwise distances (pdist order, so never negative): each unordered pair
+    is evaluated once and mirrored."""
+    m = squareform(_profile(spec, dists))
+    diag = float(_profile(spec, np.zeros(())))
     if diag != 0.0:
         np.fill_diagonal(m, diag)
     return m

@@ -1,7 +1,11 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from preimage import dataset
@@ -160,6 +164,45 @@ class TestNearest:
     def test_k_one_path_equals_stable_argsort(self, rng):
         keys = rng.integers(0, 4, size=(50, 9)).astype(float)  # many exact ties per row
         assert np.array_equal(_top_k(keys, 1), np.argsort(keys, axis=-1, kind="stable")[..., :1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        keys=st.integers(1, 12).flatmap(
+            lambda n: arrays(
+                float,
+                st.sampled_from([(n,), (1, n), (3, n), (7, n)]),
+                elements=st.sampled_from([-np.inf, np.inf]) | st.integers(-3, 3).map(float),
+            )
+        )
+    )
+    def test_top_k_is_the_stable_sort_set(self, keys):
+        # tie-heavy integer keys and +-inf, 1-d and 2-d, every k
+        want = np.argsort(keys, axis=-1, kind="stable")
+        for k in range(1, keys.shape[-1] + 1):
+            got = _top_k(keys, k)
+            assert got.shape == keys.shape[:-1] + (k,)
+            assert np.array_equal(got, np.sort(want[..., :k], axis=-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.integers(2, 10).flatmap(lambda n: arrays(float, (n, 2), elements=st.integers(-2, 2).map(float))),
+        queries=arrays(float, st.tuples(st.integers(1, 9), st.just(2)), elements=st.integers(-2, 2).map(float)),
+        block=st.sampled_from([1, 7, 30, 1 << 20]),
+    )
+    def test_nearest_is_the_stable_sort_set(self, points, queries, block):
+        # integer lattice coordinates make many exact distance ties; `block` varies the query blocking
+        n = points.shape[0]
+        with mock.patch.object(dataset, "_BLOCK_DISTANCES", block):
+            for exclude_self in (False, True):
+                q = points if exclude_self else queries
+                d = cdist(q, points)
+                if exclude_self:
+                    np.fill_diagonal(d, np.inf)
+                order = np.argsort(d, axis=1, kind="stable")
+                for k in range(1, n - exclude_self + 1):
+                    idx, dist = nearest(points, q, k, exclude_self=exclude_self)
+                    assert np.array_equal(idx, np.sort(order[:, :k], axis=1))
+                    assert np.array_equal(dist, np.take_along_axis(d, idx, axis=1))
 
     def test_k_out_of_range(self, rng):
         points = rng.normal(size=(5, 2))

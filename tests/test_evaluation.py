@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preimage import evaluation
-from preimage.dataset import PointCloud, local_fill_distance
+from preimage.dataset import PointCloud, local_fill_distance, nearest
 from preimage.evaluation import (
     ConditioningConfig,
     SphereConfig,
@@ -66,7 +66,7 @@ class TestLooError:
         def no_fit(*args, **kwargs):
             raise AssertionError("a fold was fitted before the neighbour cap was checked")
 
-        monkeypatch.setattr(evaluation, "fit_rbf", no_fit)
+        monkeypatch.setattr(evaluation, "_solve_with_cond", no_fit)
         with pytest.raises(ValueError, match="d\\+2"):
             loo_error(values, coords, "cubic", tail="linear", policy=NeighborhoodPolicy(max_neighbors=4))
 
@@ -212,15 +212,41 @@ class TestFoldPathReference:
         if kind == "plane" and method == "cubic" and max_neighbors == 200:
             assert failures == (4,)  # fold 4's nodes lie on a plane: no linear tail is determined
 
+    @pytest.mark.parametrize("kind", ["random", "duplicate", "plane"])
+    @pytest.mark.parametrize("max_neighbors", [200, 10])
+    def test_fold_condition(self, kind, max_neighbors):
+        values, coords = _fold_clouds(kind)
+        policy = NeighborhoodPolicy(max_neighbors=max_neighbors)
+        assert np.all(np.isnan(loo_error(values, coords, "shepard", 0.5, policy=policy).fold_condition))
+        rep = loo_error(values, coords, "cubic", policy=policy)
+        want = np.full(coords.n, np.nan)
+        if max_neighbors >= coords.n - 1 and kind != "duplicate":
+            # closed form: every fold reports the full system's estimate
+            want[:] = fit_rbf(coords, values, cubic()).condition
+        else:
+            idx = nearest(coords.points, coords.points, min(coords.n - 1, max_neighbors), exclude_self=True)[0]
+            for j in range(coords.n):
+                try:
+                    want[j] = fit_rbf(PointCloud(coords.points[idx[j]]), PointCloud(values.points[idx[j]]), cubic()).condition
+                except InterpolationError:
+                    pass
+        want[list(rep.failures)] = np.nan
+        assert np.array_equal(rep.fold_condition, want, equal_nan=True)
+        assert np.array_equal(np.isnan(rep.fold_condition), np.isnan(rep.per_point_errors))
+
     def test_global_folds_skip_refits(self, monkeypatch):
         values, coords = _fold_clouds("random")
+        solves = []
 
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a global fold was refitted")
+        def counted(m, rhs):
+            solves.append(m.shape)
+            return solve(m, rhs)
 
-        monkeypatch.setattr(evaluation, "fit_rbf", no_fit)
+        solve = evaluation._solve_with_cond
+        monkeypatch.setattr(evaluation, "_solve_with_cond", counted)
         for method, scale in [("cubic", None), ("gaussian", 1.0)]:
             assert loo_error(values, coords, method, scale).failures == ()
+        assert solves == [(34, 34), (30, 30)]  # one full system per call, no per-fold refit
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import pdist, squareform
 
 from preimage.dataset import PointCloud, save_cloud
@@ -9,6 +12,8 @@ from preimage.inverse import (
     ScaleUnderflowError,
     SingularSystemError,
     UnisolvencyError,
+    _solve_with_cond,
+    _system,
     eval_rbf,
     fit_local_rbf,
     fit_rbf,
@@ -122,6 +127,39 @@ class TestFitRbf:
             if tail == "linear":
                 assert np.array_equal(model.poly_gamma, sol[40])
                 assert np.array_equal(model.poly_beta, sol[41:])
+
+
+class TestSolveWithCond:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["symmetric", "bordered-cubic"])
+    def test_same_bits_as_scipy_lu(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "symmetric":
+            a = rng.normal(size=(40, 40))
+            m = a + a.T
+        else:
+            m = _system(rng.uniform(-1.0, 1.0, size=(60, 3)), cubic(), "linear")
+        rhs = rng.normal(size=(m.shape[0], 3))
+        lu, piv = scipy.linalg.lu_factor(m)
+        (gecon,) = get_lapack_funcs(("gecon",), (lu,))
+        rcond, _ = gecon(lu, np.linalg.norm(m, 1))
+        want = scipy.linalg.lu_solve((lu, piv), rhs)
+        sol, cond = _solve_with_cond(m.copy(), rhs)
+        assert np.array_equal(sol, want)
+        assert cond == 1.0 / rcond
+
+    def test_exactly_singular_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # scipy's lu_factor would warn LinAlgWarning here
+            with pytest.raises(SingularSystemError, match="singular"):
+                _solve_with_cond(np.ones((3, 3)), np.ones((3, 1)))
+
+    @pytest.mark.parametrize("spec,tail", [(cubic(), "linear"), (gaussian(1.0), "none")])
+    def test_fit_rbf_leaves_inputs_untouched(self, rng, spec, tail):
+        nodes, values = rng.normal(size=(30, 3)), rng.normal(size=(30, 2))
+        kept = nodes.copy(), values.copy()
+        fit_rbf(PointCloud(nodes), PointCloud(values), spec, tail)
+        assert np.array_equal(nodes, kept[0]) and np.array_equal(values, kept[1])
 
 
 class TestEvalRbf:
