@@ -12,6 +12,7 @@ from scipy.spatial.distance import cdist
 
 _MAGIC = b"PCLD"
 _BLOCK_DISTANCES = 1 << 20  # nearest() holds at most this many distances at once: 8 MB of float64
+_BLOCK_TIES = 1 << 16  # _top_k settles tied rows this many keys at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +86,12 @@ def random_unitary_embed(cloud: PointCloud, target_dim: int, seed: int = 0) -> P
 def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k smallest keys along the last axis, listed in increasing index order.
 
-    The set is the first k of a stable sort: of keys equal to the k-th smallest, the lower
-    indices are kept. argpartition at places k-1 and k finds the k-th and (k+1)-th smallest
-    key; only rows where they are not strictly increasing (a tie at the k-th key, or NaN) are
-    stably sorted to settle which of the tied indices are kept.
+    For k > 1 the set is the first k of a stable sort (NaN last): of keys equal to the k-th
+    smallest, the lower indices are kept; k = 1 is argmin. argpartition at places k-1 and k
+    finds the k-th and (k+1)-th smallest keys; where they are strictly increasing its first k
+    places are the set. Other rows (a tie at the k-th key, or NaN) keep every key before the
+    k-th and the lowest-index keys equal to it, _BLOCK_TIES keys at a time, so no temporary
+    outgrows argpartition's index table.
     """
     n = keys.shape[-1]
     if k == 1:
@@ -99,9 +102,18 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     part = np.argpartition(flat, (k - 1, k), axis=-1)
     edge = np.take_along_axis(flat, part[:, k - 1 : k + 1], axis=-1)
     chosen = part[:, :k].copy()
-    del part  # the n-wide index table goes before any tied row is sorted
+    del part  # the n-wide index table goes before any tied row is settled
     tied = np.flatnonzero(~(edge[:, 0] < edge[:, 1]))
-    chosen[tied] = np.argsort(flat[tied], axis=-1, kind="stable")[:, :k]
+    rows = max(1, _BLOCK_TIES // n)
+    for start in range(0, tied.size, rows):
+        t = tied[start : start + rows]
+        block, kth = flat[t], edge[t, :1]
+        nan = np.isnan(kth)  # a NaN k-th key: every number comes before it
+        before = (block < kth) | (nan & ~np.isnan(block))
+        equal = (block == kth) | (nan & np.isnan(block))
+        need = k - np.count_nonzero(before, axis=1)
+        before |= equal & (np.cumsum(equal, axis=1) <= need[:, None])
+        chosen[t] = np.nonzero(before)[1].reshape(-1, k)
     chosen.sort(axis=-1)
     return chosen.reshape(keys.shape[:-1] + (k,))
 

@@ -19,6 +19,7 @@ from .inverse import (
     TAIL_NONE,
     InterpolationError,
     NeighborhoodPolicy,
+    _fit,
     _predict,
     _shepard_average,
     _solve_with_cond,
@@ -152,12 +153,13 @@ def loo_error(
     is not finite or its nodes lose unisolvency. Each fold is refitted on its own nodes when
     k < n-1, for shepard, and when the full system has duplicate nodes or is singular.
 
-    A refitted fold is fit_rbf followed by eval_rbf without building either: it assembles its
-    system (inverse._system), solves it with one in-place getrf/gecon/getrs
-    (inverse._solve_with_cond), and evaluates the interpolant at the left-out point from the
-    table's distances to its nodes, the same cdist numbers eval_rbf would recompute. Each
-    (method, scale) pair is one call, so a grid of pairs redoes the table and each fold's
-    pairwise distances once per pair. The report carries each fold's condition estimate.
+    A refitted fold is fit_rbf followed by eval_rbf without their checks and copies: inverse._fit
+    assembles its system and solves it with one in-place getrf/gecon/getrs
+    (inverse._solve_with_cond), and inverse._predict evaluates the interpolant at the left-out
+    point from the table's distances to its nodes, the same cdist numbers eval_rbf would
+    recompute. Each (method, scale) pair is one call, so a grid of pairs redoes the table and
+    each fold's pairwise distances once per pair. The report carries each fold's condition
+    estimate.
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
     if values.n != coords.n:
@@ -193,12 +195,9 @@ def loo_error(
                 if method == METHOD_SHEPARD:
                     pred = _shepard_average(dist[j], values.points[idx[j]], epsilon)
                 else:
-                    m = _system(coords.points[idx[j]], spec, fit_tail)
-                    rhs = np.zeros((m.shape[0], values.dim))
-                    rhs[:k] = values.points[idx[j]]
-                    sol, conds[j] = _solve_with_cond(m, rhs)
-                    poly = (sol[k], sol[k + 1 :]) if fit_tail == TAIL_LINEAR else ()
-                    pred = _predict(spec, dist[j : j + 1], coords.points[j : j + 1], sol[:k], *poly)[0]
+                    model = _fit(coords.points[idx[j]], values.points[idx[j]], spec, fit_tail)
+                    conds[j] = model.condition
+                    pred = _predict(model, dist[j : j + 1], coords.points[j : j + 1])[0]
                 errors[j] = np.linalg.norm(values.points[j] - pred)
             except InterpolationError:
                 failures.append(j)

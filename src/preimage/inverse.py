@@ -136,10 +136,17 @@ def fit_rbf(nodes: PointCloud, values: PointCloud, spec: KernelSpec, tail: str =
     """
     if nodes.n != values.n:
         raise ValueError(f"nodes ({nodes.n}) and values ({values.n}) must have the same point count")
-    y, x = nodes.points, values.points
+    return _fit(nodes.points, values.points, spec, tail)
+
+
+def _fit(y: np.ndarray, x: np.ndarray, spec: KernelSpec, tail: str) -> RbfModel:
+    """fit_rbf on the node (n x d) and value (n x D) arrays, which it does not check; the model
+    keeps y itself as its nodes."""
     n = y.shape[0]
     m = _system(y, spec, tail)
-    sol, cond = _solve_with_cond(m, np.vstack([x, np.zeros((m.shape[0] - n, x.shape[1]))]))
+    rhs = np.zeros((m.shape[0], x.shape[1]))
+    rhs[:n] = x
+    sol, cond = _solve_with_cond(m, rhs)
     if tail == TAIL_NONE:
         return RbfModel(y, sol, None, None, spec, tail, cond)
     return RbfModel(y, sol[:n], sol[n], sol[n + 1 :], spec, tail, cond)
@@ -152,16 +159,16 @@ def eval_rbf(model: RbfModel, query) -> np.ndarray:
     q2 = np.atleast_2d(q)
     if q2.shape[1] != model.dim_in:
         raise ValueError(f"query dimension {q2.shape[1]} does not match nodes in R^{model.dim_in}")
-    out = _predict(model.spec, cdist(q2, model.nodes), q2, model.weights, model.poly_gamma, model.poly_beta)
+    out = _predict(model, cdist(q2, model.nodes), q2)
     return out[0] if single else out
 
 
-def _predict(spec: KernelSpec, r: np.ndarray, q: np.ndarray, weights, gamma=None, beta=None) -> np.ndarray:
-    """Interpolant values at the queries q (m x d) from their distances r (m x n) to the nodes:
-    g(r) weights, plus gamma + q beta when the fit has a linear tail (gamma given)."""
-    out = eval_kernel(spec, r) @ weights
-    if gamma is not None:
-        out = out + gamma[None, :] + q @ beta
+def _predict(model: RbfModel, r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The model's values at the queries q (m x d) from their distances r (m x n) to its nodes:
+    g(r) weights, plus gamma + q beta with the linear tail."""
+    out = eval_kernel(model.spec, r) @ model.weights
+    if model.poly_gamma is not None:
+        out = out + model.poly_gamma[None, :] + q @ model.poly_beta
     return out
 
 

@@ -173,15 +173,30 @@ class TestNearest:
                 st.sampled_from([(n,), (1, n), (3, n), (7, n)]),
                 elements=st.sampled_from([-np.inf, np.inf]) | st.integers(-3, 3).map(float),
             )
+        ),
+        block=st.sampled_from([1, 13, 1 << 16]),
+    )
+    def test_top_k_is_the_stable_sort_set(self, keys, block):
+        # tie-heavy integer keys and +-inf, 1-d and 2-d, every k; `block` varies how many keys
+        # of tied rows are settled at once
+        want = np.argsort(keys, axis=-1, kind="stable")
+        with mock.patch.object(dataset, "_BLOCK_TIES", block):
+            for k in range(1, keys.shape[-1] + 1):
+                got = _top_k(keys, k)
+                assert got.shape == keys.shape[:-1] + (k,)
+                assert np.array_equal(got, np.sort(want[..., :k], axis=-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.integers(2, 10).flatmap(
+            lambda n: arrays(float, (4, n), elements=st.sampled_from([np.nan, np.inf, 0.0, 1.0]))
         )
     )
-    def test_top_k_is_the_stable_sort_set(self, keys):
-        # tie-heavy integer keys and +-inf, 1-d and 2-d, every k
+    def test_top_k_puts_nan_last(self, keys):
+        # for k > 1 as in a stable sort; k = 1 is argmin, which stops at the first NaN
         want = np.argsort(keys, axis=-1, kind="stable")
-        for k in range(1, keys.shape[-1] + 1):
-            got = _top_k(keys, k)
-            assert got.shape == keys.shape[:-1] + (k,)
-            assert np.array_equal(got, np.sort(want[..., :k], axis=-1))
+        for k in range(2, keys.shape[-1] + 1):
+            assert np.array_equal(_top_k(keys, k), np.sort(want[:, :k], axis=-1))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preimage import evaluation
+from preimage import evaluation, inverse
 from preimage.dataset import PointCloud, local_fill_distance, nearest
 from preimage.evaluation import (
     ConditioningConfig,
@@ -66,7 +66,8 @@ class TestLooError:
         def no_fit(*args, **kwargs):
             raise AssertionError("a fold was fitted before the neighbour cap was checked")
 
-        monkeypatch.setattr(evaluation, "_solve_with_cond", no_fit)
+        for module in (evaluation, inverse):  # the closed-form folds' solve and every refit's
+            monkeypatch.setattr(module, "_solve_with_cond", no_fit)
         with pytest.raises(ValueError, match="d\\+2"):
             loo_error(values, coords, "cubic", tail="linear", policy=NeighborhoodPolicy(max_neighbors=4))
 
@@ -242,8 +243,9 @@ class TestFoldPathReference:
             solves.append(m.shape)
             return solve(m, rhs)
 
-        solve = evaluation._solve_with_cond
-        monkeypatch.setattr(evaluation, "_solve_with_cond", counted)
+        solve = inverse._solve_with_cond
+        for module in (evaluation, inverse):  # the closed-form folds' solve and every refit's
+            monkeypatch.setattr(module, "_solve_with_cond", counted)
         for method, scale in [("cubic", None), ("gaussian", 1.0)]:
             assert loo_error(values, coords, method, scale).failures == ()
         assert solves == [(34, 34), (30, 30)]  # one full system per call, no per-fold refit
