@@ -25,7 +25,7 @@ from .evaluation import (
     table_to_csv,
 )
 from .inverse import NeighborhoodPolicy, TAIL_LINEAR, eval_rbf, fit_rbf, load_model, save_model
-from .kernels import cubic, gaussian, kernel_matrix, radial_power, sparsify, thin_plate
+from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, gaussian, kernel_matrix, sparsify
 from .nystrom import discontinuity_scan, scan_to_csv
 
 
@@ -84,18 +84,17 @@ def _write_manifest(out: _Outputs, path, args: argparse.Namespace, seeds) -> Non
     _write_json(out, path, manifest)
 
 
-def _kernel_from_args(args) -> "object":
-    if args.kernel == "cubic":
-        return cubic()
-    if args.kernel == "gaussian":
-        if args.epsilon is None:
-            raise ValueError("--epsilon is required for the gaussian kernel")
-        return gaussian(args.epsilon)
-    if args.kernel == "radial-power":
-        return radial_power(args.rho if args.rho is not None else 3)
-    if args.kernel == "thin-plate":
-        return thin_plate(args.rho if args.rho is not None else 2)
-    raise ValueError(f"unknown kernel {args.kernel!r}")
+# --kernel choice -> (KernelSpec family, default rho)
+_KERNELS = {"cubic": (RADIAL_POWER, 3), "gaussian": (GAUSSIAN, None), "radial-power": (RADIAL_POWER, 3),
+            "thin-plate": (THIN_PLATE, 2)}
+
+
+def _kernel_from_args(args) -> KernelSpec:
+    """--kernel's spec with every --epsilon and --rho given, so KernelSpec refuses those its family does not take."""
+    family, rho = _KERNELS[args.kernel]
+    if args.kernel == "cubic" and args.rho is not None:
+        raise ValueError("--rho is not a cubic parameter: the cubic is r^3 (see --kernel radial-power)")
+    return KernelSpec(family, epsilon=args.epsilon, rho=rho if args.rho is None else args.rho)
 
 
 def cmd_sphere(args, out: _Outputs) -> int:
@@ -107,7 +106,6 @@ def cmd_sphere(args, out: _Outputs) -> int:
         affinity_multiple=args.affinity_multiple,
         gaussian_multiples=() if args.cubic_only else tuple(args.gaussian_scales),
         shepard_multiples=() if args.cubic_only else tuple(args.shepard_scales),
-        cubic_tail=args.tail,
         max_neighbors=args.max_neighbors,
     )
     result = convergence_sweep(args.n, config, seeds)
@@ -141,10 +139,8 @@ def cmd_conditioning(args, out: _Outputs) -> int:
 
 
 def cmd_fit(args, out: _Outputs) -> int:
-    nodes = load_cloud(args.nodes)
-    values = load_cloud(args.values)
     spec = _kernel_from_args(args)
-    model = fit_rbf(nodes, values, spec, tail=args.tail)
+    model = fit_rbf(load_cloud(args.nodes), load_cloud(args.values), spec, tail=args.tail)
     for path in save_model(model, args.out):
         out.path(path)
     _write_manifest(out, args.out / "manifest.json", args, [])
@@ -212,14 +208,8 @@ def cmd_loo_table(args, out: _Outputs) -> int:
             raise ValueError("either --coords or --embed-dim is required")
         spec = gaussian(spacing_scale(args.affinity_multiple, local_fill_distance(values)))
         coords = PointCloud(laplacian_eigenmaps(values, spec, d=args.embed_dim).coords)
-    rows = scale_table(
-        values,
-        coords,
-        gaussian_multiples=args.gaussian_scales,
-        shepard_multiples=args.shepard_scales,
-        tail=args.tail,
-        policy=NeighborhoodPolicy(max_neighbors=args.max_neighbors),
-    )
+    policy = NeighborhoodPolicy(max_neighbors=args.max_neighbors)
+    rows = scale_table(values, coords, args.gaussian_scales, args.shepard_scales, policy)
     table_to_csv(rows, out.path(args.out / "table.csv"), dataset=Path(args.values).stem)
     _write_manifest(out, args.out / "manifest.json", args, [])
     return 0
@@ -242,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaussian-scales", type=_float_list, default=list(sphere_defaults.gaussian_multiples))
     p.add_argument("--shepard-scales", type=_float_list, default=list(sphere_defaults.shepard_multiples))
     p.add_argument("--cubic-only", action="store_true")
-    p.add_argument("--tail", choices=["linear", "none"], default=sphere_defaults.cubic_tail)
     p.add_argument("--max-neighbors", type=int, default=sphere_defaults.max_neighbors)
     p.set_defaults(func=cmd_sphere)
 
@@ -259,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conditioning)
 
     kernel_flags = {
-        "--kernel": dict(choices=["cubic", "gaussian", "radial-power", "thin-plate"], default="cubic"),
+        "--kernel": dict(choices=list(_KERNELS), default="cubic"),
         "--epsilon": dict(type=float, default=None),
         "--rho": dict(type=int, default=None),
         "--tail": dict(choices=["linear", "none"], default=TAIL_LINEAR),
@@ -308,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--affinity-multiple", type=float, default=sphere_defaults.affinity_multiple)
     p.add_argument("--gaussian-scales", type=_float_list, default=list(TABLE_SCALE_MULTIPLES))
     p.add_argument("--shepard-scales", type=_float_list, default=list(TABLE_SCALE_MULTIPLES))
-    p.add_argument("--tail", choices=["linear", "none"], default=TAIL_LINEAR)
     p.add_argument("--max-neighbors", type=int, default=NeighborhoodPolicy().max_neighbors)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_loo_table)

@@ -110,8 +110,6 @@ class SphereConfig:
     affinity_multiple: float = 0.25  # affinity scale = multiple / h_local of the ambient cloud
     gaussian_multiples: tuple = (0.25, 0.5, 1.0, 2.0)
     shepard_multiples: tuple = (0.25, 0.5, 1.0, 2.0)
-    include_cubic: bool = True
-    cubic_tail: str = TAIL_LINEAR
     max_neighbors: int = NeighborhoodPolicy().max_neighbors
 
 
@@ -134,7 +132,7 @@ def loo_error(
     coords: PointCloud,
     method: str,
     scale_multiple: float | None = None,
-    tail: str = TAIL_LINEAR,
+    *,
     policy: NeighborhoodPolicy | None = None,
     seed: int | None = None,
 ) -> LooReport:
@@ -142,9 +140,10 @@ def loo_error(
 
     One dataset.nearest table gives every fold its nodes (all the other points when
     n-1 <= max_neighbors) and gives h_local; gaussian and shepard scales are multiples of
-    1/h_local (ValueError when h_local is 0). The cubic (`tail`, linear by default) and the
-    gaussian (plain system) interpolate a fold's nodes, shepard averages their values, and a
-    fold whose fit fails, e.g. on duplicate nodes, holds NaN.
+    1/h_local (ValueError when h_local is 0). The cubic (with the linear tail, its one solvable
+    tail, so every fold needs d+2 nodes) and the gaussian (plain system) interpolate a fold's
+    nodes, shepard averages their values, and a fold whose fit fails, e.g. on duplicate nodes,
+    holds NaN.
 
     When every fold is global (k = n-1), the cubic and gaussian folds come from one pivoted LU
     of the full system M by Rippa's identity (Rippa 1999, Adv. Comput. Math. 11:193; Fasshauer
@@ -153,13 +152,9 @@ def loo_error(
     is not finite or its nodes lose unisolvency. Each fold is refitted on its own nodes when
     k < n-1, for shepard, and when the full system has duplicate nodes or is singular.
 
-    A refitted fold is fit_rbf followed by eval_rbf without their checks and copies: inverse._fit
-    assembles its system and solves it with one in-place getrf/gecon/getrs
-    (inverse._solve_with_cond), and inverse._predict evaluates the interpolant at the left-out
-    point from the table's distances to its nodes, the same cdist numbers eval_rbf would
-    recompute. Each (method, scale) pair is one call, so a grid of pairs redoes the table and
-    each fold's pairwise distances once per pair. The report carries each fold's condition
-    estimate.
+    A refitted fold is inverse._fit (fit_rbf's body, one in-place getrf/gecon/getrs) and
+    inverse._predict (eval_rbf's formula) at the left-out point from the table's own distances.
+    The report carries each fold's condition estimate.
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
     if values.n != coords.n:
@@ -168,7 +163,7 @@ def loo_error(
     if n < 3:
         raise ValueError("leave-one-out needs at least 3 points")
     k = min(n - 1, policy.max_neighbors)
-    if method == METHOD_CUBIC and tail == TAIL_LINEAR and k < d + 2:
+    if method == METHOD_CUBIC and k < d + 2:
         raise ValueError(f"cubic with linear tail needs d+2 = {d + 2} nodes per fold (n >= d+3, max_neighbors >= d+2)")
     idx, dist = nearest(coords.points, coords.points, k, exclude_self=True)
     h = float(dist.min(axis=1).mean())
@@ -178,7 +173,7 @@ def loo_error(
         epsilon = spacing_scale(scale_multiple, h)
         spec, fit_tail = gaussian(epsilon), TAIL_NONE
     elif method == METHOD_CUBIC:
-        spec, fit_tail = cubic(), tail
+        spec, fit_tail = cubic(), TAIL_LINEAR
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -274,14 +269,12 @@ def sphere_pipeline(n: int, config: SphereConfig, seed: int):
 
 def method_grid(config: SphereConfig):
     """(method, scale_multiple) pairs a sweep evaluates, cubic first."""
-    return _grid(config.include_cubic, config.gaussian_multiples, config.shepard_multiples)
+    return _grid(config.gaussian_multiples, config.shepard_multiples)
 
 
-def _grid(include_cubic: bool, gaussian_multiples, shepard_multiples) -> list:
-    grid = [(METHOD_CUBIC, None)] if include_cubic else []
-    grid.extend((METHOD_GAUSSIAN, m) for m in gaussian_multiples)
-    grid.extend((METHOD_SHEPARD, m) for m in shepard_multiples)
-    return grid
+def _grid(gaussian_multiples, shepard_multiples) -> list:
+    gaussians = [(METHOD_GAUSSIAN, m) for m in gaussian_multiples]
+    return [(METHOD_CUBIC, None)] + gaussians + [(METHOD_SHEPARD, m) for m in shepard_multiples]
 
 
 def loglog_slope(x, y):
@@ -314,7 +307,7 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
             for method, mult in method_grid(config):
                 # h_local is the coordinate-domain spacing: interpolation
                 # happens there, and it is what the scale multiples divide
-                rep = loo_error(ambient, coords, method, mult, tail=config.cubic_tail, policy=policy, seed=seed)
+                rep = loo_error(ambient, coords, method, mult, policy=policy, seed=seed)
                 rows.append(
                     SweepRow(
                         n=n,
@@ -401,23 +394,17 @@ def scale_table(
     coords: PointCloud,
     gaussian_multiples=TABLE_SCALE_MULTIPLES,
     shepard_multiples=TABLE_SCALE_MULTIPLES,
-    include_cubic: bool = True,
-    tail: str = TAIL_LINEAR,
     policy: NeighborhoodPolicy | None = None,
-    seed: int | None = None,
 ) -> list:
-    """Leave-one-out error for every method/scale combination on one dataset,
+    """Leave-one-out error for the cubic and every gaussian/shepard scale on one dataset,
     with the lowest entry marked."""
     entries = []
-    for method, mult in _grid(include_cubic, gaussian_multiples, shepard_multiples):
-        rep = loo_error(values, coords, method, mult, tail=tail, policy=policy, seed=seed)
+    for method, mult in _grid(gaussian_multiples, shepard_multiples):
+        rep = loo_error(values, coords, method, mult, policy=policy)
         entries.append((method, mult, rep.e_avg, len(rep.failures)))
     finite = [e for _, _, e, _ in entries if np.isfinite(e)]
     best = min(finite) if finite else float("nan")
-    return [
-        TableRow(method, mult, e_avg, fails, bool(np.isfinite(e_avg) and e_avg == best))
-        for method, mult, e_avg, fails in entries
-    ]
+    return [TableRow(method, mult, e, fails, bool(np.isfinite(e) and e == best)) for method, mult, e, fails in entries]
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:

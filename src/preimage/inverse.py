@@ -11,10 +11,17 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from .dataset import PointCloud, load_block, nearest, save_bundle
 from .embedding import unisolvency_rank
-from .kernels import KernelSpec, _node_kernel, eval_kernel
+from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _node_kernel, eval_kernel
 
 TAIL_NONE = "none"
 TAIL_LINEAR = "linear"
+
+# The tails each (family, rho) may take: the pairs nonsingular on every n >= 2 distinct (and, with the
+# tail, 1-unisolvent) nodes. Order-m conditionally positive definite kernels need a tail of degree m-1
+# (Wendland 2005, Scattered Data Approximation, ch. 8): the Gaussian (positive definite) and r (Micchelli
+# 1986, Constr. Approx. 2:11) need none, r^3 and r^2 log r the linear, any other power degree >= 2.
+_TAILS = {(GAUSSIAN, None): (TAIL_NONE, TAIL_LINEAR), (RADIAL_POWER, 1): (TAIL_NONE, TAIL_LINEAR),
+          (RADIAL_POWER, 3): (TAIL_LINEAR,), (THIN_PLATE, 2): (TAIL_LINEAR,)}
 
 
 class InterpolationError(Exception):
@@ -52,6 +59,9 @@ class RbfModel:
     linear tail, poly_gamma and poly_beta hold the constant and linear
     coefficients and the weights satisfy the moment conditions
     sum_j w[j] = 0 and nodes^T w = 0 per column.
+
+    condition is LAPACK gecon's 1-norm estimate; above about 300 nodes it can differ in
+    the last bit between runs, the one field (also in model.json) not reproducible bit for bit.
     """
 
     nodes: np.ndarray
@@ -112,8 +122,6 @@ def _system(y: np.ndarray, spec: KernelSpec, tail: str) -> np.ndarray:
     k = _node_kernel(spec, dists)
     if tail == TAIL_NONE:
         return k
-    if tail != TAIL_LINEAR:
-        raise ValueError(f"unknown tail {tail!r}")
     if unisolvency_rank(y) != d + 1:
         raise UnisolvencyError("unisolvency failure: nodes do not determine a degree-1 polynomial")
     m = np.empty((n + d + 1, n + d + 1))
@@ -131,12 +139,22 @@ def fit_rbf(nodes: PointCloud, values: PointCloud, spec: KernelSpec, tail: str =
     tail="none" solves the plain kernel system K A = X by pivoted LU.
     tail="linear" augments with a constant-plus-linear polynomial and the
     matching moment constraints, giving the bordered system
-    [[K, P], [P^T, 0]] [A; c] = [X; 0] with P rows (1, y^(j)); this is
-    nonsingular for the cubic kernel on any 1-unisolvent node set.
+    [[K, P], [P^T, 0]] [A; c] = [X; 0] with P rows (1, y^(j)).
+
+    Only the (kernel, tail) pairs of _TAILS, solvable on every 1-unisolvent set of distinct nodes,
+    are fitted; any other raises ValueError before a matrix is built.
     """
+    _check_tail(spec, tail)
     if nodes.n != values.n:
         raise ValueError(f"nodes ({nodes.n}) and values ({values.n}) must have the same point count")
     return _fit(nodes.points, values.points, spec, tail)
+
+
+def _check_tail(spec: KernelSpec, tail: str) -> None:
+    takes = _TAILS.get((spec.family, spec.rho), ())
+    if tail not in takes:
+        need = " or ".join(map(repr, takes)) or "a tail of degree >= 2, which is not implemented"
+        raise ValueError(f"kernel {spec.to_dict()} does not take tail {tail!r}; it needs {need}")
 
 
 def _fit(y: np.ndarray, x: np.ndarray, spec: KernelSpec, tail: str) -> RbfModel:
@@ -241,8 +259,11 @@ def save_model(model: RbfModel, directory) -> list:
 
 
 def load_model(directory) -> RbfModel:
-    """Read a model written by save_model, checking each block's shape against model.json."""
+    """Read a model written by save_model, checking its (spec, tail) pair as fit_rbf does and each
+    block's shape against model.json."""
     meta = json.loads((Path(directory) / "model.json").read_text())
+    spec = KernelSpec.from_dict(meta["spec"])
+    _check_tail(spec, meta["tail"])
     n, dim_in, dim_out = int(meta["n"]), int(meta["dim_in"]), int(meta["dim_out"])
     nodes = load_block(directory, "nodes", (n, dim_in))
     weights = load_block(directory, "weights", (n, dim_out))
@@ -255,7 +276,7 @@ def load_model(directory) -> RbfModel:
         weights=weights,
         poly_gamma=gamma,
         poly_beta=beta,
-        spec=KernelSpec.from_dict(meta["spec"]),
+        spec=spec,
         tail=meta["tail"],
         condition=float(meta["condition"]),
     )

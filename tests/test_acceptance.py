@@ -23,7 +23,7 @@ from preimage.evaluation import (
     scale_table,
 )
 from preimage.inverse import NeighborhoodPolicy, eval_rbf, fit_rbf, shepard_eval
-from preimage.kernels import condition_number, cubic, gaussian, kernel_matrix, sparsify
+from preimage.kernels import condition_number, cubic, gaussian, kernel_matrix, radial_power, sparsify
 from preimage.nystrom import discontinuity_scan, nystrom_extend, nystrom_via_rbf
 
 from conftest import random_rotation
@@ -150,13 +150,13 @@ def test_criterion_6_property_suites():
     rng = np.random.default_rng(99)
     checks = []
 
-    # node exactness <= 1e-6 relative (cubic, both tails)
+    # node exactness <= 1e-6 relative (r^1 with no tail, cubic with the linear tail)
     nodes = PointCloud(np.arange(24, dtype=float).reshape(12, 2) + rng.uniform(-0.3, 0.3, size=(12, 2)))
     values = PointCloud(rng.normal(size=(12, 3)))
     exact = max(
-        np.abs(eval_rbf(fit_rbf(nodes, values, cubic(), tail=t), nodes.points) - values.points).max()
+        np.abs(eval_rbf(fit_rbf(nodes, values, spec, tail=t), nodes.points) - values.points).max()
         / np.abs(values.points).max()
-        for t in ("none", "linear")
+        for spec, t in ((radial_power(1), "none"), (cubic(), "linear"))
     )
     checks.append(("node exactness", exact, 1e-6))
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from preimage import cli
 from preimage.cli import build_parser, main
 from preimage.dataset import PointCloud, load_cloud, save_cloud
 from preimage.evaluation import TABLE_SCALE_MULTIPLES, ConditioningConfig, SphereConfig
-from preimage.inverse import TAIL_LINEAR, NeighborhoodPolicy
+from preimage.inverse import NeighborhoodPolicy
 
 
 @pytest.fixture
@@ -85,14 +86,14 @@ class TestParserDefaults:
         args = vars(parser.parse_args(["sphere", "--out", "o"]))
         for flag, field in [("sphere_dim", "sphere_dim"), ("ambient_dim", "ambient_dim"), ("embed_dim", "embed_dim"),
                             ("affinity_multiple", "affinity_multiple"), ("gaussian_scales", "gaussian_multiples"),
-                            ("shepard_scales", "shepard_multiples"), ("tail", "cubic_tail"),
-                            ("max_neighbors", "max_neighbors")]:
+                            ("shepard_scales", "shepard_multiples"), ("max_neighbors", "max_neighbors")]:
             value = getattr(sphere, field)
             assert args[flag] == (list(value) if isinstance(value, tuple) else value), flag
+        assert "tail" not in args  # the cubic takes only the linear tail
         args = vars(parser.parse_args(["loo-table", "--values", "v", "--out", "o"]))
         assert args["affinity_multiple"] == sphere.affinity_multiple
         assert args["gaussian_scales"] == args["shepard_scales"] == list(TABLE_SCALE_MULTIPLES)
-        assert args["tail"] == TAIL_LINEAR
+        assert "tail" not in args
         assert args["max_neighbors"] == NeighborhoodPolicy().max_neighbors == sphere.max_neighbors
         args = vars(parser.parse_args(["conditioning", "--mode", "vs_fill", "--out", "o"]))
         for flag, field in [("dim", "ambient_dim"), ("n_values", "n_values"), ("epsilon", "epsilon"), ("n", "n"),
@@ -166,6 +167,39 @@ class TestFitInvertCommands:
         assert main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
                      "--out", str(out)]) == 1
         assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("command", ["fit", "invert"])
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [(["--kernel", "cubic", "--epsilon", "0.5"], "epsilon not allowed"),
+         (["--kernel", "cubic", "--rho", "5"], "--rho is not a cubic parameter"),
+         (["--kernel", "gaussian", "--epsilon", "1", "--rho", "3"], "rho is not a gaussian parameter"),
+         (["--kernel", "thin-plate", "--tail", "none"], "does not take tail 'none'")],
+    )
+    def test_refused_kernel_flags_leave_no_file(self, tmp_path, rng, capsys, command, flags, reason):
+        self.make_data(tmp_path, rng)
+        data = ["--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld")]
+        if command == "invert":
+            data += ["--queries", str(tmp_path / "nodes.pcld")]
+        out = tmp_path / "out"
+        assert main([command] + data + flags + ["--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists() or [p for p in out.rglob("*") if p.is_file()] == []
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_invert_refuses_edited_sidecar_tail(self, tmp_path, rng, capsys):
+        self.make_data(tmp_path, rng)
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
+                     "--out", str(model_dir)]) == 0
+        meta = json.loads((model_dir / "model.json").read_text())
+        meta["tail"] = "quadratic"
+        (model_dir / "model.json").write_text(json.dumps(meta))
+        pred = tmp_path / "pred.pcld"
+        assert main(["invert", "--model", str(model_dir), "--queries", str(tmp_path / "nodes.pcld"),
+                     "--out", str(pred)]) == 1
+        assert "tail 'quadratic'" in capsys.readouterr().err
+        assert not pred.exists()
 
     def test_gaussian_needs_epsilon(self, tmp_path, rng):
         self.make_data(tmp_path, rng)

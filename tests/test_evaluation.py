@@ -42,22 +42,11 @@ class TestLooError:
         cub = loo_error(values, coords, "cubic")
         assert cub.e_avg < 1e-8
 
-    def test_collinear_hand_oracle(self):
-        # pure cubic on 2-node folds solves [[0, s], [s, 0]] by hand:
-        # fold 0 -> |0-12| = 12, fold 1 -> |1-0.5| = 0.5, fold 2 -> |4-8| = 4
-        coords = PointCloud([[0.0], [1.0], [2.0]])
-        values = PointCloud([[0.0], [1.0], [4.0]])
-        rep = loo_error(values, coords, "cubic", tail="none")
-        assert np.allclose(rep.per_point_errors, [12.0, 0.5, 4.0], atol=1e-10)
-        assert rep.e_avg == pytest.approx(5.5, abs=1e-10)
-        assert rep.failures == ()
-        assert rep.valid
-
     def test_linear_tail_needs_enough_points(self):
         coords = PointCloud([[0.0], [1.0], [2.0]])
         values = PointCloud([[0.0], [1.0], [4.0]])
         with pytest.raises(ValueError, match="d\\+3"):
-            loo_error(values, coords, "cubic", tail="linear")
+            loo_error(values, coords, "cubic")
 
     def test_linear_tail_needs_enough_neighbours_up_front(self, rng, monkeypatch):
         coords = PointCloud(rng.normal(size=(20, 3)))
@@ -69,7 +58,7 @@ class TestLooError:
         for module in (evaluation, inverse):  # the closed-form folds' solve and every refit's
             monkeypatch.setattr(module, "_solve_with_cond", no_fit)
         with pytest.raises(ValueError, match="d\\+2"):
-            loo_error(values, coords, "cubic", tail="linear", policy=NeighborhoodPolicy(max_neighbors=4))
+            loo_error(values, coords, "cubic", policy=NeighborhoodPolicy(max_neighbors=4))
 
     def test_report_aggregation_contract(self, rng):
         coords = PointCloud(rng.normal(size=(15, 2)))
@@ -131,7 +120,7 @@ class TestLooError:
             loo_error(PointCloud(pts), PointCloud(pts), method, scale_multiple=1.0)
 
 
-def _reference_loo(values, coords, method, scale_multiple, policy, tail="linear"):
+def _reference_loo(values, coords, method, scale_multiple, policy):
     """The per-fold loop of the first loo_error: every fold copies the n-1 remaining points, then
     fits globally or, above the cap, through fit_local_rbf. Also returns each global fold's
     condition estimate (1 elsewhere)."""
@@ -151,7 +140,7 @@ def _reference_loo(values, coords, method, scale_multiple, policy, tail="linear"
             if method == "shepard":
                 pred = shepard_eval(train_nodes, train_values, query, scale_multiple / h, policy)
             else:
-                spec, fit_tail = (cubic(), tail) if method == "cubic" else (gaussian(scale_multiple / h), "none")
+                spec, fit_tail = (cubic(), "linear") if method == "cubic" else (gaussian(scale_multiple / h), "none")
                 if train_nodes.n > policy.max_neighbors:
                     pred = fit_local_rbf(train_nodes, train_values, spec, fit_tail, policy, query)
                 else:
@@ -255,17 +244,16 @@ class TestFoldPathReference:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(6, 24),
         d=st.integers(1, 3),
-        method_tail=st.sampled_from([("cubic", "linear"), ("gaussian", "none"), ("cubic", "none")]),
+        method=st.sampled_from(["cubic", "gaussian"]),
     )
-    def test_closed_form_matches_refits(self, seed, n, d, method_tail):
-        method, tail = method_tail
+    def test_closed_form_matches_refits(self, seed, n, d, method):
         rng = np.random.default_rng(seed)
         coords = PointCloud(rng.uniform(-1.0, 1.0, size=(n, d)))
         values = PointCloud(rng.normal(size=(n, 2)))
         scale = 1.0 if method == "gaussian" else None
         policy = NeighborhoodPolicy()
-        h, errors, failures, conds = _reference_loo(values, coords, method, scale, policy, tail=tail)
-        rep = loo_error(values, coords, method, scale, tail=tail, policy=policy)
+        h, errors, failures, conds = _reference_loo(values, coords, method, scale, policy)
+        rep = loo_error(values, coords, method, scale, policy=policy)
         assert rep.failures == failures
         _assert_within_cond(rep.per_point_errors, errors, conds)
 

@@ -1,11 +1,18 @@
+import json
+import tempfile
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import pdist, squareform
 
+from preimage import inverse
 from preimage.dataset import PointCloud, save_cloud
 from preimage.inverse import (
     NeighborhoodPolicy,
@@ -21,7 +28,17 @@ from preimage.inverse import (
     save_model,
     shepard_eval,
 )
-from preimage.kernels import cubic, eval_kernel, gaussian, thin_plate
+from preimage.kernels import (
+    GAUSSIAN,
+    RADIAL_POWER,
+    THIN_PLATE,
+    KernelSpec,
+    cubic,
+    eval_kernel,
+    gaussian,
+    radial_power,
+    thin_plate,
+)
 
 from conftest import random_rotation
 
@@ -34,24 +51,24 @@ def well_separated_nodes(rng, n, d):
 
 class TestFitRbf:
     def test_two_node_hand_solve(self):
-        # [[0, 1], [1, 0]] alpha = (0, 1)^T  =>  alpha = (1, 0)^T
-        model = fit_rbf(PointCloud([[0.0], [1.0]]), PointCloud([[0.0], [1.0]]), cubic(), tail="none")
+        # r^1 on nodes 0 and 1: [[0, 1], [1, 0]] alpha = (0, 1)^T  =>  alpha = (1, 0)^T
+        model = fit_rbf(PointCloud([[0.0], [1.0]]), PointCloud([[0.0], [1.0]]), radial_power(1), tail="none")
         assert np.allclose(model.weights.ravel(), [1.0, 0.0], atol=1e-14)
         assert model.condition == pytest.approx(1.0)
 
-    def test_single_cubic_node_is_singular(self):
+    def test_single_node_is_singular(self):
         with pytest.raises(SingularSystemError, match="singular system"):
-            fit_rbf(PointCloud([[0.0]]), PointCloud([[1.0]]), cubic(), tail="none")
+            fit_rbf(PointCloud([[0.0]]), PointCloud([[1.0]]), radial_power(1), tail="none")
 
     def test_duplicate_nodes_named(self):
         nodes = PointCloud([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
         values = PointCloud([[1.0], [2.0], [3.0]])
         with pytest.raises(SingularSystemError, match="indices 0 and 2"):
-            fit_rbf(nodes, values, cubic(), tail="none")
+            fit_rbf(nodes, values, radial_power(1), tail="none")
         # two duplicate pairs: the one first in row-major pair order is named
         nodes = PointCloud([[0.0], [1.0], [2.0], [1.0], [0.0]])
         with pytest.raises(SingularSystemError, match="indices 0 and 4"):
-            fit_rbf(nodes, PointCloud(np.ones((5, 1))), cubic(), tail="none")
+            fit_rbf(nodes, PointCloud(np.ones((5, 1))), radial_power(1), tail="none")
 
     def test_affine_reproduction_coefficients(self, rng):
         nodes = PointCloud(rng.normal(size=(20, 3)))
@@ -74,8 +91,8 @@ class TestFitRbf:
     def test_exactness_at_nodes(self, rng):
         nodes = well_separated_nodes(rng, 12, 2)
         values = PointCloud(rng.normal(size=(12, 3)))
-        for tail in ("none", "linear"):
-            model = fit_rbf(nodes, values, cubic(), tail=tail)
+        for spec, tail in ((radial_power(1), "none"), (cubic(), "linear")):
+            model = fit_rbf(nodes, values, spec, tail=tail)
             rel = np.abs(eval_rbf(model, nodes.points) - values.points).max() / np.abs(values.points).max()
             assert rel < 1e-6
 
@@ -127,6 +144,68 @@ class TestFitRbf:
             if tail == "linear":
                 assert np.array_equal(model.poly_gamma, sol[40])
                 assert np.array_equal(model.poly_beta, sol[41:])
+
+
+# The (family, rho) -> tails that are solvable on every 1-unisolvent set of distinct nodes (Wendland
+# 2005, ch. 8; Micchelli 1986): written out here independently of inverse._TAILS.
+SOLVABLE = {(GAUSSIAN, None): {"none", "linear"}, (RADIAL_POWER, 1): {"none", "linear"},
+            (RADIAL_POWER, 3): {"linear"}, (THIN_PLATE, 2): {"linear"}}
+TAIL_NODES = PointCloud(np.random.default_rng(5).uniform(-1.0, 1.0, size=(8, 2)))
+TAIL_VALUES = PointCloud(np.random.default_rng(6).normal(size=(8, 3)))
+
+
+class TestTailRule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from([GAUSSIAN, RADIAL_POWER, THIN_PLATE]),
+        rho=st.integers(1, 9),
+        epsilon=st.floats(1.0, 10.0),
+        tail=st.sampled_from(["none", "linear", "quadratic", "cubic", ""]) | st.text(max_size=6),
+    )
+    def test_fit_and_load_accept_exactly_the_solvable_pairs(self, family, rho, epsilon, tail):
+        rho, epsilon = (None, epsilon) if family == GAUSSIAN else (rho, None)
+        solvable = tail in SOLVABLE.get((family, rho), ())
+        with mock.patch.object(inverse, "_system", wraps=inverse._system) as system, mock.patch.object(
+            inverse, "_solve_with_cond", wraps=inverse._solve_with_cond
+        ) as solve:
+            if solvable:
+                model = fit_rbf(TAIL_NODES, TAIL_VALUES, KernelSpec(family, epsilon=epsilon, rho=rho), tail)
+                assert np.abs(eval_rbf(model, TAIL_NODES.points) - TAIL_VALUES.points).max() < 1e-6
+                assert solve.call_count == 1
+            else:
+                # a (family, rho) KernelSpec itself refuses, such as an even radial power, counts too
+                with pytest.raises(ValueError):
+                    fit_rbf(TAIL_NODES, TAIL_VALUES, KernelSpec(family, epsilon=epsilon, rho=rho), tail)
+                assert system.call_count == solve.call_count == 0
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(fit_rbf(TAIL_NODES, TAIL_VALUES, cubic(), "linear"), tmp)
+            meta = json.loads((Path(tmp) / "model.json").read_text())
+            meta["spec"] = {"family": family, "epsilon": epsilon, "rho": rho}
+            meta["tail"] = tail
+            (Path(tmp) / "model.json").write_text(json.dumps(meta))
+            if solvable:
+                assert load_model(tmp).tail == tail
+            else:
+                with pytest.raises(ValueError):
+                    load_model(tmp)
+
+    @pytest.mark.parametrize(
+        "spec,tail,reason",
+        [(cubic(), "none", "needs 'linear'"), (thin_plate(), "none", "needs 'linear'"),
+         (radial_power(5), "linear", "degree >= 2"), (thin_plate(4), "linear", "degree >= 2"),
+         (gaussian(1.0), "quadratic", "needs 'none' or 'linear'")],
+    )
+    def test_refusal_names_tail_and_reason(self, spec, tail, reason):
+        with pytest.raises(ValueError, match=f"tail '{tail}'.*{reason}"):
+            fit_rbf(TAIL_NODES, TAIL_VALUES, spec, tail)
+
+    def test_edited_sidecar_tail_refused(self, tmp_path):
+        save_model(fit_rbf(TAIL_NODES, TAIL_VALUES, cubic(), "linear"), tmp_path)
+        meta = json.loads((tmp_path / "model.json").read_text())
+        meta["tail"] = "quadratic"
+        (tmp_path / "model.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="tail 'quadratic'"):
+            load_model(tmp_path)
 
 
 class TestSolveWithCond:
@@ -184,10 +263,10 @@ class TestEvalRbf:
         queries = rng.normal(size=(5, 3))
         q = random_rotation(3, seed=4)
         shift = np.array([2.0, -1.0, 0.25])
-        for tail in ("none", "linear"):
-            base = eval_rbf(fit_rbf(nodes, values, cubic(), tail=tail), queries)
+        for spec, tail in ((radial_power(1), "none"), (cubic(), "linear")):
+            base = eval_rbf(fit_rbf(nodes, values, spec, tail=tail), queries)
             moved = eval_rbf(
-                fit_rbf(PointCloud(nodes.points @ q + shift), values, cubic(), tail=tail), queries @ q + shift
+                fit_rbf(PointCloud(nodes.points @ q + shift), values, spec, tail=tail), queries @ q + shift
             )
             assert np.abs(base - moved).max() < 1e-8
 
@@ -291,8 +370,8 @@ class TestModelSerialization:
     def test_round_trip(self, rng, tmp_path):
         nodes = PointCloud(rng.normal(size=(11, 2)))
         values = PointCloud(rng.normal(size=(11, 3)))
-        for tail in ("none", "linear"):
-            model = fit_rbf(nodes, values, cubic(), tail=tail)
+        for spec, tail in ((radial_power(1), "none"), (cubic(), "linear")):
+            model = fit_rbf(nodes, values, spec, tail=tail)
             save_model(model, tmp_path / tail)
             back = load_model(tmp_path / tail)
             queries = rng.normal(size=(6, 2))
