@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from . import __version__
 from .dataset import PointCloud, load_cloud, local_fill_distance, save_cloud, spacing_scale, write_table
 from .embedding import embedding_from_kernel, laplacian_eigenmaps
 from .evaluation import (
+    BLAS_THREAD_VARS,
     TABLE_SCALE_MULTIPLES,
     ConditioningConfig,
     SphereConfig,
@@ -23,6 +25,8 @@ from .evaluation import (
     scale_table,
     sweep_to_csv,
     table_to_csv,
+    _cpu_count,
+    _fold_workers,
 )
 from .inverse import NeighborhoodPolicy, TAIL_LINEAR, eval_rbf, fit_rbf, load_model, save_model
 from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, gaussian, kernel_matrix, sparsify
@@ -63,7 +67,22 @@ def _write_json(out: _Outputs, path, doc: dict) -> None:
     out.path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(out: _Outputs, path, args: argparse.Namespace, seeds) -> None:
+def _machine() -> dict:
+    """CPUs, BLAS build, BLAS thread variables as set and the leave-one-out fold workers they give;
+    the layout of the machine block of the BENCH_*.json records."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # numpy < 1.26 only prints its build configuration
+        deps = {}
+    libs = {lib: {key: deps.get(lib, {}).get(key) for key in ("name", "version")} for lib in ("blas", "lapack")}
+    return {
+        "nproc": _cpu_count(),
+        "blas": {**libs, "threads": {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}},
+        "fold_workers": _fold_workers(),
+    }
+
+
+def _write_manifest(out: _Outputs, path, args: argparse.Namespace, seeds, **extra) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     for k, v in config.items():
         if isinstance(v, Path):
@@ -74,15 +93,20 @@ def _write_manifest(out: _Outputs, path, args: argparse.Namespace, seeds) -> Non
         "command": args.command,
         "config": config,
         "seeds": list(seeds),
+        "machine": _machine(),
         "versions": {
             "preimage": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
+        **extra,
     }
     _write_json(out, path, manifest)
 
+
+# the kernel flags' defaults when fitting from --nodes/--values; --model takes its kernel and tail from the model
+_KERNEL_DEFAULTS = {"kernel": "cubic", "epsilon": None, "rho": None, "tail": TAIL_LINEAR}
 
 # --kernel choice -> (KernelSpec family, default rho)
 _KERNELS = {"cubic": (RADIAL_POWER, 3), "gaussian": (GAUSSIAN, None), "radial-power": (RADIAL_POWER, 3),
@@ -148,17 +172,24 @@ def cmd_fit(args, out: _Outputs) -> int:
 
 
 def cmd_invert(args, out: _Outputs) -> int:
+    given = [f"--{name}" for name in _KERNEL_DEFAULTS if getattr(args, name) is not None]
     if args.model is not None:
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be given with --model: the model fixes its kernel and tail")
         model = load_model(args.model)
+        extra = {"model": {"spec": model.spec.to_dict(), "tail": model.tail}}
     else:
         if args.nodes is None or args.values is None:
             raise ValueError("either --model or both --nodes and --values are required")
-        spec = _kernel_from_args(args)
-        model = fit_rbf(load_cloud(args.nodes), load_cloud(args.values), spec, tail=args.tail)
+        for name, default in _KERNEL_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+        model = fit_rbf(load_cloud(args.nodes), load_cloud(args.values), _kernel_from_args(args), tail=args.tail)
+        extra = {}
     queries = load_cloud(args.queries)
     predictions = eval_rbf(model, queries.points)
     save_cloud(PointCloud(predictions), out.path(args.out))
-    _write_manifest(out, Path(str(args.out) + ".manifest.json"), args, [])
+    _write_manifest(out, Path(str(args.out) + ".manifest.json"), args, [], **extra)
     return 0
 
 
@@ -248,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conditioning)
 
     kernel_flags = {
-        "--kernel": dict(choices=list(_KERNELS), default="cubic"),
-        "--epsilon": dict(type=float, default=None),
-        "--rho": dict(type=int, default=None),
-        "--tail": dict(choices=["linear", "none"], default=TAIL_LINEAR),
+        "--kernel": dict(choices=list(_KERNELS), default=_KERNEL_DEFAULTS["kernel"]),
+        "--epsilon": dict(type=float, default=_KERNEL_DEFAULTS["epsilon"]),
+        "--rho": dict(type=int, default=_KERNEL_DEFAULTS["rho"]),
+        "--tail": dict(choices=["linear", "none"], default=_KERNEL_DEFAULTS["tail"]),
     }
 
     p = sub.add_parser("fit", help="fit an interpolant and save the model")
@@ -269,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     for flag, kw in kernel_flags.items():
-        p.add_argument(flag, **kw)
+        p.add_argument(flag, **dict(kw, default=None, help="only with --nodes/--values"))
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("nystrom-scan", help="extension profile along a segment under sparsification")

@@ -1,5 +1,7 @@
 """Leave-one-out harness, parameter sweeps, and convergence-rate estimation."""
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +38,9 @@ COND_CSV_COLUMNS = ["parameter", "n", "h_local", "method", "cond"]
 
 # default gaussian and shepard scale multiples of a one-dataset scale table
 TABLE_SCALE_MULTIPLES = (0.5, 1.0, 2.0)
+
+# the thread-count variables OpenBLAS reads, in the order it reads them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +160,14 @@ def loo_error(
     A refitted fold is inverse._fit (fit_rbf's body, one in-place getrf/gecon/getrs) and
     inverse._predict (eval_rbf's formula) at the left-out point from the table's own distances.
     The report carries each fold's condition estimate.
+
+    Refitted cubic and gaussian folds run in w contiguous chunks, one per thread, where w is the
+    CPU count divided by the BLAS thread count read from OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS (the first positive one), and w = 1, the serial loop, when none is set, since
+    OpenBLAS then already uses every core. Pin OPENBLAS_NUM_THREADS=1 to run folds in parallel.
+    Shepard folds always run inline. Each fold does the same arithmetic on any thread, so the
+    report does not depend on w, bit for bit, except where gecon's estimate varies in the last
+    bit between any two runs (fold systems above about 300 nodes; see RbfModel).
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
     if values.n != coords.n:
@@ -184,18 +197,26 @@ def loo_error(
         except InterpolationError:
             pass  # duplicate nodes or a singular full system: every fold is refitted below
     if errors is None:
-        errors, conds, failures = np.full(n, np.nan), np.full(n, np.nan), []
-        for j in range(n):
-            try:
-                if method == METHOD_SHEPARD:
-                    pred = _shepard_average(dist[j], values.points[idx[j]], epsilon)
-                else:
-                    model = _fit(coords.points[idx[j]], values.points[idx[j]], spec, fit_tail)
-                    conds[j] = model.condition
-                    pred = _predict(model, dist[j : j + 1], coords.points[j : j + 1])[0]
-                errors[j] = np.linalg.norm(values.points[j] - pred)
-            except InterpolationError:
-                failures.append(j)
+        errors, conds = np.full(n, np.nan), np.full(n, np.nan)
+
+        def refit(folds) -> list:
+            """Fill the folds' slots of errors and conds; return the folds that failed."""
+            failed = []
+            for j in folds:
+                try:
+                    if method == METHOD_SHEPARD:
+                        pred = _shepard_average(dist[j], values.points[idx[j]], epsilon)
+                    else:
+                        model = _fit(coords.points[idx[j]], values.points[idx[j]], spec, fit_tail)
+                        conds[j] = model.condition
+                        pred = _predict(model, dist[j : j + 1], coords.points[j : j + 1])[0]
+                    errors[j] = np.linalg.norm(values.points[j] - pred)
+                except InterpolationError:
+                    failed.append(j)
+            return failed
+
+        # shepard folds factor nothing and hold the GIL: threads would only add switching
+        failures = _run_chunked(refit, n, 1 if method == METHOD_SHEPARD else _fold_workers())
     ok = np.isfinite(errors)
     e_avg = float(errors[ok].mean()) if np.any(ok) else float("nan")
     return LooReport(
@@ -210,6 +231,48 @@ def loo_error(
         valid=len(failures) <= 0.01 * n,
         fold_condition=conds,
     )
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fold_workers() -> int:
+    """Threads for refitted folds: _cpu_count() divided by the BLAS thread count, the first positive
+    integer among BLAS_THREAD_VARS. With none set OpenBLAS already runs on every core, so the folds
+    run serially (1).
+    """
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas_threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas_threads > 0:
+            return max(1, _cpu_count() // blas_threads)
+    return 1
+
+
+def _run_chunked(run, n: int, workers: int) -> list:
+    """run(folds) over range(n) split into `workers` contiguous chunks, each returning a list;
+    the lists joined in chunk order.
+
+    The calling thread runs chunk 0 and a pool of workers - 1 threads, closed before return, the
+    rest; with one worker the whole range runs inline and no thread starts. The folds' LAPACK
+    calls release the GIL, so chunks overlap there.
+    """
+    workers = min(workers, n)
+    bounds = [n * i // workers for i in range(workers + 1)]
+    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    if workers == 1:
+        return run(chunks[0])
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(run, c) for c in chunks[1:]]
+        first = run(chunks[0])
+        return first + [j for future in rest for j in future.result()]
 
 
 def _global_folds(y: np.ndarray, x: np.ndarray, spec, tail: str):

@@ -1,5 +1,20 @@
+import os
+
 import numpy as np
 import pytest
+
+
+def pytest_report_header(config):
+    """Which leave-one-out fold path the run takes: serial, or refits on fold threads."""
+    from preimage.evaluation import BLAS_THREAD_VARS, _fold_workers
+
+    threads = ", ".join(f"{var}={os.environ[var]!r}" for var in BLAS_THREAD_VARS if var in os.environ)
+    return f"BLAS threads: {threads or 'none set'}; leave-one-out fold workers: {_fold_workers()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q prints no header, so the fold path goes at the end
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from preimage import cli
+from preimage import cli, evaluation
 from preimage.cli import build_parser, main
 from preimage.dataset import PointCloud, load_cloud, save_cloud
 from preimage.evaluation import TABLE_SCALE_MULTIPLES, ConditioningConfig, SphereConfig
@@ -30,6 +30,19 @@ class TestSphereCommand:
         assert manifest["seeds"] == [0]
         assert manifest["command"] == "sphere"
         assert "numpy" in manifest["versions"]
+
+    def test_manifest_machine_block(self, sphere_args, monkeypatch):
+        args, out = sphere_args
+        monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "abc")
+        assert main(args) == 0
+        machine = json.loads((out / "manifest.json").read_text())["machine"]
+        assert machine["nproc"] == evaluation._cpu_count() >= 1
+        assert machine["fold_workers"] == evaluation._fold_workers() == machine["nproc"]
+        assert machine["blas"]["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "abc"}
+        assert set(machine["blas"]) == {"blas", "lapack", "threads"}
+        assert set(machine["blas"]["blas"]) == {"name", "version"}
 
     def test_medians_csv_reads_back(self, tmp_path):
         out = tmp_path / "run"
@@ -200,6 +213,41 @@ class TestFitInvertCommands:
                      "--out", str(pred)]) == 1
         assert "tail 'quadratic'" in capsys.readouterr().err
         assert not pred.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--kernel", "gaussian", "--epsilon", "3", "--tail", "none"], ["--kernel", "cubic"], ["--tail", "linear"],
+                  ["--rho", "3"], ["--epsilon", "1"]]
+    )
+    def test_invert_model_refuses_kernel_flags(self, tmp_path, rng, capsys, flags):
+        self.make_data(tmp_path, rng)
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
+                     "--out", str(model_dir)]) == 0
+        pred = tmp_path / "pred.pcld"
+        assert main(["invert", "--model", str(model_dir), "--queries", str(tmp_path / "nodes.pcld"),
+                     "--out", str(pred)] + flags) == 1
+        assert f"{flags[0]}" in capsys.readouterr().err
+        assert not pred.exists()
+        assert not Path(str(pred) + ".manifest.json").exists()
+
+    def test_invert_manifest_records_the_model(self, tmp_path, rng):
+        self.make_data(tmp_path, rng)
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
+                     "--kernel", "gaussian", "--epsilon", "0.5", "--tail", "none", "--out", str(model_dir)]) == 0
+        pred = tmp_path / "pred.pcld"
+        assert main(["invert", "--model", str(model_dir), "--queries", str(tmp_path / "nodes.pcld"),
+                     "--out", str(pred)]) == 0
+        manifest = json.loads(Path(str(pred) + ".manifest.json").read_text())
+        assert manifest["model"] == {"spec": {"family": "gaussian", "epsilon": 0.5}, "tail": "none"}
+        assert all(manifest["config"][k] is None for k in ("kernel", "epsilon", "rho", "tail"))
+        # fitting from data keeps the cubic/linear defaults and records them as the run's config
+        assert main(["invert", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
+                     "--queries", str(tmp_path / "nodes.pcld"), "--out", str(pred)]) == 0
+        manifest = json.loads(Path(str(pred) + ".manifest.json").read_text())
+        assert "model" not in manifest
+        assert {k: manifest["config"][k] for k in ("kernel", "epsilon", "rho", "tail")} == {
+            "kernel": "cubic", "epsilon": None, "rho": None, "tail": "linear"}
 
     def test_gaussian_needs_epsilon(self, tmp_path, rng):
         self.make_data(tmp_path, rng)

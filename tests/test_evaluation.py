@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -173,6 +175,8 @@ def _fold_clouds(kind):
         coords = rng.normal(size=(20, 3))
         coords[:, 2] = 0.0
         coords[4, 2] = 1.0
+    elif kind == "odd":
+        coords = rng.normal(size=(43, 3))  # no worker count of TestFoldWorkers divides 43
     else:
         coords = rng.normal(size=(30, 3))
         if kind == "duplicate":
@@ -256,6 +260,101 @@ class TestFoldPathReference:
         rep = loo_error(values, coords, method, scale, policy=policy)
         assert rep.failures == failures
         _assert_within_cond(rep.per_point_errors, errors, conds)
+
+
+class TestFoldWorkers:
+    @pytest.mark.parametrize("kind", ["odd", "duplicate", "plane", "ties"])
+    @pytest.mark.parametrize("method,scale", [("cubic", None), ("gaussian", 1.0), ("shepard", 0.5)])
+    @pytest.mark.parametrize("max_neighbors", [200, 10])
+    def test_reports_do_not_depend_on_worker_count(self, monkeypatch, kind, method, scale, max_neighbors):
+        values, coords = _fold_clouds(kind)
+        policy = NeighborhoodPolicy(max_neighbors=max_neighbors)
+        threads = set()
+
+        def on_thread(fn):
+            def run(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return run
+
+        for name in ("_fit", "_shepard_average"):
+            monkeypatch.setattr(evaluation, name, on_thread(getattr(evaluation, name)))
+        reports = {}
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(evaluation, "_fold_workers", lambda workers=workers: workers)
+            threads.clear()
+            reports[workers] = loo_error(values, coords, method, scale, policy=policy)
+            refitted = bool(threads)  # the closed-form path fits no fold
+            if method == "shepard" or workers == 1:
+                assert threads <= {threading.get_ident()}
+            elif refitted:
+                assert len(threads) > 1  # the chunks did run on the pool
+        want = reports[1]
+        if kind == "duplicate" and method != "shepard":
+            assert min(want.failures) < coords.n // 2 <= max(want.failures)  # failed folds in both halves
+        for workers in (2, 3, 7):
+            for f in dataclasses.fields(want):
+                a, b = getattr(reports[workers], f.name), getattr(want, f.name)
+                if isinstance(b, (np.ndarray, float)):
+                    assert np.array_equal(a, b, equal_nan=True), (workers, f.name)
+                else:
+                    assert a == b, (workers, f.name)
+
+
+class TestFoldWorkerRule:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        for var in evaluation.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_no_variable_is_serial(self):
+        assert evaluation._fold_workers() == 1
+
+    @pytest.mark.parametrize(
+        "env,want",
+        [({"OPENBLAS_NUM_THREADS": "1"}, 2),
+         ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+         ({"OMP_NUM_THREADS": "1"}, 2),
+         ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+         ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+         ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+         ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2),
+         ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2)],
+    )
+    def test_first_positive_variable_in_openblas_order(self, monkeypatch, env, want):
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert evaluation._fold_workers() == want
+
+    @pytest.mark.parametrize("value", ["0", "", "abc", "-2", "1.5"])
+    def test_unusable_values_are_ignored(self, monkeypatch, value):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert evaluation._fold_workers() == 1
+
+    def test_never_more_than_the_cpus(self, monkeypatch):
+        for cpus in range(1, 9):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            for threads in range(1, 12):
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(threads))
+                assert 1 <= evaluation._fold_workers() <= cpus
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert evaluation._fold_workers() == 3
+
+    def test_default_starts_no_thread(self, monkeypatch):
+        values, coords = _fold_clouds("odd")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fold thread pool was started")
+
+        monkeypatch.setattr(evaluation, "ThreadPoolExecutor", no_pool)
+        rep = loo_error(values, coords, "cubic", policy=NeighborhoodPolicy(max_neighbors=10))
+        assert np.all(np.isfinite(rep.per_point_errors))
 
 
 class TestConvergenceSweep:
