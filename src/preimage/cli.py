@@ -28,7 +28,7 @@ from .evaluation import (
     _cpu_count,
     _fold_workers,
 )
-from .inverse import NeighborhoodPolicy, TAIL_LINEAR, eval_rbf, fit_rbf, load_model, save_model
+from .inverse import TAIL_LINEAR, TAIL_NONE, NeighborhoodPolicy, eval_rbf, fit_rbf, load_model, save_model
 from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, gaussian, kernel_matrix, sparsify
 from .nystrom import discontinuity_scan, scan_to_csv
 
@@ -83,12 +83,7 @@ def _machine() -> dict:
 
 
 def _write_manifest(out: _Outputs, path, args: argparse.Namespace, seeds, **extra) -> None:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    for k, v in config.items():
-        if isinstance(v, Path):
-            config[k] = str(v)
-        elif isinstance(v, np.ndarray):
-            config[k] = [float(x) for x in v]
+    config = {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "command": args.command,
         "config": config,
@@ -105,24 +100,12 @@ def _write_manifest(out: _Outputs, path, args: argparse.Namespace, seeds, **extr
     _write_json(out, path, manifest)
 
 
-# the kernel flags' defaults when fitting from --nodes/--values; --model takes its kernel and tail from the model
-_KERNEL_DEFAULTS = {"kernel": "cubic", "epsilon": None, "rho": None, "tail": TAIL_LINEAR}
-
 # --kernel choice -> (KernelSpec family, default rho)
 _KERNELS = {"cubic": (RADIAL_POWER, 3), "gaussian": (GAUSSIAN, None), "radial-power": (RADIAL_POWER, 3),
             "thin-plate": (THIN_PLATE, 2)}
 
 
-def _kernel_from_args(args) -> KernelSpec:
-    """--kernel's spec with every --epsilon and --rho given, so KernelSpec refuses those its family does not take."""
-    family, rho = _KERNELS[args.kernel]
-    if args.kernel == "cubic" and args.rho is not None:
-        raise ValueError("--rho is not a cubic parameter: the cubic is r^3 (see --kernel radial-power)")
-    return KernelSpec(family, epsilon=args.epsilon, rho=rho if args.rho is None else args.rho)
-
-
 def cmd_sphere(args, out: _Outputs) -> int:
-    seeds = list(range(args.seeds)) if args.seed_list is None else args.seed_list
     config = SphereConfig(
         sphere_dim=args.sphere_dim,
         ambient_dim=args.ambient_dim,
@@ -132,17 +115,17 @@ def cmd_sphere(args, out: _Outputs) -> int:
         shepard_multiples=() if args.cubic_only else tuple(args.shepard_scales),
         max_neighbors=args.max_neighbors,
     )
-    result = convergence_sweep(args.n, config, seeds)
+    result = convergence_sweep(args.n, config, args.seed_list)
     sweep_to_csv(result, out.path(args.out / "rows.csv"))
     columns = ["n", "method", "scale_multiple", "median_e_avg", "seeds"]
     medians = [[m[c] for c in columns] for m in median_rows(result.rows)]
     write_table(out.path(args.out / "medians.csv"), columns, medians)
-    summary = {"n_values": args.n, "seeds": seeds, "methods": sorted({r.method for r in result.rows})}
+    summary = {"n_values": args.n, "seeds": args.seed_list, "methods": sorted({r.method for r in result.rows})}
     if result.fitted_slope is not None:
         summary["slope"] = result.fitted_slope
         summary["slope_residual"] = result.slope_residual
     _write_json(out, args.out / "summary.json", summary)
-    _write_manifest(out, args.out / "manifest.json", args, seeds)
+    _write_manifest(out, args.out / "manifest.json", args, args.seed_list)
     return 0
 
 
@@ -163,7 +146,11 @@ def cmd_conditioning(args, out: _Outputs) -> int:
 
 
 def cmd_fit(args, out: _Outputs) -> int:
-    spec = _kernel_from_args(args)
+    # every --epsilon and --rho given goes to KernelSpec, which refuses those --kernel's family does not take
+    family, rho = _KERNELS[args.kernel]
+    if args.kernel == "cubic" and args.rho is not None:
+        raise ValueError("--rho is not a cubic parameter: the cubic is r^3 (see --kernel radial-power)")
+    spec = KernelSpec(family, epsilon=args.epsilon, rho=rho if args.rho is None else args.rho)
     model = fit_rbf(load_cloud(args.nodes), load_cloud(args.values), spec, tail=args.tail)
     for path in save_model(model, args.out):
         out.path(path)
@@ -172,24 +159,11 @@ def cmd_fit(args, out: _Outputs) -> int:
 
 
 def cmd_invert(args, out: _Outputs) -> int:
-    given = [f"--{name}" for name in _KERNEL_DEFAULTS if getattr(args, name) is not None]
-    if args.model is not None:
-        if given:
-            raise ValueError(f"{', '.join(given)} cannot be given with --model: the model fixes its kernel and tail")
-        model = load_model(args.model)
-        extra = {"model": {"spec": model.spec.to_dict(), "tail": model.tail}}
-    else:
-        if args.nodes is None or args.values is None:
-            raise ValueError("either --model or both --nodes and --values are required")
-        for name, default in _KERNEL_DEFAULTS.items():
-            if getattr(args, name) is None:
-                setattr(args, name, default)
-        model = fit_rbf(load_cloud(args.nodes), load_cloud(args.values), _kernel_from_args(args), tail=args.tail)
-        extra = {}
-    queries = load_cloud(args.queries)
-    predictions = eval_rbf(model, queries.points)
+    model = load_model(args.model)
+    predictions = eval_rbf(model, load_cloud(args.queries).points)
     save_cloud(PointCloud(predictions), out.path(args.out))
-    _write_manifest(out, Path(str(args.out) + ".manifest.json"), args, [], **extra)
+    manifest = Path(str(args.out) + ".manifest.json")
+    _write_manifest(out, manifest, args, [], model={"spec": model.spec.to_dict(), "tail": model.tail})
     return 0
 
 
@@ -200,7 +174,8 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
         rng = np.random.default_rng(args.seed)
         cloud = PointCloud(rng.uniform(0.0, 1.0, size=(args.n, args.dim)))
     spec = gaussian(spacing_scale(args.epsilon_multiple, local_fill_distance(cloud)))
-    if args.threshold is not None and args.embed_on == "sparse":
+    # a thresholded scan embeds the thresholded matrix; a knn scan embeds the full kernel and truncates only the queries
+    if args.threshold is not None:
         kmat = sparsify(kernel_matrix(spec, cloud), threshold=args.threshold)
         emb = embedding_from_kernel(kmat, args.embed_dim, spec=spec, source=cloud)
     else:
@@ -226,7 +201,7 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
     # strict JSON has no NaN: a profile without two consecutive finite steps has a null jump
     summary.update({k: None for k in ("delta_max_full", "delta_max_sparse") if not np.isfinite(summary[k])})
     _write_json(out, args.out / "scan_summary.json", summary)
-    _write_manifest(out, args.out / "manifest.json", args, [args.seed])
+    _write_manifest(out, args.out / "manifest.json", args, [] if args.cloud is not None else [args.seed])
     return 0
 
 
@@ -235,8 +210,6 @@ def cmd_loo_table(args, out: _Outputs) -> int:
     if args.coords is not None:
         coords = load_cloud(args.coords)
     else:
-        if args.embed_dim is None:
-            raise ValueError("either --coords or --embed-dim is required")
         spec = gaussian(spacing_scale(args.affinity_multiple, local_fill_distance(values)))
         coords = PointCloud(laplacian_eigenmaps(values, spec, d=args.embed_dim).coords)
     policy = NeighborhoodPolicy(max_neighbors=args.max_neighbors)
@@ -253,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sphere", help="synthetic-sphere convergence experiment")
     p.add_argument("--n", type=_int_list, default=[10, 30, 100, 300, 1000], help="comma list of sample counts")
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds (0..k-1)")
-    p.add_argument("--seed-list", type=_int_list, default=None, help="explicit comma list of seeds")
+    p.add_argument("--seed-list", type=_int_list, default=[0, 1, 2, 3, 4], help="comma list of seeds")
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--sphere-dim", type=int, default=sphere_defaults.sphere_dim)
     p.add_argument("--ambient-dim", type=int, default=sphere_defaults.ambient_dim)
@@ -278,29 +250,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-sphere", action="store_true")
     p.set_defaults(func=cmd_conditioning)
 
-    kernel_flags = {
-        "--kernel": dict(choices=list(_KERNELS), default=_KERNEL_DEFAULTS["kernel"]),
-        "--epsilon": dict(type=float, default=_KERNEL_DEFAULTS["epsilon"]),
-        "--rho": dict(type=int, default=_KERNEL_DEFAULTS["rho"]),
-        "--tail": dict(choices=["linear", "none"], default=_KERNEL_DEFAULTS["tail"]),
-    }
-
     p = sub.add_parser("fit", help="fit an interpolant and save the model")
     p.add_argument("--nodes", type=Path, required=True)
     p.add_argument("--values", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    for flag, kw in kernel_flags.items():
-        p.add_argument(flag, **kw)
+    p.add_argument("--kernel", choices=list(_KERNELS), default="cubic")
+    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--rho", type=int, default=None)
+    p.add_argument("--tail", choices=[TAIL_LINEAR, TAIL_NONE], default=TAIL_LINEAR)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("invert", help="evaluate an interpolant at query points")
-    p.add_argument("--model", type=Path, default=None)
-    p.add_argument("--nodes", type=Path, default=None)
-    p.add_argument("--values", type=Path, default=None)
+    p = sub.add_parser("invert", help="evaluate a saved model at query points")
+    p.add_argument("--model", type=Path, required=True)
     p.add_argument("--queries", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    for flag, kw in kernel_flags.items():
-        p.add_argument(flag, **dict(kw, default=None, help="only with --nodes/--values"))
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("nystrom-scan", help="extension profile along a segment under sparsification")
@@ -317,14 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=str, default=None, help="comma-separated point")
     p.add_argument("--stop", type=str, default=None, help="comma-separated point")
     p.add_argument("--steps", type=int, default=1000)
-    embed_on_help = "applies to --threshold only; --knn always embeds the full kernel"
-    p.add_argument("--embed-on", choices=["sparse", "full"], default="sparse", help=embed_on_help)
     p.set_defaults(func=cmd_nystrom_scan)
 
     p = sub.add_parser("loo-table", help="leave-one-out error table over methods and scales")
     p.add_argument("--values", type=Path, required=True)
-    p.add_argument("--coords", type=Path, default=None)
-    p.add_argument("--embed-dim", type=int, default=None)
+    coords = p.add_mutually_exclusive_group(required=True)
+    coords.add_argument("--coords", type=Path, help="embedded coordinates of --values")
+    coords.add_argument("--embed-dim", type=int, help="embed --values with Laplacian eigenmaps in this many dimensions")
     p.add_argument("--affinity-multiple", type=float, default=sphere_defaults.affinity_multiple)
     p.add_argument("--gaussian-scales", type=_float_list, default=list(TABLE_SCALE_MULTIPLES))
     p.add_argument("--shepard-scales", type=_float_list, default=list(TABLE_SCALE_MULTIPLES))

