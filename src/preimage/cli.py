@@ -168,6 +168,9 @@ def cmd_invert(args, out: _Outputs) -> int:
 
 
 def cmd_nystrom_scan(args, out: _Outputs) -> int:
+    # the embedding has eigenvectors 0..--embed-dim: refuse any other before building a kernel
+    if not 0 <= args.eigvec <= args.embed_dim:
+        raise ValueError(f"eigenvector index outside [0, {args.embed_dim}]: [{args.eigvec}]")
     if args.cloud is not None:
         cloud = load_cloud(args.cloud)
     else:
@@ -274,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embed-dim", type=int, default=2)
     p.add_argument("--epsilon-multiple", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--knn", type=int, default=None)
+    sparsifier = p.add_mutually_exclusive_group(required=True)
+    sparsifier.add_argument("--threshold", type=float, help="zero kernel entries below this value")
+    sparsifier.add_argument("--knn", type=int, help="keep each query's knn largest kernel entries")
     p.add_argument("--eigvec", type=int, default=1)
     p.add_argument("--start", type=str, default=None, help="comma-separated point")
     p.add_argument("--stop", type=str, default=None, help="comma-separated point")

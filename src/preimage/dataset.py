@@ -11,7 +11,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 _MAGIC = b"PCLD"
-_BLOCK_DISTANCES = 1 << 20  # nearest() holds at most this many distances at once: 8 MB of float64
+_BLOCK_DISTANCES = 1 << 20  # a query block (_row_blocks) holds at most this many distances: 8 MB of float64
+_ROW_GROUP = 4  # rows OpenBLAS's dgemm and dgemv kernels take at a time on x86-64 (see _row_blocks)
 _BLOCK_TIES = 1 << 16  # _top_k settles tied rows this many keys at a time
 
 
@@ -123,21 +124,38 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool 
 
     Rows list their points in increasing point index; equidistant points go to the lower index
     (_top_k). exclude_self means the queries are the points: row i leaves out point i but not
-    its duplicates. cdist runs on one block of queries at a time (memory grows with n, not m x n).
+    its duplicates. cdist runs on one block of queries at a time (_row_blocks).
     """
     n, m = points.shape[0], queries.shape[0]
     if not 1 <= k <= n - exclude_self:
         raise ValueError(f"k must be in [1, {n - exclude_self}]")
     idx = np.empty((m, k), dtype=np.intp)
     dist = np.empty((m, k))
-    rows = max(1, _BLOCK_DISTANCES // n)
-    for start in range(0, m, rows):
-        d = cdist(queries[start : start + rows], points)
+    for rows in _row_blocks(m, n):
+        d = cdist(queries[rows], points)
         if exclude_self:
-            d[np.arange(len(d)), np.arange(start, start + len(d))] = np.inf
-        idx[start : start + rows] = _top_k(d, k)
-        dist[start : start + rows] = np.take_along_axis(d, idx[start : start + rows], axis=1)
+            d[np.arange(len(d)), np.arange(rows.start, rows.stop)] = np.inf
+        idx[rows] = _top_k(d, k)
+        dist[rows] = np.take_along_axis(d, idx[rows], axis=1)
     return idx, dist
+
+
+def _row_blocks(m: int, n: int) -> list:
+    """The row blocks in which m queries meet n points: consecutive slices of range(m), each of at
+    most _BLOCK_DISTANCES query x point entries (one group of _ROW_GROUP rows at least), so memory
+    grows with n, not m x n.
+
+    Blocks are whole row groups, the last one excepted, and as equal in size as the cap allows.
+    A product taken block by block then gives each row the bits one unblocked product gives it:
+    BLAS kernels take rows a group at a time and are chosen by size, and with no block under half
+    the cap none is small enough for another one (a single row goes to dgemv or ddot, and
+    OpenBLAS sends a dgemm of up to 10^6 multiply-adds to its small-matrix kernel). Measured with
+    OpenBLAS 0.3.31; a cap that holds only one group (n > 2^17) can still leave a one-row block.
+    """
+    groups = -(-m // _ROW_GROUP)
+    count = -(-groups // max(1, _BLOCK_DISTANCES // (n * _ROW_GROUP)))
+    bounds = [min(m, _ROW_GROUP * (groups * i // count)) for i in range(count)] + [m]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def local_fill_distance(nodes: PointCloud) -> float:

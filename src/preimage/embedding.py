@@ -17,6 +17,12 @@ EIGH = "eigh"
 # repeated eigenvalue, of which Lanczos can miss some.
 SEPARATION_RTOL = 1e-6
 LANCZOS_SEED = 0
+# ARPACK restarts before Lanczos gives up and eigh decides. The acceptance sphere embeddings need
+# at most 4 (68 matrix-vector products); knn-scan clouds (uniform squares at 0.5/h) need more as n
+# grows, up to 26 at n = 300, 34 at n = 1,000 and 56 at n = 2,000, and keep their Lanczos
+# eigenpairs. ARPACK's own cap of 10n restarts ran 21,495 products (3 s) on a clustered spectrum
+# at n = 300 before the guard refused it; this cap stops there after 981.
+LANCZOS_RESTARTS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +89,8 @@ def embedding_from_kernel(
 def _top_eigenpairs(ktilde: np.ndarray, k: int):
     """The k largest eigenpairs of a symmetric matrix, largest first, and the solver that found them.
 
-    Implicitly restarted Lanczos (ARPACK) computes the top k+1 pairs from a
-    fixed-seed Gaussian start vector; sqrt(degrees) would be a poor start, as
+    Implicitly restarted Lanczos (ARPACK, at most LANCZOS_RESTARTS restarts) computes the top k+1
+    pairs from a fixed-seed Gaussian start vector; sqrt(degrees) would be a poor start, as
     it is an exact eigenvector and the Krylov space breaks down on it. Its
     result is kept only when every residual |K v - lambda v| is at rounding
     level (n eps times the largest |lambda|) and the k+1 eigenvalues, the one
@@ -96,8 +102,8 @@ def _top_eigenpairs(ktilde: np.ndarray, k: int):
     if k + 1 < n:
         v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
         try:
-            w, v = eigsh(ktilde, k=k + 1, which="LA", tol=0, v0=v0)
-        except ArpackError:  # no convergence, or no Krylov factorization: eigh decides
+            w, v = eigsh(ktilde, k=k + 1, which="LA", tol=0, v0=v0, maxiter=LANCZOS_RESTARTS)
+        except ArpackError:  # no convergence within the restarts, or no Krylov factorization: eigh decides
             pass
         else:
             order = np.argsort(w)[::-1]

@@ -9,9 +9,9 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .dataset import PointCloud, load_block, nearest, save_bundle
+from .dataset import PointCloud, _row_blocks, load_block, nearest, save_bundle
 from .embedding import unisolvency_rank
-from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _node_kernel, eval_kernel
+from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _node_kernel, _profile
 
 TAIL_NONE = "none"
 TAIL_LINEAR = "linear"
@@ -171,20 +171,23 @@ def _fit(y: np.ndarray, x: np.ndarray, spec: KernelSpec, tail: str) -> RbfModel:
 
 
 def eval_rbf(model: RbfModel, query) -> np.ndarray:
-    """Evaluate the interpolant at one query point (d,) or a batch (m, d)."""
+    """Evaluate the interpolant at one query point (d,) or a batch (m, d), one row block of
+    queries at a time (dataset._row_blocks)."""
     q = np.asarray(query, dtype=float)
     single = q.ndim == 1
     q2 = np.atleast_2d(q)
     if q2.shape[1] != model.dim_in:
         raise ValueError(f"query dimension {q2.shape[1]} does not match nodes in R^{model.dim_in}")
-    out = _predict(model, cdist(q2, model.nodes), q2)
+    out = np.empty((q2.shape[0], model.dim_out))
+    for rows in _row_blocks(q2.shape[0], model.n):
+        out[rows] = _predict(model, cdist(q2[rows], model.nodes), q2[rows])
     return out[0] if single else out
 
 
 def _predict(model: RbfModel, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The model's values at the queries q (m x d) from their distances r (m x n) to its nodes:
-    g(r) weights, plus gamma + q beta with the linear tail."""
-    out = eval_kernel(model.spec, r) @ model.weights
+    """The model's values at the queries q (m x d) from their distances r (m x n, never negative)
+    to its nodes: g(r) weights, plus gamma + q beta with the linear tail."""
+    out = _profile(model.spec, r) @ model.weights
     if model.poly_gamma is not None:
         out = out + model.poly_gamma[None, :] + q @ model.poly_beta
     return out

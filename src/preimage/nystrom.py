@@ -6,10 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import PointCloud, write_table
+from .dataset import PointCloud, _row_blocks, write_table
 from .embedding import Embedding
 from .inverse import TAIL_NONE, eval_rbf, fit_rbf
-from .kernels import KernelSpec, _truncate_rows, eval_kernel
+from .kernels import KernelSpec, _profile, _truncate_rows
 
 
 class ZeroDegreeError(ValueError):
@@ -52,48 +52,59 @@ def _resolve(emb: Embedding, cloud, spec):
     return cloud, spec
 
 
-def _extend_rows(emb: Embedding, kvecs: np.ndarray, ls):
-    """Extend eigenvectors ls from query-kernel vectors, one query per row of kvecs.
-
-    Returns the values, one row per query and one column per entry of ls, and
-    the query degrees; a row whose degree is not positive has no extension
-    and gets NaN. Every index must lie in [0, d].
-    """
-    ls = np.asarray(ls)
-    # checked on a list: two numpy reductions would add about 4% to a scalar extension
-    indices = ls.tolist()
+def _eigenvalues(emb: Embedding, indices: list) -> np.ndarray:
+    """The eigenvalues of the eigenvector indices; ValueError for an index outside [0, d] or a zero
+    eigenvalue, where no extension is defined. Checked on Python scalars, which on one or a few
+    entries cost less than numpy reductions."""
     if min(indices) < 0 or max(indices) >= len(emb.eigvals):
         raise ValueError(f"eigenvector index outside [0, {len(emb.eigvals) - 1}]: {indices}")
-    lam = emb.eigvals[ls]
-    if np.any(lam == 0.0):
-        raise ValueError(f"eigenvalue {ls[lam == 0.0][0]} is zero; extension undefined")
-    dq = kvecs.sum(axis=1)
-    zero = dq <= 0.0
-    # an infinite degree scales those rows to 0 instead of dividing by 0
-    values = (kvecs / np.sqrt(np.where(zero, np.inf, dq)[:, None] * emb.degrees)) @ emb.eigvecs[:, ls] / lam
-    values[zero] = np.nan
-    return values, dq
+    lam = emb.eigvals[indices]
+    for i, value in zip(indices, lam.tolist()):
+        if value == 0.0:
+            raise ValueError(f"eigenvalue {i} is zero; extension undefined")
+    return lam
+
+
+def _extension(emb: Embedding, k: np.ndarray, dq: np.ndarray, indices: list, lam: np.ndarray) -> np.ndarray:
+    """The one extension formula, (k / sqrt(d(q) d)) @ phi[:, indices] / lambda: one row per query
+    row of k, one column per index."""
+    return (k / np.sqrt(dq[:, None] * emb.degrees)) @ emb.eigvecs[:, indices] / lam
 
 
 def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l) -> ExtensionResult:
     """Extend eigenvector l to arbitrary queries by the normalized-kernel sum
     (1/lambda_l) sum_j k(query, x_j) / sqrt(d(query) d_j) * phi_l(x_j).
 
-    query is one point or an (m, dim) block of points, and l one index or a
-    sequence of them, each in [0, d]; see ExtensionResult for the shapes
-    returned. Raises ZeroDegreeError when any query has no kernel mass on the
-    training set.
+    query is one point or an (m, dim) block of points, taken one row block at a time
+    (dataset._row_blocks), and l one index or a sequence of them, each in [0, d]; see
+    ExtensionResult for the shapes returned. Raises ZeroDegreeError when a query has no kernel
+    mass on the training set (for a block, naming the first such row); a query with a NaN
+    coordinate extends to NaN.
     """
     cloud, spec = _resolve(emb, cloud, spec)
     q = np.asarray(query, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != cloud.dim:
         raise ValueError(f"query must be a point in R^{cloud.dim} or an (m, {cloud.dim}) block of points")
-    values, dq = _extend_rows(emb, eval_kernel(spec, cdist(np.atleast_2d(q), cloud.points)), np.atleast_1d(l))
-    zero = np.flatnonzero(dq <= 0.0)
-    if zero.size:
-        raise ZeroDegreeError(_ZERO_DEGREE if q.ndim == 1 else f"{_ZERO_DEGREE} row {zero[0]}")
-    values = values.reshape(q.shape[:-1] + np.shape(l))
-    return ExtensionResult(float(values) if values.ndim == 0 else values, float(dq[0]) if q.ndim == 1 else dq)
+    ls = np.asarray(l)
+    indices = ls.ravel().tolist()
+    lam = _eigenvalues(emb, indices)
+    # cdist distances are never negative, so they go to the kernel profile unchecked
+    if q.ndim == 1:
+        k = _profile(spec, cdist(q[None, :], cloud.points))
+        dq = k.sum(axis=1)
+        if dq[0] <= 0.0:
+            raise ZeroDegreeError(_ZERO_DEGREE)
+        value = _extension(emb, k, dq, indices, lam)[0]
+        return ExtensionResult(float(value[0]) if ls.ndim == 0 else value, float(dq[0]))
+    values, degrees = np.empty((len(q), len(indices))), np.empty(len(q))
+    for rows in _row_blocks(len(q), cloud.n):
+        k = _profile(spec, cdist(q[rows], cloud.points))
+        dq = k.sum(axis=1)
+        zero = np.flatnonzero(dq <= 0.0)
+        if zero.size:
+            raise ZeroDegreeError(f"{_ZERO_DEGREE} row {rows.start + zero[0]}")
+        values[rows], degrees[rows] = _extension(emb, k, dq, indices, lam), dq
+    return ExtensionResult(values[:, 0] if ls.ndim == 0 else values, degrees)
 
 
 def nystrom_via_rbf(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l: int) -> ExtensionResult:
@@ -118,6 +129,16 @@ def _delta_max(values: np.ndarray) -> float:
     if not np.any(ok):
         return float("nan")
     return float(np.abs(b[ok] - a[ok]).max())
+
+
+def _scan_rows(emb: Embedding, k: np.ndarray, indices: list, lam: np.ndarray):
+    """The extension of eigenvector indices[0] from each row of k, and which rows have zero degree.
+    Those rows get NaN: an infinite degree scales them to 0 instead of dividing by 0."""
+    dq = k.sum(axis=1)
+    zero = dq <= 0.0
+    values = _extension(emb, k, np.where(zero, np.inf, dq), indices, lam)[:, 0]
+    values[zero] = np.nan
+    return values, zero
 
 
 def discontinuity_scan(
@@ -149,13 +170,16 @@ def discontinuity_scan(
     a, b = (np.asarray(p, dtype=float) for p in segment)
     if a.shape != (cloud.dim,) or b.shape != (cloud.dim,):
         raise ValueError(f"segment endpoints must be points in R^{cloud.dim}, got shapes {a.shape} and {b.shape}")
+    indices = [l]
+    lam = _eigenvalues(emb, indices)
     ts = np.linspace(0.0, 1.0, steps)
     queries = a[None, :] + ts[:, None] * (b - a)[None, :]
-    kall = eval_kernel(spec, cdist(queries, cloud.points))
-    full, dq_full = _extend_rows(emb, kall, [l])
-    sparse, dq_sparse = _extend_rows(emb, _truncate_rows(kall, threshold, knn), [l])
-    full, sparse = full[:, 0], sparse[:, 0]
-    zero = {"full": dq_full <= 0.0, "sparse": dq_sparse <= 0.0}
+    full, sparse = np.empty(steps), np.empty(steps)
+    zero = {"full": np.empty(steps, dtype=bool), "sparse": np.empty(steps, dtype=bool)}
+    for rows in _row_blocks(steps, cloud.n):
+        kall = _profile(spec, cdist(queries[rows], cloud.points))
+        full[rows], zero["full"][rows] = _scan_rows(emb, kall, indices, lam)
+        sparse[rows], zero["sparse"][rows] = _scan_rows(emb, _truncate_rows(kall, threshold, knn), indices, lam)
     failures = [
         (int(i), kind, _ZERO_DEGREE)
         for i in np.flatnonzero(zero["full"] | zero["sparse"])

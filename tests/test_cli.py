@@ -123,7 +123,7 @@ class TestParserDefaults:
     @pytest.mark.parametrize(
         "argv,options",
         [(["invert", "--model", "m", "--queries", "q"], {"model", "queries", "out"}),
-         (["nystrom-scan"], {"out", "cloud", "n", "dim", "seed", "embed_dim", "epsilon_multiple", "threshold", "knn",
+         (["nystrom-scan", "--knn", "5"], {"out", "cloud", "n", "dim", "seed", "embed_dim", "epsilon_multiple", "threshold", "knn",
                              "eigvec", "start", "stop", "steps"}),
          (["sphere"], {"n", "seed_list", "out", "sphere_dim", "ambient_dim", "embed_dim", "affinity_multiple",
                        "gaussian_scales", "shepard_scales", "cubic_only", "max_neighbors"})],
@@ -356,6 +356,28 @@ class TestNystromScanCommand:
         assert reason in capsys.readouterr().err
         assert not out.exists() or [p for p in out.rglob("*") if p.is_file()] == []
 
+    @pytest.mark.parametrize("sparsify", [[], ["--threshold", "0.4", "--knn", "5"]])
+    def test_sparsifier_is_a_usage_rule(self, tmp_path, capsys, sparsify):
+        out = tmp_path / "scan"
+        with pytest.raises(SystemExit) as exc:
+            main(["nystrom-scan", "--n", "60", "--steps", "20"] + sparsify + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sparsify", [["--threshold", "0.4"], ["--knn", "5"]])
+    def test_eigvec_refused_before_embedding(self, tmp_path, capsys, monkeypatch, sparsify):
+        def never(*args, **kwargs):
+            pytest.fail("embedded before refusing --eigvec")  # not an Exception, so main does not catch it
+
+        monkeypatch.setattr(cli, "laplacian_eigenmaps", never)
+        monkeypatch.setattr(cli, "embedding_from_kernel", never)
+        out = tmp_path / "scan"
+        argv = ["nystrom-scan", "--n", "60", "--embed-dim", "3", "--eigvec", "4"] + sparsify + ["--out", str(out)]
+        assert main(argv) == 1
+        assert "outside [0, 3]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _twinned_cloud(path):
     """4 points each repeated twice: every point's nearest other point is its twin, so h_local = 0."""
@@ -363,7 +385,7 @@ def _twinned_cloud(path):
 
 
 @pytest.mark.filterwarnings("ignore:duplicate points")
-@pytest.mark.parametrize("command", [["nystrom-scan", "--cloud"], ["loo-table", "--embed-dim", "1", "--values"]])
+@pytest.mark.parametrize("command", [["nystrom-scan", "--knn", "5", "--cloud"], ["loo-table", "--embed-dim", "1", "--values"]])
 def test_zero_spacing_names_duplicates(tmp_path, capsys, command):
     _twinned_cloud(tmp_path / "twins.pcld")
     assert main(command + [str(tmp_path / "twins.pcld"), "--out", str(tmp_path / "out")]) == 1

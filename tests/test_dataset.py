@@ -127,7 +127,7 @@ def _brute_nearest(points, queries, k, exclude_self=False):
 class TestNearest:
     @pytest.mark.parametrize("k", [1, 3, 20])
     def test_matches_brute_force_across_blocks(self, rng, monkeypatch, k):
-        # 100 distances per block of 20 points: blocks of 5 queries, 23 = 5+5+5+5+3
+        # 100 distances per block of 20 points: one 4-row group per block, 23 = 4+4+4+4+4+3
         monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 100)
         points = rng.normal(size=(20, 4))
         queries = rng.normal(size=(23, 4))
@@ -138,7 +138,7 @@ class TestNearest:
         assert np.array_equal(dist, want_dist)
 
     def test_exclude_self_across_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 70)  # blocks of 3 rows, the last of 2
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 70)  # blocks of one 4-row group (the least), the last of 3
         points = rng.normal(size=(23, 3))
         for k in (1, 4, 22):
             idx, dist = nearest(points, points, k, exclude_self=True)
@@ -229,7 +229,7 @@ class TestNearest:
 
 class TestLocalFillDistance:
     def test_equals_dense_matrix_value_across_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 500)  # blocks of 10 of the 57 rows
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 500)  # blocks of 4 or 8 of the 57 rows
         pts = rng.normal(size=(57, 5))
         d = squareform(pdist(pts))
         np.fill_diagonal(d, np.inf)

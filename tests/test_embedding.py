@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from preimage import embedding
 from preimage.dataset import PointCloud, local_fill_distance, sample_sphere, random_unitary_embed, save_cloud
 from preimage.embedding import (
+    LANCZOS_RESTARTS,
     _fix_signs,
     embedding_from_kernel,
     laplacian_eigenmaps,
@@ -184,6 +187,68 @@ class TestEigensolverGuard:
         assert emb.solver == "lanczos"
         assert np.abs(emb.eigvals - w).max() <= 1e-12
         assert np.abs(emb.eigvecs - v).max() <= 1e-10
+
+
+def counting_eigsh(log):
+    """embedding.eigsh through a LinearOperator that counts matrix-vector products: the same products,
+    so the same eigenpairs. Appends (products, exception class or None) to log per call."""
+
+    def run(a, k, **kwargs):
+        products = [0]
+
+        def matvec(x):
+            products[0] += 1
+            return a @ x
+
+        try:
+            result = eigsh(LinearOperator(a.shape, matvec=matvec, dtype=a.dtype), k, **kwargs)
+        except Exception as e:
+            log.append((products[0], type(e)))
+            raise
+        log.append((products[0], None))
+        return result
+
+    return run
+
+
+class TestLanczosRestarts:
+    def test_clustered_spectrum_hits_the_cap_then_eigh_decides(self, monkeypatch):
+        # a uniform square at spacing 1/h, the nystrom-scan default: with ARPACK's own cap of
+        # 10n restarts this input ran 21,495 products before the guard refused it
+        kmat = spacing_kernel(np.random.default_rng(0).uniform(size=(300, 2)))
+        log = []
+        monkeypatch.setattr(embedding, "eigsh", counting_eigsh(log))
+        emb = embedding_from_kernel(kmat, 2)
+        [(products, error)] = log
+        assert error is ArpackNoConvergence
+        ncv = 20  # ARPACK's default Krylov dimension for 4 pairs: at most that many products per restart
+        assert LANCZOS_RESTARTS <= products <= ncv * (LANCZOS_RESTARTS + 1)
+        w, v = eigh_embedding(kmat, 2)
+        assert emb.solver == "eigh"
+        assert np.array_equal(emb.eigvals, w) and np.array_equal(emb.eigvecs, v)
+
+    @pytest.mark.parametrize(
+        "build,d",
+        [
+            # the knn-scan recipe, a uniform square at epsilon 0.5/h: 13 restarts at n = 150, 32 at n = 600
+            pytest.param(lambda: spacing_kernel(np.random.default_rng([5, 1, 5]).uniform(size=(150, 2)), 0.5), 2,
+                         id="knn-scan-cloud"),
+            pytest.param(lambda: spacing_kernel(np.random.default_rng(8).uniform(size=(600, 2)), 0.5), 2,
+                         id="knn-scan-600"),
+            pytest.param(lambda: spacing_kernel(random_unitary_embed(sample_sphere(1000, 4, seed=3), 10, seed=4).points,
+                                                0.25), 5, id="sphere-1000"),
+        ],
+    )
+    def test_accepted_inputs_keep_their_uncapped_eigenpairs(self, monkeypatch, build, d):
+        kmat = build()
+        log = []
+        monkeypatch.setattr(embedding, "eigsh", counting_eigsh(log))
+        capped = embedding_from_kernel(kmat, d)
+        monkeypatch.setattr(embedding, "LANCZOS_RESTARTS", None)  # ARPACK's own cap
+        uncapped = embedding_from_kernel(kmat, d)
+        assert capped.solver == uncapped.solver == "lanczos"
+        assert log[0] == log[1] and log[0][1] is None
+        assert np.array_equal(capped.eigvals, uncapped.eigvals) and np.array_equal(capped.eigvecs, uncapped.eigvecs)
 
 
 class TestRankCheck:

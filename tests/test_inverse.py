@@ -10,9 +10,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from preimage import inverse
+from preimage import dataset, inverse
 from preimage.dataset import PointCloud, save_cloud
 from preimage.inverse import (
     NeighborhoodPolicy,
@@ -40,7 +40,7 @@ from preimage.kernels import (
     thin_plate,
 )
 
-from conftest import random_rotation
+from conftest import random_rotation, traced_peak
 
 
 def well_separated_nodes(rng, n, d):
@@ -281,6 +281,53 @@ class TestEvalRbf:
             assert np.abs(eval_rbf(scaled_model, c * queries) - base).max() < 1e-8
             assert np.allclose(scaled_model.weights, base_model.weights / c**3, atol=1e-8)
             assert np.allclose(scaled_model.poly_beta, base_model.poly_beta / c, atol=1e-8)
+
+
+def unblocked_eval(model, q):
+    """eval_rbf as it was before row blocks, kept as the reference: one product over the whole
+    query x node block, through eval_kernel."""
+    out = eval_kernel(model.spec, cdist(q, model.nodes)) @ model.weights
+    if model.poly_gamma is not None:
+        out = out + model.poly_gamma[None, :] + q @ model.poly_beta
+    return out
+
+
+class TestEvalRbfRowBlocks:
+    @pytest.mark.parametrize("spec,tail", [(cubic(), "linear"), (gaussian(0.3), "none"), (thin_plate(), "linear")])
+    @pytest.mark.parametrize("dim_out", [1, 3])
+    def test_same_bits_as_one_unblocked_product(self, rng, monkeypatch, spec, tail, dim_out):
+        nodes = well_separated_nodes(rng, 30, 3)
+        model = fit_rbf(nodes, PointCloud(rng.normal(size=(30, dim_out))), spec, tail)
+        q = rng.uniform(-30.0, 30.0, size=(23, 3))
+        want = unblocked_eval(model, q)
+        # distances per block against 30 nodes: the 23 queries go in blocks of 4 x 5 + 3, 8 + 8 + 7 and 12 + 11 rows
+        for block in (200, 240, 360):
+            monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+            assert np.array_equal(eval_rbf(model, q), want)
+        for i in (0, 22):
+            assert np.array_equal(eval_rbf(model, q[i]), unblocked_eval(model, q[i : i + 1])[0])
+
+    def test_same_bits_at_the_real_cap(self, rng):
+        # 1,048 rows fit under the cap against 1,000 nodes; 1,088 queries in one block of 1,048 and
+        # one of 40 would send the 40 to another dgemm kernel than the unblocked product
+        n = 1000
+        model = inverse.RbfModel(nodes=rng.uniform(size=(n, 5)), weights=rng.normal(size=(n, 10)),
+                                 poly_gamma=rng.normal(size=10), poly_beta=rng.normal(size=(5, 10)),
+                                 spec=cubic(), tail="linear", condition=1.0)
+        q = rng.uniform(size=(1088, 5))
+        assert [s.stop - s.start for s in dataset._row_blocks(1088, n)] == [544, 544]
+        assert np.array_equal(eval_rbf(model, q), unblocked_eval(model, q))
+
+    def test_memory_grows_with_the_block_not_the_queries(self, rng, monkeypatch):
+        block = 1 << 14  # distances: 128 KB
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+        model = fit_rbf(well_separated_nodes(rng, 400, 3), PointCloud(rng.normal(size=(400, 2))), cubic())
+        extra = {}
+        for m in (200, 4000):
+            q = rng.uniform(-400.0, 400.0, size=(m, 3))
+            extra[m] = traced_peak(lambda: eval_rbf(model, q)) - m * model.dim_out * 8  # beyond the result
+        # unblocked, 3,800 more queries would take 12 MB more of distances alone
+        assert extra[4000] - extra[200] < block * 8
 
 
 class TestFitLocalRbf:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from preimage import dataset
 from preimage.dataset import PointCloud, local_fill_distance
 from preimage.embedding import Embedding, embedding_from_kernel, laplacian_eigenmaps
-from preimage.kernels import eval_kernel, gaussian, kernel_matrix, sparsify
+from preimage.kernels import _truncate_rows, eval_kernel, gaussian, kernel_matrix, sparsify
 from preimage.nystrom import (
     ZeroDegreeError,
     discontinuity_scan,
@@ -12,6 +13,8 @@ from preimage.nystrom import (
     nystrom_via_rbf,
     scan_to_csv,
 )
+
+from conftest import traced_peak
 
 
 def scan_step_loop(emb, cloud, spec, segment, steps, threshold=None, knn=None, l=1):
@@ -35,6 +38,38 @@ def scan_step_loop(emb, cloud, spec, segment, steps, threshold=None, knn=None, l
             else:
                 out[i] = (kvec / np.sqrt(dq * emb.degrees)) @ emb.eigvecs[:, l] / emb.eigvals[l]
     return full, sparse, tuple(failures)
+
+
+def unblocked_extension(emb, kvecs, ls):
+    """The extension as it was before row blocks, kept as the reference: one product over every
+    query row of kvecs; a row of zero degree gets an infinite degree, so it scales to 0, then NaN."""
+    ls = np.atleast_1d(ls)
+    dq = kvecs.sum(axis=1)
+    zero = dq <= 0.0
+    values = (kvecs / np.sqrt(np.where(zero, np.inf, dq)[:, None] * emb.degrees)) @ emb.eigvecs[:, ls] / emb.eigvals[ls]
+    values[zero] = np.nan
+    return values, dq
+
+
+def unblocked_extend(emb, cloud, spec, query, l):
+    """nystrom_extend before row blocks: values and degrees shaped as it returned them."""
+    q = np.asarray(query, dtype=float)
+    values, dq = unblocked_extension(emb, eval_kernel(spec, cdist(np.atleast_2d(q), cloud.points)), l)
+    values = values.reshape(q.shape[:-1] + np.shape(l))
+    return (float(values) if values.ndim == 0 else values), (float(dq[0]) if q.ndim == 1 else dq)
+
+
+def unblocked_scan(emb, cloud, spec, segment, steps, threshold=None, knn=None, l=1):
+    """discontinuity_scan before row blocks: both profiles and the failure tuples."""
+    a, b = (np.asarray(p, dtype=float) for p in segment)
+    ts = np.linspace(0.0, 1.0, steps)
+    kall = eval_kernel(spec, cdist(a[None, :] + ts[:, None] * (b - a)[None, :], cloud.points))
+    full, dq_full = unblocked_extension(emb, kall, [l])
+    sparse, dq_sparse = unblocked_extension(emb, _truncate_rows(kall, threshold, knn), [l])
+    zero = {"full": dq_full <= 0.0, "sparse": dq_sparse <= 0.0}
+    failures = [(int(i), kind, "zero degree at query") for i in np.flatnonzero(zero["full"] | zero["sparse"])
+                for kind in ("full", "sparse") if zero[kind][i]]
+    return full[:, 0], sparse[:, 0], tuple(failures)
 
 
 def small_setup(rng, n=30, dim=3, d=3, eps=None):
@@ -274,3 +309,106 @@ class TestDiscontinuityScan:
                 if np.any(ok):
                     assert np.abs(got[ok] - want[ok]).max() <= 1e-14 * np.abs(want[ok]).max()
         assert kinds == {"full", "sparse"}
+
+
+# distances per block against 30 nodes: 23 queries go in blocks of 4 x 5 + 3, 8 + 8 + 7 and 12 + 11 rows
+BLOCKS = [200, 240, 360]
+
+
+class TestQueryLayerReference:
+    """nystrom_extend and discontinuity_scan against their unblocked formula, bit for bit."""
+
+    @pytest.mark.parametrize("block", [None] + BLOCKS)
+    def test_block_and_scalar_calls(self, rng, monkeypatch, block):
+        cloud, spec, emb = small_setup(rng, d=3)
+        queries = np.vstack([rng.uniform(-0.2, 1.2, size=(20, 3)), cloud.points[:3]])
+        if block is not None:
+            monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+            assert len(dataset._row_blocks(23, cloud.n)) > 1
+        for l in (2, [1, 2, 3], range(0, 4), np.int64(3), [3, 0]):
+            got = nystrom_extend(emb, cloud, spec, queries, l)
+            want_values, want_dq = unblocked_extend(emb, cloud, spec, queries, l)
+            assert np.array_equal(got.value, want_values) and np.array_equal(got.degree_at_query, want_dq)
+            for q in queries[[0, 9, 22]]:
+                got = nystrom_extend(emb, cloud, spec, q, l)
+                want_value, want_degree = unblocked_extend(emb, cloud, spec, q, l)
+                assert np.array_equal(got.value, want_value) and got.degree_at_query == want_degree
+                assert type(got.value) is type(want_value) and type(got.degree_at_query) is float
+
+    @pytest.mark.parametrize("block", [None] + BLOCKS)
+    @pytest.mark.parametrize("mode", [{"threshold": 0.05}, {"threshold": 0.3}, {"knn": 1}, {"knn": 7}])
+    def test_scan_profiles(self, monkeypatch, block, mode):
+        rng = np.random.default_rng(11)
+        cloud = PointCloud(rng.uniform(size=(30, 2)))
+        spec = gaussian(1.0 / local_fill_distance(cloud))
+        emb = laplacian_eigenmaps(cloud, spec, d=2)
+        # the segment runs far outside the cloud: steps at its ends have zero degree
+        segment = (np.array([-4.0, 0.1]), np.array([5.0, 0.9]))
+        if block is not None:
+            monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+        profile = discontinuity_scan(emb, cloud, spec, segment, 23, **mode)
+        full, sparse, failures = unblocked_scan(emb, cloud, spec, segment, 23, **mode)
+        assert np.array_equal(profile.values_full, full, equal_nan=True)
+        assert np.array_equal(profile.values_sparse, sparse, equal_nan=True)
+        assert profile.failures == failures
+        assert {kind for _, kind, _ in failures} == {"full", "sparse"}
+        assert np.isnan(profile.values_full[0]) and np.isnan(profile.values_full[-1])
+
+    def test_at_the_real_cap(self, rng):
+        # 1,048 rows fit under the cap against 1,000 nodes; 1,088 queries in one block of 1,048 and
+        # one of 40 would send the 40 to another dgemm kernel than the unblocked product
+        n, d = 1000, 5
+        cloud = PointCloud(rng.uniform(size=(n, 3)))
+        eigvecs = rng.normal(size=(n, d + 1))
+        emb = Embedding(coords=eigvecs[:, 1:], eigvals=np.linspace(1.0, 0.5, d + 1), eigvecs=eigvecs,
+                        degrees=rng.uniform(1.0, 2.0, size=n), spec=gaussian(2.0), source=cloud)
+        queries = rng.uniform(size=(1088, 3))
+        assert [s.stop - s.start for s in dataset._row_blocks(1088, n)] == [544, 544]
+        got = nystrom_extend(emb, None, None, queries, range(1, d + 1))
+        want_values, want_dq = unblocked_extend(emb, cloud, emb.spec, queries, range(1, d + 1))
+        assert np.array_equal(got.value, want_values) and np.array_equal(got.degree_at_query, want_dq)
+
+    def test_zero_degree_names_the_row_in_a_later_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        cloud, spec, emb = small_setup(rng, eps=40.0)
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 240)  # blocks of 8, 8 and 7 rows
+        queries = np.vstack([cloud.points[:19], np.full((1, 3), 1e6), cloud.points[19:22]])
+        with pytest.raises(ZeroDegreeError, match=r"row 19$"):
+            nystrom_extend(emb, cloud, spec, queries, [1, 2])
+
+    def test_index_and_eigenvalue_refused_before_zero_degree(self, rng):
+        cloud, spec, emb = small_setup(rng, eps=40.0, d=2)
+        far = np.full(3, 1e6)
+        for query in (far, np.vstack([cloud.points[:2], far])):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\]") as exc:
+                nystrom_extend(emb, cloud, spec, query, 3)
+            assert not isinstance(exc.value, ZeroDegreeError)
+            broken = Embedding(coords=emb.coords, eigvals=np.array([1.0, 0.5, 0.0]), eigvecs=emb.eigvecs,
+                               degrees=emb.degrees, spec=spec, source=cloud)
+            with pytest.raises(ValueError, match="eigenvalue 2 is zero") as exc:
+                nystrom_extend(broken, cloud, spec, query, [1, 2])
+            assert not isinstance(exc.value, ZeroDegreeError)
+            with pytest.raises(ZeroDegreeError):
+                nystrom_extend(emb, cloud, spec, query, 2)
+
+    def test_nan_query_extends_to_nan(self, rng):
+        cloud, spec, emb = small_setup(rng)
+        nan = np.array([0.5, np.nan, 0.5])
+        one = nystrom_extend(emb, cloud, spec, nan, 1)
+        assert np.isnan(one.value) and np.isnan(one.degree_at_query)
+        block = nystrom_extend(emb, cloud, spec, np.vstack([cloud.points[:2], nan]), [1, 2])
+        assert np.all(np.isnan(block.value[2])) and np.isnan(block.degree_at_query[2])
+        assert np.all(np.isfinite(block.value[:2]))
+
+    def test_block_memory_grows_with_the_block_not_the_queries(self, monkeypatch):
+        block = 1 << 14  # distances: 128 KB
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+        rng = np.random.default_rng(5)
+        cloud, spec, emb = small_setup(rng, n=400, d=3)
+        extra = {}
+        for m in (200, 4000):
+            q = rng.uniform(0.0, 1.0, size=(m, 3))
+            # beyond the result: 3 values and a degree per query
+            extra[m] = traced_peak(lambda: nystrom_extend(emb, cloud, spec, q, [1, 2, 3])) - m * 4 * 8
+        # unblocked, 3,800 more queries would take 12 MB more of distances alone
+        assert extra[4000] - extra[200] < block * 8
