@@ -53,11 +53,15 @@ def _resolve(emb: Embedding, cloud, spec):
 
 
 def _eigenvalues(emb: Embedding, indices: list) -> np.ndarray:
-    """The eigenvalues of the eigenvector indices; ValueError for an index outside [0, d] or a zero
-    eigenvalue, where no extension is defined. Checked on Python scalars, which on one or a few
-    entries cost less than numpy reductions."""
-    if min(indices) < 0 or max(indices) >= len(emb.eigvals):
-        raise ValueError(f"eigenvector index outside [0, {len(emb.eigvals) - 1}]: {indices}")
+    """The eigenvalues of the eigenvector indices; ValueError for no index, an index that is not an
+    integer (a bool included) or outside [0, d], or a zero eigenvalue, where no extension is
+    defined. Checked on Python scalars, which on one or a few entries cost less than numpy
+    reductions."""
+    d = len(emb.eigvals) - 1
+    if not indices or any(type(i) is not int for i in indices):
+        raise ValueError(f"eigenvector index must be one or more integers in [0, {d}]: {indices}")
+    if min(indices) < 0 or max(indices) > d:
+        raise ValueError(f"eigenvector index outside [0, {d}]: {indices}")
     lam = emb.eigvals[indices]
     for i, value in zip(indices, lam.tolist()):
         if value == 0.0:
@@ -65,10 +69,16 @@ def _eigenvalues(emb: Embedding, indices: list) -> np.ndarray:
     return lam
 
 
-def _extension(emb: Embedding, k: np.ndarray, dq: np.ndarray, indices: list, lam: np.ndarray) -> np.ndarray:
-    """The one extension formula, (k / sqrt(d(q) d)) @ phi[:, indices] / lambda: one row per query
-    row of k, one column per index."""
-    return (k / np.sqrt(dq[:, None] * emb.degrees)) @ emb.eigvecs[:, indices] / lam
+def _normalized(emb: Embedding, k: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """The normalized kernel rows k / sqrt(d(q) d), one per query row of k: the part of the
+    extension that every eigenvector shares."""
+    return k / np.sqrt(dq[:, None] * emb.degrees)
+
+
+def _extension(emb: Embedding, knorm: np.ndarray, indices: list, lam: np.ndarray) -> np.ndarray:
+    """The one extension formula on normalized rows, knorm @ phi[:, indices] / lambda: one row per
+    row of knorm, one column per index."""
+    return knorm @ emb.eigvecs[:, indices] / lam
 
 
 def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l) -> ExtensionResult:
@@ -76,10 +86,17 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
     (1/lambda_l) sum_j k(query, x_j) / sqrt(d(query) d_j) * phi_l(x_j).
 
     query is one point or an (m, dim) block of points, taken one row block at a time
-    (dataset._row_blocks), and l one index or a sequence of them, each in [0, d]; see
+    (dataset._row_blocks), and l one index or a sequence of them, each an integer in [0, d]; see
     ExtensionResult for the shapes returned. Raises ZeroDegreeError when a query has no kernel
     mass on the training set (for a block, naming the first such row); a query with a NaN
     coordinate extends to NaN.
+
+    The normalized row k(query, .) / sqrt(d(query) d) is the same for every eigenvector, so a
+    single query keeps its row and degree in emb's query slot (see Embedding): the next single
+    query with the same bytes, against the same cloud object and an equal spec, computes only the
+    product with the eigenvector, with the same bits. The slot treats cloud and emb as fixed after
+    embedding, as emb.degrees already does: changing cloud.points or emb's arrays in place later
+    leaves a stale row there. Blocks of queries do not use it.
     """
     cloud, spec = _resolve(emb, cloud, spec)
     q = np.asarray(query, dtype=float)
@@ -90,11 +107,18 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
     lam = _eigenvalues(emb, indices)
     # cdist distances are never negative, so they go to the kernel profile unchecked
     if q.ndim == 1:
-        k = _profile(spec, cdist(q[None, :], cloud.points))
-        dq = k.sum(axis=1)
-        if dq[0] <= 0.0:
-            raise ZeroDegreeError(_ZERO_DEGREE)
-        value = _extension(emb, k, dq, indices, lam)[0]
+        key = q.tobytes()
+        slot = emb._query_slot  # read once: another thread may replace it meanwhile
+        if slot is not None and slot[0] is cloud and slot[1] == spec and slot[2] == key:
+            knorm, dq = slot[3], slot[4]
+        else:
+            k = _profile(spec, cdist(q[None, :], cloud.points))
+            dq = k.sum(axis=1)
+            if dq[0] <= 0.0:
+                raise ZeroDegreeError(_ZERO_DEGREE)
+            knorm = _normalized(emb, k, dq)
+            object.__setattr__(emb, "_query_slot", (cloud, spec, key, knorm, dq))
+        value = _extension(emb, knorm, indices, lam)[0]
         return ExtensionResult(float(value[0]) if ls.ndim == 0 else value, float(dq[0]))
     values, degrees = np.empty((len(q), len(indices))), np.empty(len(q))
     for rows in _row_blocks(len(q), cloud.n):
@@ -103,7 +127,7 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
         zero = np.flatnonzero(dq <= 0.0)
         if zero.size:
             raise ZeroDegreeError(f"{_ZERO_DEGREE} row {rows.start + zero[0]}")
-        values[rows], degrees[rows] = _extension(emb, k, dq, indices, lam), dq
+        values[rows], degrees[rows] = _extension(emb, _normalized(emb, k, dq), indices, lam), dq
     return ExtensionResult(values[:, 0] if ls.ndim == 0 else values, degrees)
 
 
@@ -114,6 +138,8 @@ def nystrom_via_rbf(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec |
     Takes one point and one l. Agrees with nystrom_extend whenever the kernel
     matrix is nonsingular.
     """
+    if np.ndim(l) != 0:
+        raise ValueError(f"eigenvector index must be a single integer, got {l!r}")
     cloud, spec = _resolve(emb, cloud, spec)
     dq = nystrom_extend(emb, cloud, spec, query, l).degree_at_query
     rescaled = np.sqrt(emb.degrees) * emb.eigvecs[:, l]
@@ -136,7 +162,7 @@ def _scan_rows(emb: Embedding, k: np.ndarray, indices: list, lam: np.ndarray):
     Those rows get NaN: an infinite degree scales them to 0 instead of dividing by 0."""
     dq = k.sum(axis=1)
     zero = dq <= 0.0
-    values = _extension(emb, k, np.where(zero, np.inf, dq), indices, lam)[:, 0]
+    values = _extension(emb, _normalized(emb, k, np.where(zero, np.inf, dq)), indices, lam)[:, 0]
     values[zero] = np.nan
     return values, zero
 

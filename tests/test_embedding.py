@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from preimage import embedding
@@ -249,6 +250,54 @@ class TestLanczosRestarts:
         assert capped.solver == uncapped.solver == "lanczos"
         assert log[0] == log[1] and log[0][1] is None
         assert np.array_equal(capped.eigvals, uncapped.eigvals) and np.array_equal(capped.eigvecs, uncapped.eigvecs)
+
+
+def two_cluster_kernel():
+    # two uniform squares 5 apart, thresholded at 0.1: no entry joins them
+    rng = np.random.default_rng(4)
+    points = np.vstack([rng.uniform(size=(60, 2)), rng.uniform(size=(40, 2)) + [5.0, 0.0]])
+    return sparsify(spacing_kernel(points, 0.5), threshold=0.1)
+
+
+class TestDisconnectedGraph:
+    @pytest.mark.parametrize(
+        "build,d",
+        [
+            pytest.param(two_cluster_kernel, 2, id="two-clusters"),
+            pytest.param(lambda: thresholded_cloud_kernel(0), 2, id="threshold-seed0"),
+            pytest.param(lambda: thresholded_cloud_kernel(2), 5, id="threshold-seed2-d5"),
+        ],
+    )
+    def test_disconnected_graph_never_runs_lanczos(self, monkeypatch, build, d):
+        kmat = build()
+        assert not embedding._connected(kmat.entries)
+        log = []
+        monkeypatch.setattr(embedding, "eigsh", counting_eigsh(log))
+        emb = embedding_from_kernel(kmat, d)
+        assert log == []
+        w, v = eigh_embedding(kmat, d)
+        assert emb.solver == "eigh"
+        assert np.array_equal(emb.eigvals, w) and np.array_equal(emb.eigvecs, v)
+
+    def test_connected_sparse_graph_still_runs_lanczos(self, monkeypatch):
+        kmat = sparsify(spacing_kernel(np.random.default_rng(4).uniform(size=(150, 2)), 0.5), threshold=1e-3)
+        assert np.count_nonzero(kmat.entries == 0.0) > 0 and embedding._connected(kmat.entries)
+        log = []
+        monkeypatch.setattr(embedding, "eigsh", counting_eigsh(log))
+        emb = embedding_from_kernel(kmat, 2)
+        assert len(log) == 1
+        assert emb.solver == "lanczos"
+
+    def test_connected_agrees_with_scipy_components(self):
+        rng = np.random.default_rng(9)
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            a = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.2))
+            a = np.maximum(a, a.T)
+            if trial % 3 == 0:
+                a[np.diag_indices(n)] = 1.0  # kernel matrices carry their diagonal
+            components = connected_components(a, directed=False)[0]
+            assert embedding._connected(a) == (components == 1), (trial, n, components)
 
 
 class TestRankCheck:

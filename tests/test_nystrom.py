@@ -1,8 +1,13 @@
+import dataclasses
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from preimage import dataset
+from preimage import dataset, nystrom
 from preimage.dataset import PointCloud, local_fill_distance
 from preimage.embedding import Embedding, embedding_from_kernel, laplacian_eigenmaps
 from preimage.kernels import _truncate_rows, eval_kernel, gaussian, kernel_matrix, sparsify
@@ -72,6 +77,11 @@ def unblocked_scan(emb, cloud, spec, segment, steps, threshold=None, knn=None, l
     return full[:, 0], sparse[:, 0], tuple(failures)
 
 
+def no_kernel(*args, **kwargs):
+    """Stands in for kernel code that a refused call must not reach."""
+    raise AssertionError("kernel built before the eigenvector index was checked")
+
+
 def small_setup(rng, n=30, dim=3, d=3, eps=None):
     cloud = PointCloud(rng.uniform(0.0, 1.0, size=(n, dim)))
     spec = gaussian(eps if eps is not None else 1.0 / local_fill_distance(cloud))
@@ -139,6 +149,25 @@ class TestExtend:
         with pytest.raises(ValueError, match=r"outside \[0, 3\]"):
             nystrom_via_rbf(emb, cloud, spec, q, -1)
         assert nystrom_extend(emb, cloud, spec, q, 3).value == pytest.approx(emb.eigvecs[0, 3])
+
+    @pytest.mark.parametrize("l", [[], np.array([], dtype=int), 1.0, [1, 2.5], True, np.bool_(False)],
+                             ids=["empty", "empty-int-array", "float", "float-in-list", "bool", "numpy-bool"])
+    def test_eigenvector_index_type_rejected_before_any_kernel(self, rng, monkeypatch, l):
+        cloud, spec, emb = small_setup(rng, d=3)
+        monkeypatch.setattr(nystrom, "_profile", no_kernel)
+        for query in (cloud.points[0], cloud.points[:5]):
+            with pytest.raises(ValueError, match=r"eigenvector index must be one or more integers in \[0, 3\]"):
+                nystrom_extend(emb, cloud, spec, query, l)
+        with pytest.raises(ValueError, match="eigenvector index"):
+            discontinuity_scan(emb, cloud, spec, (cloud.points[0], cloud.points[1]), 5, threshold=0.1, l=l)
+
+    @pytest.mark.parametrize("l", [[1], [1, 2], range(1, 3), np.array([2])])
+    def test_rbf_form_takes_one_index(self, rng, monkeypatch, l):
+        cloud, spec, emb = small_setup(rng, d=3)
+        monkeypatch.setattr(nystrom, "_profile", no_kernel)
+        monkeypatch.setattr(nystrom, "fit_rbf", no_kernel)
+        with pytest.raises(ValueError, match="eigenvector index must be a single integer"):
+            nystrom_via_rbf(emb, cloud, spec, cloud.points[0], l)
 
     def test_zero_degree_at_faraway_query(self, rng):
         cloud, spec, emb = small_setup(rng, eps=40.0)
@@ -412,3 +441,132 @@ class TestQueryLayerReference:
             extra[m] = traced_peak(lambda: nystrom_extend(emb, cloud, spec, q, [1, 2, 3])) - m * 4 * 8
         # unblocked, 3,800 more queries would take 12 MB more of distances alone
         assert extra[4000] - extra[200] < block * 8
+
+    # the query slot: a single query's normalized kernel row is reused across eigenvectors, and
+    # every value must still be the unsplit formula's, computed afresh
+
+    def test_reuse_across_interleaved_queries_and_eigenvector_orders(self, rng):
+        cloud, spec, emb = small_setup(rng, d=5)
+        a, b, c = rng.uniform(-0.2, 1.2, size=(3, 3))
+        for order in ([3, 1, 5, 2, 4], [5, 4, 3, 2, 1, 0], [2, 2, 1, 2]):
+            for q in (a, a, b, a, c, c, b):
+                for l in order:
+                    got = nystrom_extend(emb, cloud, spec, q, l)
+                    assert (got.value, got.degree_at_query) == unblocked_extend(emb, cloud, spec, q, l)
+            # a sequence of indices after scalar calls on the same query
+            got = nystrom_extend(emb, cloud, spec, b, order)
+            assert np.array_equal(got.value, unblocked_extend(emb, cloud, spec, b, order)[0])
+
+    def test_two_embeddings_share_one_cloud(self, rng):
+        cloud, spec, emb3 = small_setup(rng, d=3)
+        emb5 = laplacian_eigenmaps(cloud, gaussian(0.7 * spec.epsilon), d=5)
+        queries = rng.uniform(-0.2, 1.2, size=(4, 3))
+        for q in queries[[0, 0, 1, 2, 1, 3]]:
+            for l in (1, 3, 2):
+                for emb in (emb3, emb5, emb3):
+                    got = nystrom_extend(emb, None, None, q, l)
+                    assert (got.value, got.degree_at_query) == unblocked_extend(emb, cloud, emb.spec, q, l)
+        assert emb3._query_slot[1] == spec and emb5._query_slot[1] == emb5.spec
+
+    def test_two_specs(self, rng):
+        cloud, spec, emb = small_setup(rng, d=3)
+        other = gaussian(2.0 * spec.epsilon)
+        q = rng.uniform(size=3)
+        for l in (1, 2, 3, 1):
+            for s in (spec, other, gaussian(spec.epsilon)):  # the last equals spec: it may reuse its row
+                got = nystrom_extend(emb, cloud, s, q, l)
+                assert (got.value, got.degree_at_query) == unblocked_extend(emb, cloud, s, q, l)
+
+    def test_each_cloud_object_gets_its_own_row(self, rng):
+        cloud, spec, emb = small_setup(rng, d=3)
+        same = PointCloud(cloud.points.copy())
+        moved = PointCloud(cloud.points + 0.05)
+        q = rng.uniform(size=3)
+        for l in (1, 2, 3):
+            for c in (cloud, same, moved, cloud):
+                got = nystrom_extend(emb, c, spec, q, l)
+                assert (got.value, got.degree_at_query) == unblocked_extend(emb, c, spec, q, l)
+                assert emb._query_slot[0] is c
+
+    def test_nan_query_extends_to_nan_on_every_call(self, rng):
+        cloud, spec, emb = small_setup(rng, d=3)
+        nan = np.array([0.5, np.nan, 0.5])
+        for l in (1, 3, 1, [1, 2]):
+            got = nystrom_extend(emb, cloud, spec, nan, l)
+            assert np.all(np.isnan(got.value)) and np.isnan(got.degree_at_query)
+            got = nystrom_extend(emb, cloud, spec, cloud.points[4], l)
+            assert np.array_equal(got.value, unblocked_extend(emb, cloud, spec, cloud.points[4], l)[0])
+
+    def test_zero_degree_query_raises_on_every_call(self, rng):
+        cloud, spec, emb = small_setup(rng, eps=40.0, d=3)
+        far, near = np.full(3, 1e6), cloud.points[2]
+        nystrom_extend(emb, cloud, spec, near, 1)
+        kept = emb._query_slot
+        for l in (1, 2, 1, 3):
+            with pytest.raises(ZeroDegreeError, match="zero degree"):
+                nystrom_extend(emb, cloud, spec, far, l)
+            assert emb._query_slot is kept  # never stored: the slot still holds the last good query
+            got = nystrom_extend(emb, cloud, spec, near, l)
+            assert (got.value, got.degree_at_query) == unblocked_extend(emb, cloud, spec, near, l)
+
+    def test_replaced_embedding_starts_with_an_empty_slot(self, rng):
+        cloud, spec, emb = small_setup(rng, d=3)
+        q = rng.uniform(size=3)
+        nystrom_extend(emb, cloud, spec, q, 1)
+        assert emb._query_slot is not None
+        for changes in ({"degrees": 2.0 * emb.degrees}, {"eigvals": 0.5 * emb.eigvals}, {}):
+            other = dataclasses.replace(emb, **changes)
+            assert other._query_slot is None
+            for l in (1, 2):
+                got = nystrom_extend(other, cloud, spec, q, l)
+                assert (got.value, got.degree_at_query) == unblocked_extend(other, cloud, spec, q, l)
+        assert "_query_slot" not in repr(emb)
+
+    def test_threads_sharing_one_embedding(self, rng):
+        cloud, spec, emb = small_setup(rng, n=60, d=5)
+        queries = rng.uniform(-0.2, 1.2, size=(12, 3))
+        want = {(i, l): unblocked_extend(emb, cloud, spec, q, l) for i, q in enumerate(queries) for l in range(6)}
+        workers = 2 * (os.cpu_count() or 1) + 2
+        wrong, errors = [], []
+
+        def work(seed):
+            # each thread takes the queries in its own order and each query's indices in a shuffled
+            # order, so the slot keeps being replaced under other threads' hits
+            local = np.random.default_rng(seed)
+            try:
+                for _ in range(150):
+                    for i in local.permutation(len(queries)):
+                        for l in local.permutation(6).tolist():
+                            got = nystrom_extend(emb, cloud, spec, queries[i], l)
+                            if (got.value, got.degree_at_query) != want[i, l]:
+                                wrong.append((seed, int(i), l))
+            except Exception as exc:  # reported below: an exception in a thread would pass silently
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and wrong == []
+
+    def test_slot_holds_one_row(self, rng):
+        cloud, spec, emb = small_setup(rng, n=400, d=3)
+        row = cloud.n * 8
+
+        def extend_all(queries):
+            for q in queries:
+                for l in (1, 2, 3):
+                    nystrom_extend(emb, cloud, spec, q, l)
+
+        queries = {m: rng.uniform(size=(m, 3)) for m in (10, 1000)}
+        peak = {m: traced_peak(lambda: extend_all(queries[m])) for m in queries}
+        # 990 more rows kept would take 3 MB more
+        assert peak[1000] - peak[10] < 2 * row
+        assert emb._query_slot[3].shape == (1, cloud.n)
