@@ -72,21 +72,27 @@ def laplacian_eigenmaps(cloud: PointCloud, spec: KernelSpec | None = None, d: in
         spec = gaussian(spacing_scale(1.0, local_fill_distance(cloud)))
     if spec.family != GAUSSIAN:
         raise ValueError("similarity kernel must be gaussian (positive affinities)")
-    kmat = kernel_matrix(spec, cloud)
-    return embedding_from_kernel(kmat, d, spec=spec, source=cloud)
+    # the kernel matrix has no other owner, so it is normalized in place
+    return _embed(kernel_matrix(spec, cloud), d, spec, cloud, overwrite=True)
 
 
 def embedding_from_kernel(
     kmat: KernelMatrix, d: int, spec: KernelSpec | None = None, source: PointCloud | None = None
 ) -> Embedding:
-    """Eigen-embedding of an explicit (possibly sparsified) affinity matrix."""
+    """Eigen-embedding of an explicit (possibly sparsified) affinity matrix. kmat is left
+    unchanged: its normalized copy is one more n x n matrix."""
+    return _embed(kmat, d, spec, source, overwrite=False)
+
+
+def _embed(kmat: KernelMatrix, d: int, spec: KernelSpec | None, source: PointCloud | None, overwrite: bool):
+    """embedding_from_kernel; with overwrite, D^(-1/2) K D^(-1/2) is formed in kmat.entries itself."""
     n = kmat.n
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1 = {n - 1}")
     deg = degree_vector(kmat)
     half = 1.0 / np.sqrt(deg)
-    ktilde = kmat.entries * half[:, None]
-    ktilde *= half[None, :]  # in place: the same products with one n x n temporary fewer
+    ktilde = np.multiply(kmat.entries, half[:, None], out=kmat.entries if overwrite else None)
+    ktilde *= half[None, :]
     w, v, solver = _top_eigenpairs(ktilde, d + 1)
     v = _fix_signs(v)
     return Embedding(

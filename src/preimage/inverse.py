@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .dataset import PointCloud, _row_blocks, load_block, nearest, save_bundle
 from .embedding import unisolvency_rank
-from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _node_kernel, _profile
+from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _assemble, _profile
 
 TAIL_NONE = "none"
 TAIL_LINEAR = "linear"
@@ -90,12 +90,13 @@ def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
 
     m must be exactly symmetric, and it is consumed: LAPACK's getrf factors its F-contiguous
     view m.T, which equals m, in place, so callers pass a matrix they own and do not read it
-    afterwards. Raises SingularSystemError on an exactly zero pivot (getrf's info > 0) or a
-    non-finite solution; no regularization is ever added, so ill-conditioning stays observable
-    in the returned estimate.
+    afterwards. The 1-norm comes from _norm_1 in row blocks, so no n x n temporary is made.
+    Raises SingularSystemError on an exactly zero pivot (getrf's info > 0) or a non-finite
+    solution; no regularization is ever added, so ill-conditioning stays observable in the
+    returned estimate.
     """
     getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (m,))
-    anorm = np.linalg.norm(m, 1)
+    anorm = _norm_1(m)
     lu, piv, info = getrf(m.T, overwrite_a=True)
     if info > 0:
         raise SingularSystemError("singular system")
@@ -107,25 +108,34 @@ def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
     return sol, cond
 
 
+def _norm_1(m: np.ndarray) -> float:
+    """np.linalg.norm(m, 1), the largest column sum of |m|, taking |m| one row block at a time
+    (dataset._row_blocks). Each block's first row adds in the sum of the rows before it, so every
+    column sums its rows in row order, as the unblocked sum does, and gets the same bits."""
+    blocks = _row_blocks(*m.shape)
+    buffer = np.empty((max(b.stop - b.start for b in blocks), m.shape[1]))
+    total = np.zeros(m.shape[1])
+    for rows in blocks:
+        block = np.abs(m[rows], out=buffer[: rows.stop - rows.start])
+        block[0] += total
+        total = block.sum(axis=0)
+    return float(total.max())
+
+
 def _system(y: np.ndarray, spec: KernelSpec, tail: str) -> np.ndarray:
     """Interpolation matrix of the nodes y (n x d), exactly symmetric: the kernel matrix K for
     tail="none", the bordered [[K, P], [P^T, 0]] with P rows (1, y^(j)) for tail="linear".
+    Allocated once at its final size (kernels._assemble writes K into it).
 
     Raises SingularSystemError on duplicate nodes and UnisolvencyError when the nodes do not
     determine a degree-1 polynomial.
     """
     n, d = y.shape
-    dists = pdist(y)
-    if np.any(dists == 0.0):
-        i, j = np.argwhere(squareform(dists == 0.0))[0]  # first pair in pdist order
-        raise SingularSystemError(f"duplicate nodes at indices {i} and {j}")
-    k = _node_kernel(spec, dists)
     if tail == TAIL_NONE:
-        return k
+        return _assemble(spec, y, n, SingularSystemError)
+    m = _assemble(spec, y, n + d + 1, SingularSystemError)
     if unisolvency_rank(y) != d + 1:
         raise UnisolvencyError("unisolvency failure: nodes do not determine a degree-1 polynomial")
-    m = np.empty((n + d + 1, n + d + 1))
-    m[:n, :n] = k
     m[:n, n] = 1.0
     m[:n, n + 1 :] = y
     m[n:, :n] = m[:n, n:].T

@@ -52,21 +52,25 @@ def _resolve(emb: Embedding, cloud, spec):
     return cloud, spec
 
 
-def _eigenvalues(emb: Embedding, indices: list) -> np.ndarray:
-    """The eigenvalues of the eigenvector indices; ValueError for no index, an index that is not an
-    integer (a bool included) or outside [0, d], or a zero eigenvalue, where no extension is
-    defined. Checked on Python scalars, which on one or a few entries cost less than numpy
-    reductions."""
+def _eigenvalues(emb: Embedding, l):
+    """The eigenvector indices of l (one index or a sequence of them) as a list of Python ints,
+    whether l is one index, and their eigenvalues. ValueError for no index, an entry that is
+    not an int or numpy integer (a bool included, also inside a sequence, where np.asarray would
+    read True as 1) or outside [0, d], or a zero eigenvalue, where no extension is defined. Checked
+    on Python scalars, which on one or a few entries cost less than numpy reductions."""
     d = len(emb.eigvals) - 1
-    if not indices or any(type(i) is not int for i in indices):
-        raise ValueError(f"eigenvector index must be one or more integers in [0, {d}]: {indices}")
+    given = np.asarray(l, dtype=object)  # each entry keeps its own type
+    items = given.ravel().tolist()
+    if not items or any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in items):
+        raise ValueError(f"eigenvector index must be one or more integers in [0, {d}]: {items}")
+    indices = [int(i) for i in items]
     if min(indices) < 0 or max(indices) > d:
         raise ValueError(f"eigenvector index outside [0, {d}]: {indices}")
     lam = emb.eigvals[indices]
     for i, value in zip(indices, lam.tolist()):
         if value == 0.0:
             raise ValueError(f"eigenvalue {i} is zero; extension undefined")
-    return lam
+    return indices, given.ndim == 0, lam
 
 
 def _normalized(emb: Embedding, k: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -86,10 +90,10 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
     (1/lambda_l) sum_j k(query, x_j) / sqrt(d(query) d_j) * phi_l(x_j).
 
     query is one point or an (m, dim) block of points, taken one row block at a time
-    (dataset._row_blocks), and l one index or a sequence of them, each an integer in [0, d]; see
-    ExtensionResult for the shapes returned. Raises ZeroDegreeError when a query has no kernel
-    mass on the training set (for a block, naming the first such row); a query with a NaN
-    coordinate extends to NaN.
+    (dataset._row_blocks), and l one index or a sequence of them, each an int or numpy integer
+    (never a bool) in [0, d]; see ExtensionResult for the shapes returned. Raises ZeroDegreeError
+    when a query has no kernel mass on the training set (for a block, naming the first such row);
+    a query with a NaN coordinate extends to NaN.
 
     The normalized row k(query, .) / sqrt(d(query) d) is the same for every eigenvector, so a
     single query keeps its row and degree in emb's query slot (see Embedding): the next single
@@ -102,9 +106,7 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
     q = np.asarray(query, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != cloud.dim:
         raise ValueError(f"query must be a point in R^{cloud.dim} or an (m, {cloud.dim}) block of points")
-    ls = np.asarray(l)
-    indices = ls.ravel().tolist()
-    lam = _eigenvalues(emb, indices)
+    indices, single, lam = _eigenvalues(emb, l)
     # cdist distances are never negative, so they go to the kernel profile unchecked
     if q.ndim == 1:
         key = q.tobytes()
@@ -119,7 +121,7 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
             knorm = _normalized(emb, k, dq)
             object.__setattr__(emb, "_query_slot", (cloud, spec, key, knorm, dq))
         value = _extension(emb, knorm, indices, lam)[0]
-        return ExtensionResult(float(value[0]) if ls.ndim == 0 else value, float(dq[0]))
+        return ExtensionResult(float(value[0]) if single else value, float(dq[0]))
     values, degrees = np.empty((len(q), len(indices))), np.empty(len(q))
     for rows in _row_blocks(len(q), cloud.n):
         k = _profile(spec, cdist(q[rows], cloud.points))
@@ -128,7 +130,7 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
         if zero.size:
             raise ZeroDegreeError(f"{_ZERO_DEGREE} row {rows.start + zero[0]}")
         values[rows], degrees[rows] = _extension(emb, _normalized(emb, k, dq), indices, lam), dq
-    return ExtensionResult(values[:, 0] if ls.ndim == 0 else values, degrees)
+    return ExtensionResult(values[:, 0] if single else values, degrees)
 
 
 def nystrom_via_rbf(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | None, query, l: int) -> ExtensionResult:
@@ -186,7 +188,7 @@ def discontinuity_scan(
     largest entries; that extension is poorly defined for new points, so the
     profile is flagged diagnostic_only. Zero-degree queries are recorded as
     per-point failures and the scan continues. segment is a pair of points
-    in R^cloud.dim.
+    in R^cloud.dim, and l one eigenvector index under nystrom_extend's rule.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -196,8 +198,9 @@ def discontinuity_scan(
     a, b = (np.asarray(p, dtype=float) for p in segment)
     if a.shape != (cloud.dim,) or b.shape != (cloud.dim,):
         raise ValueError(f"segment endpoints must be points in R^{cloud.dim}, got shapes {a.shape} and {b.shape}")
-    indices = [l]
-    lam = _eigenvalues(emb, indices)
+    indices, single, lam = _eigenvalues(emb, l)
+    if not single:
+        raise ValueError(f"eigenvector index must be a single integer, got {l!r}")
     ts = np.linspace(0.0, 1.0, steps)
     queries = a[None, :] + ts[:, None] * (b - a)[None, :]
     full, sparse = np.empty(steps), np.empty(steps)

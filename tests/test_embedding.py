@@ -6,7 +6,8 @@ import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from preimage import embedding
+from conftest import traced_peak
+from preimage import dataset, embedding
 from preimage.dataset import PointCloud, local_fill_distance, sample_sphere, random_unitary_embed, save_cloud
 from preimage.embedding import (
     LANCZOS_RESTARTS,
@@ -113,6 +114,34 @@ class TestLaplacianEigenmaps:
         kmat = sparsify(kernel_matrix(spec, cloud), threshold=0.2)
         emb = embedding_from_kernel(kmat, 2, spec=spec, source=cloud)
         assert emb.degrees.tolist() == kmat.entries.sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("threshold", [None, 0.2])
+    def test_embedding_from_kernel_leaves_its_matrix_unchanged(self, rng, threshold):
+        cloud = PointCloud(rng.uniform(size=(60, 2)))
+        spec = gaussian(2.0)
+        kmat = kernel_matrix(spec, cloud)
+        if threshold is not None:
+            kmat = sparsify(kmat, threshold=threshold)
+        kept = kmat.entries.copy()
+        emb = embedding_from_kernel(kmat, 3, spec=spec, source=cloud)
+        assert np.array_equal(kmat.entries, kept)
+        if threshold is None:  # laplacian_eigenmaps normalizes its own kernel matrix in place, to the same bits
+            own = laplacian_eigenmaps(cloud, spec, d=3)
+            for field in ("eigvals", "eigvecs", "degrees", "coords", "solver"):
+                assert np.array_equal(getattr(own, field), getattr(emb, field))
+
+
+class TestEmbeddingMemory:
+    def test_embed_holds_one_kernel_matrix(self):
+        # 2,000 points take 4 row blocks; before single-size assembly the embedding held the
+        # squareform matrix, the pdist vector and its profile, then the kernel and its normalized copy
+        n = 2000
+        cloud = random_unitary_embed(sample_sphere(n, 4, seed=7), 10, seed=8)
+        spec = gaussian(0.25 / local_fill_distance(cloud))
+        solver = []
+        peak = traced_peak(lambda: solver.append(laplacian_eigenmaps(cloud, spec, d=5).solver))
+        assert solver == ["lanczos"]  # the full eigh would add its own n x n workspace and eigenvectors
+        assert peak < n * n * 8 + 3 * dataset._BLOCK_DISTANCES * 8
 
 
 def eigh_embedding(kmat, d):

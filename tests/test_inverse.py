@@ -13,12 +13,13 @@ from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from preimage import dataset, inverse
-from preimage.dataset import PointCloud, save_cloud
+from preimage.dataset import PointCloud, random_unitary_embed, sample_sphere, save_cloud
 from preimage.inverse import (
     NeighborhoodPolicy,
     ScaleUnderflowError,
     SingularSystemError,
     UnisolvencyError,
+    _norm_1,
     _solve_with_cond,
     _system,
     eval_rbf,
@@ -227,6 +228,19 @@ class TestSolveWithCond:
         assert np.array_equal(sol, want)
         assert cond == 1.0 / rcond
 
+    @pytest.mark.parametrize("block", [None, 64, 1000])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (50, 50), (206, 206)])
+    def test_norm_1_same_bits_as_numpy(self, rng, monkeypatch, block, shape):
+        if block is not None:
+            monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+        m = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
+        assert _norm_1(m) == np.linalg.norm(m, 1)
+
+    def test_norm_1_same_bits_at_the_real_cap(self, rng):
+        m = _system(rng.uniform(-1.0, 1.0, size=(2000, 5)), cubic(), "linear")
+        assert len(dataset._row_blocks(*m.shape)) == 4
+        assert _norm_1(m) == np.linalg.norm(m, 1)
+
     def test_exactly_singular_raises_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # scipy's lu_factor would warn LinAlgWarning here
@@ -328,6 +342,17 @@ class TestEvalRbfRowBlocks:
             extra[m] = traced_peak(lambda: eval_rbf(model, q)) - m * model.dim_out * 8  # beyond the result
         # unblocked, 3,800 more queries would take 12 MB more of distances alone
         assert extra[4000] - extra[200] < block * 8
+
+
+class TestSystemMemory:
+    def test_fit_holds_one_system_matrix(self):
+        # 2,000 nodes take 4 row blocks; before single-size assembly the fit held the 2,006^2 system,
+        # the kernel block it was copied from, the pdist vector and |m| for the 1-norm: 77 MiB
+        n = 2000
+        y = random_unitary_embed(sample_sphere(n, 4, seed=3), 5, seed=4)
+        x = PointCloud(np.random.default_rng(5).normal(size=(n, 10)))
+        peak = traced_peak(lambda: fit_rbf(y, x, cubic(), "linear"))
+        assert peak < (n + 6) ** 2 * 8 + 3 * dataset._BLOCK_DISTANCES * 8
 
 
 class TestFitLocalRbf:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
-from preimage.dataset import PointCloud, sample_sphere
+from preimage import dataset, inverse
+from preimage.dataset import PointCloud, random_unitary_embed, sample_sphere
 from preimage.evaluation import ConditioningConfig, conditioning_sweep
+from preimage.inverse import SingularSystemError
 from preimage.kernels import (
+    GAUSSIAN,
     KernelMatrix,
     KernelSpec,
+    _profile,
     condition_number,
     cubic,
     degree_vector,
@@ -87,6 +92,110 @@ class TestKernelMatrix:
         m = kernel_matrix(gaussian(0.8), cloud)
         assert np.array_equal(m.entries, m.entries.T)  # mirrored assembly is exact
         assert np.array_equal(np.diag(m.entries), np.ones(5))
+
+
+def reference_profile(spec, r):
+    """The kernel profile as one allocating expression per family."""
+    if spec.family == "gaussian":
+        return np.exp(-(spec.epsilon**2) * r * r)
+    if spec.family == "radial_power":
+        return r**spec.rho
+    safe = np.where(r > 0, r, 1.0)
+    return np.where(r > 0, safe**spec.rho * np.log(safe), 0.0)
+
+
+def reference_system(y, spec, tail):
+    """The kernel matrix from condensed distances, each pair evaluated once and mirrored, copied into
+    the bordered system with tail="linear"; duplicates are named as the first pair in pdist order."""
+    n, d = y.shape
+    dists = pdist(y)
+    if np.any(dists == 0.0):
+        i, j = np.argwhere(squareform(dists == 0.0))[0]
+        raise SingularSystemError(f"duplicate nodes at indices {i} and {j}")
+    k = squareform(reference_profile(spec, dists))
+    np.fill_diagonal(k, reference_profile(spec, np.zeros(())))
+    if tail == "none":
+        return k
+    m = np.zeros((n + d + 1, n + d + 1))
+    m[:n, :n] = k
+    m[:n, n] = m[n, :n] = 1.0
+    m[:n, n + 1 :] = y
+    m[n + 1 :, :n] = y.T
+    return m
+
+
+SPECS = [gaussian(0.8), radial_power(1), cubic(), radial_power(5), thin_plate(2), thin_plate(4)]
+PAIRS = [(KernelSpec(family, epsilon=2.0 if family == GAUSSIAN else None, rho=rho), tail)
+         for (family, rho), tails in inverse._TAILS.items() for tail in tails]
+
+
+class TestProfile:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.family}-{s.rho}")
+    def test_in_place_has_the_reference_bits(self, rng, spec):
+        r = np.concatenate([[0.0, 1e-300, 1.0], rng.uniform(0.0, 5.0, size=997)]).reshape(50, 20)
+        want = reference_profile(spec, r)
+        assert np.array_equal(_profile(spec, r), want)
+        out = np.full((50, 23), np.nan)[:, :20]  # a strided view, as a matrix's rows with a tail are
+        assert _profile(spec, r, out=out) is out and np.array_equal(out, want)
+        for x in (0.0, 1.5):
+            zero_d = np.array(x)
+            assert float(_profile(spec, zero_d)) == float(reference_profile(spec, zero_d))
+            out = np.empty(())
+            assert float(_profile(spec, zero_d, out=out)) == float(reference_profile(spec, zero_d))
+            assert eval_kernel(spec, x) == float(reference_profile(spec, zero_d))
+
+
+class TestAssemblyReference:
+    """kernel_matrix and inverse._system against reference_system, bit for bit, on both sides of the
+    one-block cut: 300 points take one row block, 1,100 take two. With the cap at 64 and 700
+    distances, 40 points go in 10 blocks of 4 rows and in blocks of 12, 12 and 16 rows."""
+
+    @pytest.mark.parametrize("n", [300, 1100])
+    def test_pairs_of_the_tail_rule(self, n):
+        cloud = random_unitary_embed(sample_sphere(n, 4, seed=n), 10, seed=1)
+        y = cloud.points[:, :5].copy()
+        assert len(dataset._row_blocks(n, n)) == (1 if n == 300 else 2)
+        for spec, tail in PAIRS:
+            assert np.array_equal(inverse._system(y, spec, tail), reference_system(y, spec, tail))
+            if tail == "none":
+                assert np.array_equal(kernel_matrix(spec, cloud).entries, reference_system(cloud.points, spec, tail))
+
+    @pytest.mark.parametrize("block", [None, 64, 700])
+    def test_exactly_symmetric_so_diagnostics_accept_it(self, rng, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+            assert len(dataset._row_blocks(40, 40)) in (3, 10)
+        cloud = PointCloud(rng.uniform(size=(40, 3)))
+        for spec in SPECS:
+            m = kernel_matrix(spec, cloud)
+            assert np.array_equal(m.entries, m.entries.T)
+            assert np.array_equal(m.entries, reference_system(cloud.points, spec, "none"))
+        m = kernel_matrix(gaussian(3.0), cloud)
+        assert np.isfinite(condition_number(m))
+        assert np.array_equal(sparsify(m, knn=5).entries, sparsify(KernelMatrix(m.entries.copy()), knn=5).entries)
+        sparsify(m, threshold=0.5)
+
+    @pytest.mark.parametrize("pairs,named", [
+        ([(3, 30)], (3, 30)),  # one pair across blocks
+        ([(25, 31), (2, 38)], (2, 38)),  # a pair within a later block loses to one from the first
+        ([(5, 6), (1, 39), (1, 20)], (1, 20)),  # of one node's partners, the lowest
+        ([(30, 8)], (8, 30)),  # listed high to low
+        ([(33, 17), (36, 39)], (17, 33)),  # both pairs start past the first block
+    ])
+    @pytest.mark.parametrize("block", [None, 64, 700])
+    def test_duplicates_in_different_row_blocks(self, rng, monkeypatch, pairs, named, block):
+        y = rng.uniform(size=(40, 3))
+        for i, j in pairs:
+            y[j] = y[i]
+        with pytest.raises(SingularSystemError) as want:
+            reference_system(y, cubic(), "linear")
+        assert str(want.value) == f"duplicate nodes at indices {named[0]} and {named[1]}"
+        if block is not None:
+            monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+        for spec, tail in PAIRS:
+            with pytest.raises(SingularSystemError) as got:
+                inverse._system(y, spec, tail)
+            assert str(got.value) == str(want.value)
 
 
 class TestConditionNumber:

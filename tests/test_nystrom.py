@@ -150,8 +150,10 @@ class TestExtend:
             nystrom_via_rbf(emb, cloud, spec, q, -1)
         assert nystrom_extend(emb, cloud, spec, q, 3).value == pytest.approx(emb.eigvecs[0, 3])
 
-    @pytest.mark.parametrize("l", [[], np.array([], dtype=int), 1.0, [1, 2.5], True, np.bool_(False)],
-                             ids=["empty", "empty-int-array", "float", "float-in-list", "bool", "numpy-bool"])
+    @pytest.mark.parametrize(
+        "l", [[], np.array([], dtype=int), 1.0, [1, 2.5], True, np.bool_(False), [True, 2], [2, np.bool_(True)]],
+        ids=["empty", "empty-int-array", "float", "float-in-list", "bool", "numpy-bool", "bool-in-list",
+             "numpy-bool-in-list"])
     def test_eigenvector_index_type_rejected_before_any_kernel(self, rng, monkeypatch, l):
         cloud, spec, emb = small_setup(rng, d=3)
         monkeypatch.setattr(nystrom, "_profile", no_kernel)
@@ -160,6 +162,23 @@ class TestExtend:
                 nystrom_extend(emb, cloud, spec, query, l)
         with pytest.raises(ValueError, match="eigenvector index"):
             discontinuity_scan(emb, cloud, spec, (cloud.points[0], cloud.points[1]), 5, threshold=0.1, l=l)
+
+    def test_numpy_integers_accepted_by_extension_and_scan(self, rng):
+        cloud, spec, emb = small_setup(rng, d=3)
+        for query in (cloud.points[0], cloud.points[:5]):
+            want = nystrom_extend(emb, cloud, spec, query, [1, 2]).value
+            for l in ([np.int64(1), 2], np.array([1, 2], dtype=np.int32), [np.uint8(1), np.int16(2)]):
+                assert np.array_equal(nystrom_extend(emb, cloud, spec, query, l).value, want)
+            assert np.array_equal(nystrom_extend(emb, cloud, spec, query, np.int64(2)).value,
+                                  nystrom_extend(emb, cloud, spec, query, 2).value)
+        segment = (cloud.points[0], cloud.points[1])
+        want = discontinuity_scan(emb, cloud, spec, segment, 5, threshold=0.1, l=1)
+        for l in (np.int64(1), np.int32(1), np.array(1)):
+            got = discontinuity_scan(emb, cloud, spec, segment, 5, threshold=0.1, l=l)
+            assert np.array_equal(got.values_full, want.values_full, equal_nan=True)
+            assert np.array_equal(got.values_sparse, want.values_sparse, equal_nan=True)
+        with pytest.raises(ValueError, match="eigenvector index must be a single integer"):
+            discontinuity_scan(emb, cloud, spec, segment, 5, threshold=0.1, l=[1])
 
     @pytest.mark.parametrize("l", [[1], [1, 2], range(1, 3), np.array([2])])
     def test_rbf_form_takes_one_index(self, rng, monkeypatch, l):
