@@ -27,7 +27,7 @@ from .inverse import (
     _solve_with_cond,
     _system,
 )
-from .kernels import condition_number, cubic, gaussian, kernel_matrix
+from .kernels import _condition, cubic, gaussian, kernel_matrix
 
 METHOD_CUBIC = "cubic"
 METHOD_GAUSSIAN = "gaussian"
@@ -396,50 +396,36 @@ def conditioning_sweep(mode: str, config: ConditioningConfig = ConditioningConfi
     vs_fill sweeps the sample count at a fixed gaussian scale, recording
     cond(K) against h_local for the gaussian and the cubic. vs_epsilon fixes
     one node set and sweeps the gaussian scale; the cubic is scale-free, so it
-    contributes a single flat reference row.
+    contributes a single flat reference row. Each matrix goes to kernels._condition
+    as it was assembled (its view .T), so the sweep holds one matrix at a time.
+    Raises ValueError on an empty sweep (no n_values, or no epsilon_values) before sampling.
     """
     if config.ambient_dim < 2:
         raise ValueError("ambient_dim must be >= 2")
+    if mode not in ("vs_fill", "vs_epsilon"):
+        raise ValueError(f"unknown mode {mode!r}; expected vs_fill or vs_epsilon")
+    swept = "n_values" if mode == "vs_fill" else "epsilon_values"
+    if len(getattr(config, swept)) == 0:
+        raise ValueError(f"empty {mode} sweep: no {swept}")
     sphere_dim = config.ambient_dim - 1
+
+    def cond(spec, cloud):
+        return _condition(kernel_matrix(spec, cloud).entries.T)
+
     rows = []
     if mode == "vs_fill":
         for n in sorted(config.n_values):
             cloud = sample_sphere(n, sphere_dim, config.quadrant_only, config.seed)
             h = local_fill_distance(cloud)
             for name, spec in ((METHOD_GAUSSIAN, gaussian(config.epsilon)), (METHOD_CUBIC, cubic())):
-                rows.append(
-                    CondRow(
-                        parameter=float(n),
-                        n=n,
-                        h_local=h,
-                        method=name,
-                        cond=condition_number(kernel_matrix(spec, cloud)),
-                    )
-                )
-    elif mode == "vs_epsilon":
+                rows.append(CondRow(parameter=float(n), n=n, h_local=h, method=name, cond=cond(spec, cloud)))
+    else:
         cloud = sample_sphere(config.n, sphere_dim, config.quadrant_only, config.seed)
         h = local_fill_distance(cloud)
         for eps in sorted(config.epsilon_values):
-            rows.append(
-                CondRow(
-                    parameter=float(eps),
-                    n=config.n,
-                    h_local=h,
-                    method=METHOD_GAUSSIAN,
-                    cond=condition_number(kernel_matrix(gaussian(eps), cloud)),
-                )
-            )
-        rows.append(
-            CondRow(
-                parameter=None,
-                n=config.n,
-                h_local=h,
-                method=METHOD_CUBIC,
-                cond=condition_number(kernel_matrix(cubic(), cloud)),
-            )
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected vs_fill or vs_epsilon")
+            cond_eps = cond(gaussian(eps), cloud)
+            rows.append(CondRow(parameter=float(eps), n=config.n, h_local=h, method=METHOD_GAUSSIAN, cond=cond_eps))
+        rows.append(CondRow(parameter=None, n=config.n, h_local=h, method=METHOD_CUBIC, cond=cond(cubic(), cloud)))
     return SweepResult(rows=rows)
 
 

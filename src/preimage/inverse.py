@@ -90,13 +90,14 @@ def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
 
     m must be exactly symmetric, and it is consumed: LAPACK's getrf factors its F-contiguous
     view m.T, which equals m, in place, so callers pass a matrix they own and do not read it
-    afterwards. The 1-norm comes from _norm_1 in row blocks, so no n x n temporary is made.
-    Raises SingularSystemError on an exactly zero pivot (getrf's info > 0) or a non-finite
-    solution; no regularization is ever added, so ill-conditioning stays observable in the
-    returned estimate.
+    afterwards. The 1-norm is LAPACK lange's on the same view, with no temporary: its column j is
+    row j of m, whose entries it adds in the order np.linalg.norm(m, 1) adds column j's, so the
+    symmetric m gets numpy's bits. Raises SingularSystemError on an exactly zero pivot (getrf's
+    info > 0) or a non-finite solution; no regularization is ever added, so ill-conditioning
+    stays observable in the returned estimate.
     """
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (m,))
-    anorm = _norm_1(m)
+    lange, getrf, gecon, getrs = get_lapack_funcs(("lange", "getrf", "gecon", "getrs"), (m,))
+    anorm = lange("1", m.T)
     lu, piv, info = getrf(m.T, overwrite_a=True)
     if info > 0:
         raise SingularSystemError("singular system")
@@ -106,20 +107,6 @@ def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
         raise SingularSystemError("singular system")
     cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
     return sol, cond
-
-
-def _norm_1(m: np.ndarray) -> float:
-    """np.linalg.norm(m, 1), the largest column sum of |m|, taking |m| one row block at a time
-    (dataset._row_blocks). Each block's first row adds in the sum of the rows before it, so every
-    column sums its rows in row order, as the unblocked sum does, and gets the same bits."""
-    blocks = _row_blocks(*m.shape)
-    buffer = np.empty((max(b.stop - b.start for b in blocks), m.shape[1]))
-    total = np.zeros(m.shape[1])
-    for rows in blocks:
-        block = np.abs(m[rows], out=buffer[: rows.stop - rows.start])
-        block[0] += total
-        total = block.sum(axis=0)
-    return float(total.max())
 
 
 def _system(y: np.ndarray, spec: KernelSpec, tail: str) -> np.ndarray:

@@ -3,16 +3,18 @@
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .dataset import PointCloud, _row_blocks, _top_k
+from .dataset import _ROW_GROUP, PointCloud, _row_blocks, _top_k
 
 GAUSSIAN = "gaussian"
 RADIAL_POWER = "radial_power"
 THIN_PLATE = "thin_plate"
-# a one-block assembly (_assemble) overwrites its condensed distances with their profile this many
-# at a time, so it holds one condensed vector; holding two, in the C heap or in one mapped block,
-# read 1.5-3 MB (2-3%) more peak RSS on the loo-local or the cli-diagnostics benchmark
+# _assemble takes at most this many distances at a time: a one-block assembly overwrites its condensed
+# distances with their profile in parts of this size, so it holds one condensed vector (holding two,
+# in the C heap or in one mapped block, read 1.5-3 MB (2-3%) more peak RSS on the loo-local or the
+# cli-diagnostics benchmark), and the row path fills its rows through one buffer of this size
 _CHUNK = 1 << 16
 
 
@@ -123,16 +125,16 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
     When dataset._row_blocks(n, n) gives one block (every n up to 1,024) each unordered pair is
     evaluated once, from condensed pdist distances that the profile overwrites (_CHUNK), and
     mirrored by squareform, which is copied into the matrix only when size > n. Otherwise the
-    matrix is the only n x n array: cdist takes one row block at a time, and its kernel values go
-    straight into the matrix rows. cdist's rows equal squareform(pdist)'s bit for bit (zero
-    diagonal included), so both give the same matrix.
+    matrix is the only n x n array: cdist fills one buffer of at most _CHUNK distances (whole
+    groups of 4 rows, at least one group) at a time, and its kernel values go straight into the
+    matrix rows. cdist's rows equal squareform(pdist)'s bit for bit (zero diagonal included), so
+    both give the same matrix.
 
     duplicates, an exception class, is raised naming the first pair of equal points in pdist order.
     """
     n = points.shape[0]
     size = n if size is None else size
-    blocks = _row_blocks(n, n)
-    if len(blocks) == 1:
+    if len(_row_blocks(n, n)) == 1:
         dists = pdist(points)
         if duplicates is not None and np.any(dists == 0.0):
             _refuse_duplicates(duplicates, squareform(dists == 0.0), 0)
@@ -149,14 +151,16 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
         m[:n, :n] = k
         return m
     m = np.empty((size, size))
-    buffer = np.empty((max(b.stop - b.start for b in blocks), n))  # one block of distances, reused
-    for rows in blocks:
-        r = cdist(points[rows], points, out=buffer[: rows.stop - rows.start])
+    step = _ROW_GROUP * max(1, _CHUNK // (n * _ROW_GROUP))
+    buffer = np.empty((min(step, n), n))  # the one block of distances, reused
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        r = cdist(points[rows], points, out=buffer[: rows.stop - start])
         if duplicates is not None:
             equal = r == 0.0
-            equal[np.arange(len(r)), np.arange(rows.start, rows.stop)] = False
+            equal[np.arange(len(r)), np.arange(start, rows.stop)] = False
             if equal.any():
-                _refuse_duplicates(duplicates, equal, rows.start)
+                _refuse_duplicates(duplicates, equal, start)
         _profile(spec, r, out=m[rows, :n])
     return m
 
@@ -170,17 +174,33 @@ def _refuse_duplicates(error, equal: np.ndarray, first_row: int):
 
 def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> KernelMatrix:
     """Assemble the exactly symmetric node matrix k(x_i, x_j) of one cloud (see _assemble: above
-    1,024 points the matrix itself plus one row block of distances)."""
+    1,024 points the matrix itself plus one buffer of _CHUNK distances)."""
     return KernelMatrix(_assemble(spec, cloud.points))
 
 
 def condition_number(m: KernelMatrix) -> float:
-    """sigma_max / sigma_min of a symmetric matrix, whose singular values are
-    its |eigenvalues| (from eigvalsh); +inf when sigma_min is 0."""
+    """sigma_max / sigma_min of a finite symmetric matrix, whose singular values are its
+    |eigenvalues|; +inf when sigma_min is 0. m is left unchanged: _condition runs on one copy.
+
+    Raises ValueError naming the first non-finite entry, or on a non-square or non-symmetric matrix.
+    """
     e = m.entries
-    if e.ndim != 2 or e.shape[0] != e.shape[1] or not np.array_equal(e, e.T):
+    if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValueError("condition number requires a symmetric square matrix")
-    s = np.abs(np.linalg.eigvalsh(e))
+    finite = np.isfinite(e)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"condition number requires finite entries: entry ({i}, {j}) is {e[i, j]}")
+    if not np.array_equal(e, e.T):
+        raise ValueError("condition number requires a symmetric square matrix")
+    return _condition(np.array(e, order="F"))
+
+
+def _condition(a: np.ndarray) -> float:
+    """condition_number of the finite, exactly symmetric, F-contiguous a, which it overwrites: LAPACK
+    syevd's eigenvalues from scipy's eigh, in place (a C-contiguous matrix passes its view .T). They
+    have the bits of np.linalg.eigvalsh, which runs syevd on its own copy of the lower triangle."""
+    s = np.abs(eigh(a, eigvals_only=True, driver="evd", overwrite_a=True, check_finite=False))
     if s.min() == 0.0:
         return float("inf")
     return float(s.max() / s.min())

@@ -167,6 +167,14 @@ class TestConditioningCommand:
         lines = (out / "conditioning.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 2 n-values x 2 kernels
 
+    @pytest.mark.parametrize("argv", [["--mode", "vs_fill", "--n-values", ","],
+                                      ["--mode", "vs_epsilon", "--epsilon-values", ","]])
+    def test_empty_sweep_exits_1_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "cond"
+        assert main(["conditioning"] + argv + ["--out", str(out)]) == 1
+        assert "empty vs_" in capsys.readouterr().err
+        assert not (out / "conditioning.csv").exists() and not (out / "manifest.json").exists()
+
 
 class TestFitInvertCommands:
     def make_data(self, tmp_path, rng):

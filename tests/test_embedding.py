@@ -7,7 +7,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from conftest import traced_peak
-from preimage import dataset, embedding
+from preimage import embedding
 from preimage.dataset import PointCloud, local_fill_distance, sample_sphere, random_unitary_embed, save_cloud
 from preimage.embedding import (
     LANCZOS_RESTARTS,
@@ -133,15 +133,15 @@ class TestLaplacianEigenmaps:
 
 class TestEmbeddingMemory:
     def test_embed_holds_one_kernel_matrix(self):
-        # 2,000 points take 4 row blocks; before single-size assembly the embedding held the
-        # squareform matrix, the pdist vector and its profile, then the kernel and its normalized copy
+        # 2,000 points take the row path: the kernel matrix, normalized in place, plus the assembly's
+        # buffer of kernels._CHUNK distances and the Lanczos vectors
         n = 2000
         cloud = random_unitary_embed(sample_sphere(n, 4, seed=7), 10, seed=8)
         spec = gaussian(0.25 / local_fill_distance(cloud))
         solver = []
         peak = traced_peak(lambda: solver.append(laplacian_eigenmaps(cloud, spec, d=5).solver))
         assert solver == ["lanczos"]  # the full eigh would add its own n x n workspace and eigenvectors
-        assert peak < n * n * 8 + 3 * dataset._BLOCK_DISTANCES * 8
+        assert peak < n * n * 8 + 2**20
 
 
 def eigh_embedding(kmat, d):

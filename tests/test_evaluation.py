@@ -442,6 +442,18 @@ class TestConditioningSweep:
         with pytest.raises(ValueError, match="ambient_dim"):
             conditioning_sweep("vs_fill", ConditioningConfig(ambient_dim=1))
 
+    @pytest.mark.parametrize("mode,config", [
+        ("vs_fill", ConditioningConfig(n_values=())),
+        ("vs_epsilon", ConditioningConfig(epsilon_values=())),
+    ])
+    def test_empty_sweep_refused_before_sampling(self, monkeypatch, mode, config):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled nodes for an empty sweep")
+
+        monkeypatch.setattr(evaluation, "sample_sphere", no_sampling)
+        with pytest.raises(ValueError, match=f"empty {mode} sweep"):
+            conditioning_sweep(mode, config)
+
 
 class TestScaleTable:
     def test_constant_values_reconstruct(self, rng):

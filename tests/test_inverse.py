@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from preimage import dataset, inverse
+from preimage import dataset, inverse, kernels
 from preimage.dataset import PointCloud, random_unitary_embed, sample_sphere, save_cloud
 from preimage.inverse import (
     NeighborhoodPolicy,
     ScaleUnderflowError,
     SingularSystemError,
     UnisolvencyError,
-    _norm_1,
     _solve_with_cond,
     _system,
     eval_rbf,
@@ -42,6 +41,12 @@ from preimage.kernels import (
 )
 
 from conftest import random_rotation, traced_peak
+
+
+def lange_1(m):
+    """The 1-norm _solve_with_cond hands to gecon: LAPACK lange on the F-contiguous view m.T."""
+    (lange,) = get_lapack_funcs(("lange",), (m,))
+    return lange("1", m.T)
 
 
 def well_separated_nodes(rng, n, d):
@@ -231,15 +236,22 @@ class TestSolveWithCond:
     @pytest.mark.parametrize("block", [None, 64, 1000])
     @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (50, 50), (206, 206)])
     def test_norm_1_same_bits_as_numpy(self, rng, monkeypatch, block, shape):
+        # _solve_with_cond's lange("1", m.T) on exactly symmetric matrices: a random one with entries
+        # over six decades, and kernel matrices assembled on the one-block path or, once n x n passes
+        # the row-block and fill caps (64 or 1,000 distances), on the row path
         if block is not None:
             monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
-        m = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
-        assert _norm_1(m) == np.linalg.norm(m, 1)
+            monkeypatch.setattr(kernels, "_CHUNK", block)
+        a = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
+        n = shape[0]
+        y = rng.normal(size=(n, 3)) * rng.uniform(1e-2, 1e2, size=(n, 1))
+        for m in (a + a.T, kernels._assemble(cubic(), y), kernels._assemble(gaussian(0.3), y)):
+            assert lange_1(m) == np.linalg.norm(m, 1)
 
     def test_norm_1_same_bits_at_the_real_cap(self, rng):
         m = _system(rng.uniform(-1.0, 1.0, size=(2000, 5)), cubic(), "linear")
-        assert len(dataset._row_blocks(*m.shape)) == 4
-        assert _norm_1(m) == np.linalg.norm(m, 1)
+        assert m.shape == (2006, 2006)
+        assert lange_1(m) == np.linalg.norm(m, 1)
 
     def test_exactly_singular_raises_without_warning(self):
         with warnings.catch_warnings():
@@ -346,13 +358,13 @@ class TestEvalRbfRowBlocks:
 
 class TestSystemMemory:
     def test_fit_holds_one_system_matrix(self):
-        # 2,000 nodes take 4 row blocks; before single-size assembly the fit held the 2,006^2 system,
-        # the kernel block it was copied from, the pdist vector and |m| for the 1-norm: 77 MiB
+        # 2,000 nodes take the row path: the 2,006^2 system, factored in place, plus the assembly's
+        # buffer of kernels._CHUNK distances; the 1-norm takes no temporary
         n = 2000
         y = random_unitary_embed(sample_sphere(n, 4, seed=3), 5, seed=4)
         x = PointCloud(np.random.default_rng(5).normal(size=(n, 10)))
         peak = traced_peak(lambda: fit_rbf(y, x, cubic(), "linear"))
-        assert peak < (n + 6) ** 2 * 8 + 3 * dataset._BLOCK_DISTANCES * 8
+        assert peak < (n + 6) ** 2 * 8 + 2**20
 
 
 class TestFitLocalRbf:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from preimage import dataset, inverse
-from preimage.dataset import PointCloud, random_unitary_embed, sample_sphere
+from conftest import traced_peak
+from preimage import dataset, inverse, kernels
+from preimage.dataset import PointCloud, local_fill_distance, random_unitary_embed, sample_sphere
 from preimage.evaluation import ConditioningConfig, conditioning_sweep
 from preimage.inverse import SingularSystemError
 from preimage.kernels import (
@@ -147,8 +148,10 @@ class TestProfile:
 
 class TestAssemblyReference:
     """kernel_matrix and inverse._system against reference_system, bit for bit, on both sides of the
-    one-block cut: 300 points take one row block, 1,100 take two. With the cap at 64 and 700
-    distances, 40 points go in 10 blocks of 4 rows and in blocks of 12, 12 and 16 rows."""
+    one-block cut: 300 points take one row block, 1,100 take two and are filled 56 rows at a time
+    (the last fill 36 rows). With the row-block and fill caps (dataset._BLOCK_DISTANCES,
+    kernels._CHUNK) at 64 and 700 distances, 40 points take the row path and are filled 4 rows at a
+    time and 16, 16 and 8 rows at a time."""
 
     @pytest.mark.parametrize("n", [300, 1100])
     def test_pairs_of_the_tail_rule(self, n):
@@ -164,6 +167,7 @@ class TestAssemblyReference:
     def test_exactly_symmetric_so_diagnostics_accept_it(self, rng, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+            monkeypatch.setattr(kernels, "_CHUNK", block)
             assert len(dataset._row_blocks(40, 40)) in (3, 10)
         cloud = PointCloud(rng.uniform(size=(40, 3)))
         for spec in SPECS:
@@ -192,10 +196,22 @@ class TestAssemblyReference:
         assert str(want.value) == f"duplicate nodes at indices {named[0]} and {named[1]}"
         if block is not None:
             monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+            monkeypatch.setattr(kernels, "_CHUNK", block)
         for spec, tail in PAIRS:
             with pytest.raises(SingularSystemError) as got:
                 inverse._system(y, spec, tail)
             assert str(got.value) == str(want.value)
+
+
+class TestKernelMatrixMemory:
+    def test_holds_one_matrix(self):
+        # 2,000 points take the row path: the matrix plus one buffer of kernels._CHUNK distances
+        n = 2000
+        cloud = random_unitary_embed(sample_sphere(n, 4, seed=7), 10, seed=8)
+        spec = gaussian(0.25 / local_fill_distance(cloud))
+        assert len(dataset._row_blocks(n, n)) > 1
+        peak = traced_peak(lambda: kernel_matrix(spec, cloud))
+        assert peak < n * n * 8 + 2**20
 
 
 class TestConditionNumber:
@@ -235,6 +251,31 @@ class TestConditionNumber:
 
     def test_singular_returns_inf(self):
         assert condition_number(KernelMatrix(np.zeros((2, 2)))) == np.inf
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_named(self, bad):
+        e = np.eye(4)
+        e[2, 1] = e[1, 2] = bad
+        with pytest.raises(ValueError, match=rf"finite entries: entry \(1, 2\) is {bad}"):
+            condition_number(KernelMatrix(e))
+
+    def test_argument_unchanged(self, rng):
+        e = kernel_matrix(cubic(), PointCloud(rng.normal(size=(30, 3)))).entries
+        # C-contiguous, neither, and F-contiguous like the copy that LAPACK overwrites
+        for m in (e, e[::-1, ::-1], np.asfortranarray(e)):
+            kept = m.copy()
+            condition_number(KernelMatrix(m))
+            assert np.array_equal(m, kept)
+
+    @pytest.mark.parametrize("mode", ["vs_fill", "vs_epsilon"])
+    def test_sweep_has_the_bits_of_eigvalsh(self, mode):
+        # the sweep's syevd, run in place on each assembled matrix, against numpy's eigvalsh of a copy
+        config = ConditioningConfig(seed=3)
+        for r in conditioning_sweep(mode, config).rows:
+            cloud = sample_sphere(r.n, config.ambient_dim - 1, config.quadrant_only, config.seed)
+            spec = cubic() if r.method == "cubic" else gaussian(config.epsilon if mode == "vs_fill" else r.parameter)
+            s = np.abs(np.linalg.eigvalsh(kernel_matrix(spec, cloud).entries))
+            assert r.cond == (np.inf if s.min() == 0.0 else float(s.max() / s.min()))
 
     def test_small_scale_gaussian_dwarfs_cubic(self):
         # 200 quadrant-sphere points: the epsilon=1e-2 gaussian matrix is
