@@ -42,7 +42,6 @@ from .inverse import (
     shepard_eval,
 )
 from .kernels import (
-    KernelMatrix,
     KernelSpec,
     condition_number,
     cubic,

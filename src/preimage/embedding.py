@@ -8,7 +8,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .dataset import PointCloud, load_block, local_fill_distance, save_bundle, spacing_scale
-from .kernels import GAUSSIAN, KernelMatrix, KernelSpec, degree_vector, gaussian, kernel_matrix
+from .kernels import GAUSSIAN, KernelSpec, degree_vector, gaussian, kernel_matrix
 
 LANCZOS = "lanczos"
 EIGH = "eigh"
@@ -77,21 +77,21 @@ def laplacian_eigenmaps(cloud: PointCloud, spec: KernelSpec | None = None, d: in
 
 
 def embedding_from_kernel(
-    kmat: KernelMatrix, d: int, spec: KernelSpec | None = None, source: PointCloud | None = None
+    kmat: np.ndarray, d: int, spec: KernelSpec | None = None, source: PointCloud | None = None
 ) -> Embedding:
     """Eigen-embedding of an explicit (possibly sparsified) affinity matrix. kmat is left
     unchanged: its normalized copy is one more n x n matrix."""
     return _embed(kmat, d, spec, source, overwrite=False)
 
 
-def _embed(kmat: KernelMatrix, d: int, spec: KernelSpec | None, source: PointCloud | None, overwrite: bool):
-    """embedding_from_kernel; with overwrite, D^(-1/2) K D^(-1/2) is formed in kmat.entries itself."""
-    n = kmat.n
+def _embed(kmat: np.ndarray, d: int, spec: KernelSpec | None, source: PointCloud | None, overwrite: bool):
+    """embedding_from_kernel; with overwrite, D^(-1/2) K D^(-1/2) is formed in kmat itself."""
+    n = kmat.shape[0]
     if not 1 <= d <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1 = {n - 1}")
     deg = degree_vector(kmat)
     half = 1.0 / np.sqrt(deg)
-    ktilde = np.multiply(kmat.entries, half[:, None], out=kmat.entries if overwrite else None)
+    ktilde = np.multiply(kmat, half[:, None], out=kmat if overwrite else None)
     ktilde *= half[None, :]
     w, v, solver = _top_eigenpairs(ktilde, d + 1)
     v = _fix_signs(v)

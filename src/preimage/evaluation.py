@@ -410,7 +410,7 @@ def conditioning_sweep(mode: str, config: ConditioningConfig = ConditioningConfi
     sphere_dim = config.ambient_dim - 1
 
     def cond(spec, cloud):
-        return _condition(kernel_matrix(spec, cloud).entries.T)
+        return _condition(kernel_matrix(spec, cloud).T)
 
     rows = []
     if mode == "vs_fill":

@@ -198,15 +198,21 @@ def fit_local_rbf(
     policy: NeighborhoodPolicy,
     query,
 ) -> np.ndarray:
-    """Fit on the policy-capped nearest nodes to the query, then evaluate there."""
+    """Fit on the policy-capped nearest nodes to the query, then evaluate there: one leave-one-out
+    fold of evaluation.loo_error on one query, _fit on the rows dataset.nearest selects and
+    _predict from the distances it returns (the bits of fit_rbf then eval_rbf on those rows).
+    The inputs are checked as fit_rbf checks them, before the neighbour search."""
+    _check_tail(spec, tail)
+    if nodes.n != values.n:
+        raise ValueError(f"nodes ({nodes.n}) and values ({values.n}) must have the same point count")
     q = np.asarray(query, dtype=float)
     if q.ndim != 1 or q.shape[0] != nodes.dim:
         raise ValueError(f"query must be a single point in R^{nodes.dim}")
     if tail == TAIL_LINEAR and policy.max_neighbors < nodes.dim + 2:
         raise ValueError(f"max_neighbors must be >= d+2 = {nodes.dim + 2} for the linear tail")
-    idx = nearest(nodes.points, q[None, :], min(nodes.n, policy.max_neighbors))[0][0]
-    model = fit_rbf(PointCloud(nodes.points[idx]), PointCloud(values.points[idx]), spec, tail)
-    return eval_rbf(model, q)
+    idx, dist = nearest(nodes.points, q[None, :], min(nodes.n, policy.max_neighbors))
+    model = _fit(nodes.points[idx[0]], values.points[idx[0]], spec, tail)
+    return _predict(model, dist, q[None, :])[0]
 
 
 def shepard_eval(

@@ -79,17 +79,6 @@ def thin_plate(rho: int = 2) -> KernelSpec:
     return KernelSpec(THIN_PLATE, rho=int(rho))
 
 
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Matrix of kernel values; exactly symmetric when assembled on one node set."""
-
-    entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def eval_kernel(spec: KernelSpec, r):
     """Evaluate the radial profile g(r) elementwise; r may be a scalar or array."""
     arr = np.asarray(r, dtype=float)
@@ -172,27 +161,33 @@ def _refuse_duplicates(error, equal: np.ndarray, first_row: int):
     raise error(f"duplicate nodes at indices {first_row + i} and {j}")
 
 
-def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> KernelMatrix:
-    """Assemble the exactly symmetric node matrix k(x_i, x_j) of one cloud (see _assemble: above
-    1,024 points the matrix itself plus one buffer of _CHUNK distances)."""
-    return KernelMatrix(_assemble(spec, cloud.points))
+def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> np.ndarray:
+    """The exactly symmetric node matrix k(x_i, x_j) of one cloud (see _assemble: above 1,024
+    points the matrix itself plus one buffer of _CHUNK distances)."""
+    return _assemble(spec, cloud.points)
 
 
-def condition_number(m: KernelMatrix) -> float:
+def _square(m, name: str) -> np.ndarray:
+    """m as an array, which must be 2-d and square; otherwise ValueError naming the caller."""
+    e = np.asarray(m)
+    if e.ndim != 2 or e.shape[0] != e.shape[1]:
+        raise ValueError(f"{name} requires a square matrix, got shape {e.shape}")
+    return e
+
+
+def condition_number(m: np.ndarray) -> float:
     """sigma_max / sigma_min of a finite symmetric matrix, whose singular values are its
     |eigenvalues|; +inf when sigma_min is 0. m is left unchanged: _condition runs on one copy.
 
     Raises ValueError naming the first non-finite entry, or on a non-square or non-symmetric matrix.
     """
-    e = m.entries
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise ValueError("condition number requires a symmetric square matrix")
+    e = _square(m, "condition number")
     finite = np.isfinite(e)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValueError(f"condition number requires finite entries: entry ({i}, {j}) is {e[i, j]}")
     if not np.array_equal(e, e.T):
-        raise ValueError("condition number requires a symmetric square matrix")
+        raise ValueError("condition number requires a symmetric matrix")
     return _condition(np.array(e, order="F"))
 
 
@@ -206,12 +201,9 @@ def _condition(a: np.ndarray) -> float:
     return float(s.max() / s.min())
 
 
-def degree_vector(m: KernelMatrix) -> np.ndarray:
+def degree_vector(m: np.ndarray) -> np.ndarray:
     """Row sums d_i of a square kernel matrix."""
-    e = m.entries
-    if e.shape[0] != e.shape[1]:
-        raise ValueError("degree vector requires a square matrix")
-    d = e.sum(axis=1)
+    d = _square(m, "degree vector").sum(axis=1)
     if np.any(d <= 0):
         i = int(np.argmin(d))
         raise ValueError(f"isolated node: row {i} has nonpositive degree {d[i]}")
@@ -236,8 +228,8 @@ def _truncate_rows(values: np.ndarray, threshold: float | None, knn: int | None)
     return out
 
 
-def sparsify(m: KernelMatrix, threshold: float | None = None, knn: int | None = None) -> KernelMatrix:
-    """Sparsify a symmetric kernel matrix.
+def sparsify(m: np.ndarray, threshold: float | None = None, knn: int | None = None) -> np.ndarray:
+    """A sparsified copy of a symmetric kernel matrix.
 
     threshold mode zeroes every entry below the cutoff. knn mode keeps, per
     row, the knn largest off-diagonal entries (ties broken toward the lower
@@ -245,12 +237,12 @@ def sparsify(m: KernelMatrix, threshold: float | None = None, knn: int | None = 
     """
     if (threshold is None) == (knn is None):
         raise ValueError("specify exactly one of threshold, knn")
-    e = m.entries
+    e = _square(m, "sparsify")
     n = e.shape[0]
-    if e.shape[0] != e.shape[1] or not np.array_equal(e, e.T):
-        raise ValueError("sparsify requires a symmetric square kernel matrix")
+    if not np.array_equal(e, e.T):
+        raise ValueError("sparsify requires a symmetric kernel matrix")
     if threshold is not None:
-        return KernelMatrix(_truncate_rows(e, threshold, None))
+        return _truncate_rows(e, threshold, None)
     if int(knn) >= n:
         raise ValueError(f"knn must be < n = {n}")
     off = e.copy()
@@ -258,4 +250,4 @@ def sparsify(m: KernelMatrix, threshold: float | None = None, knn: int | None = 
     kept = _truncate_rows(off, None, knn)
     out = np.maximum(kept, kept.T)
     np.fill_diagonal(out, np.diag(e))
-    return KernelMatrix(out)
+    return out

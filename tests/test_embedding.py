@@ -23,7 +23,7 @@ from preimage.kernels import cubic, gaussian, kernel_matrix, sparsify
 
 
 def normalized_kernel(cloud, spec):
-    k = kernel_matrix(spec, cloud).entries
+    k = kernel_matrix(spec, cloud)
     deg = k.sum(axis=1)
     half = 1.0 / np.sqrt(deg)
     return k * half[:, None] * half[None, :], deg
@@ -113,7 +113,7 @@ class TestLaplacianEigenmaps:
         spec = gaussian(2.0)
         kmat = sparsify(kernel_matrix(spec, cloud), threshold=0.2)
         emb = embedding_from_kernel(kmat, 2, spec=spec, source=cloud)
-        assert emb.degrees.tolist() == kmat.entries.sum(axis=1).tolist()
+        assert emb.degrees.tolist() == kmat.sum(axis=1).tolist()
 
     @pytest.mark.parametrize("threshold", [None, 0.2])
     def test_embedding_from_kernel_leaves_its_matrix_unchanged(self, rng, threshold):
@@ -122,9 +122,9 @@ class TestLaplacianEigenmaps:
         kmat = kernel_matrix(spec, cloud)
         if threshold is not None:
             kmat = sparsify(kmat, threshold=threshold)
-        kept = kmat.entries.copy()
+        kept = kmat.copy()
         emb = embedding_from_kernel(kmat, 3, spec=spec, source=cloud)
-        assert np.array_equal(kmat.entries, kept)
+        assert np.array_equal(kmat, kept)
         if threshold is None:  # laplacian_eigenmaps normalizes its own kernel matrix in place, to the same bits
             own = laplacian_eigenmaps(cloud, spec, d=3)
             for field in ("eigvals", "eigvecs", "degrees", "coords", "solver"):
@@ -146,9 +146,8 @@ class TestEmbeddingMemory:
 
 def eigh_embedding(kmat, d):
     """The full-eigh embedding written out: the eigenpairs every refused Lanczos result falls back to."""
-    e = kmat.entries
-    half = 1.0 / np.sqrt(e.sum(axis=1))
-    w, v = np.linalg.eigh(e * half[:, None] * half[None, :])
+    half = 1.0 / np.sqrt(kmat.sum(axis=1))
+    w, v = np.linalg.eigh(kmat * half[:, None] * half[None, :])
     return w[::-1][: d + 1], _fix_signs(v[:, ::-1][:, : d + 1])
 
 
@@ -299,7 +298,7 @@ class TestDisconnectedGraph:
     )
     def test_disconnected_graph_never_runs_lanczos(self, monkeypatch, build, d):
         kmat = build()
-        assert not embedding._connected(kmat.entries)
+        assert not embedding._connected(kmat)
         log = []
         monkeypatch.setattr(embedding, "eigsh", counting_eigsh(log))
         emb = embedding_from_kernel(kmat, d)
@@ -310,7 +309,7 @@ class TestDisconnectedGraph:
 
     def test_connected_sparse_graph_still_runs_lanczos(self, monkeypatch):
         kmat = sparsify(spacing_kernel(np.random.default_rng(4).uniform(size=(150, 2)), 0.5), threshold=1e-3)
-        assert np.count_nonzero(kmat.entries == 0.0) > 0 and embedding._connected(kmat.entries)
+        assert np.count_nonzero(kmat == 0.0) > 0 and embedding._connected(kmat)
         log = []
         monkeypatch.setattr(embedding, "eigsh", counting_eigsh(log))
         emb = embedding_from_kernel(kmat, 2)

@@ -28,7 +28,6 @@ from preimage.inverse import (
     InterpolationError,
     NeighborhoodPolicy,
     eval_rbf,
-    fit_local_rbf,
     fit_rbf,
     shepard_eval,
 )
@@ -124,7 +123,7 @@ class TestLooError:
 
 def _reference_loo(values, coords, method, scale_multiple, policy):
     """The per-fold loop of the first loo_error: every fold copies the n-1 remaining points, then
-    fits globally or, above the cap, through fit_local_rbf. Also returns each global fold's
+    fits globally or, above the cap, on its nearest max_neighbors. Also returns each global fold's
     condition estimate (1 elsewhere)."""
     n = coords.n
     with warnings.catch_warnings():
@@ -144,7 +143,10 @@ def _reference_loo(values, coords, method, scale_multiple, policy):
             else:
                 spec, fit_tail = (cubic(), "linear") if method == "cubic" else (gaussian(scale_multiple / h), "none")
                 if train_nodes.n > policy.max_neighbors:
-                    pred = fit_local_rbf(train_nodes, train_values, spec, fit_tail, policy, query)
+                    # the first local fit: copies of the nearest rows, then fit_rbf and eval_rbf
+                    near = nearest(train_nodes.points, query[None, :], policy.max_neighbors)[0][0]
+                    model = fit_rbf(PointCloud(train_nodes.points[near]), PointCloud(train_values.points[near]), spec, fit_tail)
+                    pred = eval_rbf(model, query)
                 else:
                     model = fit_rbf(train_nodes, train_values, spec, fit_tail)
                     conds[j] = model.condition

@@ -378,17 +378,26 @@ class TestFitLocalRbf:
         assert np.abs(local - together).max() < 1e-10
 
     def test_neighbor_subset_is_nearest(self, rng):
-        # with k neighbors kept, the prediction must not depend on far nodes
-        nodes_pts = rng.normal(size=(30, 2))
-        values_pts = rng.normal(size=(30, 1))
-        query = rng.normal(size=2)
-        dist = np.linalg.norm(nodes_pts - query, axis=1)
-        keep = np.sort(np.argsort(dist, kind="stable")[:20])
-        policy = NeighborhoodPolicy(max_neighbors=20)
-        got = fit_local_rbf(PointCloud(nodes_pts), PointCloud(values_pts), cubic(), "linear", policy, query)
-        direct = eval_rbf(fit_rbf(PointCloud(nodes_pts[keep]), PointCloud(values_pts[keep]), cubic(), "linear"), query)
-        assert np.abs(got - direct).max() < 1e-12
-        assert dist[keep].max() < np.delete(dist, keep).min()
+        # the prediction is fit_rbf then eval_rbf on the k nearest nodes, bit for bit: far nodes play
+        # no part, and equidistant nodes go to the lower index
+        random_nodes = rng.normal(size=(30, 2))
+        lattice = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
+        cases = [
+            (random_nodes, rng.normal(size=2), cubic(), "linear", 20),
+            (random_nodes, rng.normal(size=2), gaussian(1.0), "none", 20),
+            (lattice, np.array([2.5, 2.5]), cubic(), "linear", 10),  # cuts through 8 nodes at one distance
+            (random_nodes, rng.normal(size=2), cubic(), "linear", 30),  # k = n
+            (random_nodes, rng.normal(size=2), gaussian(1.0), "none", 50),  # k > n: every node
+        ]
+        for nodes_pts, query, spec, tail, k in cases:
+            values_pts = rng.normal(size=(len(nodes_pts), 2))
+            dist = cdist(query[None, :], nodes_pts)[0]
+            keep = np.sort(np.argsort(dist, kind="stable")[:k])
+            got = fit_local_rbf(PointCloud(nodes_pts), PointCloud(values_pts), spec, tail, NeighborhoodPolicy(k), query)
+            direct = eval_rbf(fit_rbf(PointCloud(nodes_pts[keep]), PointCloud(values_pts[keep]), spec, tail), query)
+            assert np.array_equal(got, direct)
+            if k < len(nodes_pts):
+                assert dist[keep].max() <= np.delete(dist, keep).min()
 
     def test_distance_tie_keeps_lower_index(self):
         # nodes at +-1 are equidistant from the origin; index 0 wins the tie
@@ -407,6 +416,22 @@ class TestFitLocalRbf:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             NeighborhoodPolicy(max_neighbors=0)
+
+    @pytest.mark.parametrize("spec,tail,n_values,match", [
+        (cubic(), "linear", 25, "point count"),
+        (cubic(), "linear", 15, "point count"),
+        (cubic(), "none", 20, "does not take tail"),
+        (thin_plate(4), "linear", 20, "does not take tail"),
+    ])
+    def test_inputs_checked_before_neighbour_search(self, rng, monkeypatch, spec, tail, n_values, match):
+        # fit_rbf's checks: more or fewer values than nodes, or a kernel/tail pair that may be singular
+        def never(*args, **kwargs):
+            raise AssertionError("neighbour search ran")
+
+        monkeypatch.setattr(inverse, "nearest", never)
+        nodes, values = PointCloud(rng.normal(size=(20, 2))), PointCloud(rng.normal(size=(n_values, 3)))
+        with pytest.raises(ValueError, match=match):
+            fit_local_rbf(nodes, values, spec, tail, NeighborhoodPolicy(10), np.zeros(2))
 
 
 class TestShepard:

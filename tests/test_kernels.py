@@ -9,7 +9,6 @@ from preimage.evaluation import ConditioningConfig, conditioning_sweep
 from preimage.inverse import SingularSystemError
 from preimage.kernels import (
     GAUSSIAN,
-    KernelMatrix,
     KernelSpec,
     _profile,
     condition_number,
@@ -78,21 +77,21 @@ class TestEvalKernel:
             eval_kernel(cubic(), -0.5)
 
 
-class TestKernelMatrix:
+class TestNodeMatrix:
     def test_single_point(self):
         c = PointCloud([[1.0, 2.0]])
-        assert kernel_matrix(gaussian(3.0), c).entries.tolist() == [[1.0]]
-        assert kernel_matrix(cubic(), c).entries.tolist() == [[0.0]]
+        assert kernel_matrix(gaussian(3.0), c).tolist() == [[1.0]]
+        assert kernel_matrix(cubic(), c).tolist() == [[0.0]]
 
     def test_two_points_cubic(self):
         m = kernel_matrix(cubic(), PointCloud([[0.0], [1.0]]))
-        assert m.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert m.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_gaussian_random_cloud(self, rng):
         cloud = PointCloud(rng.normal(size=(5, 3)))
         m = kernel_matrix(gaussian(0.8), cloud)
-        assert np.array_equal(m.entries, m.entries.T)  # mirrored assembly is exact
-        assert np.array_equal(np.diag(m.entries), np.ones(5))
+        assert np.array_equal(m, m.T)  # mirrored assembly is exact
+        assert np.array_equal(np.diag(m), np.ones(5))
 
 
 def reference_profile(spec, r):
@@ -161,7 +160,7 @@ class TestAssemblyReference:
         for spec, tail in PAIRS:
             assert np.array_equal(inverse._system(y, spec, tail), reference_system(y, spec, tail))
             if tail == "none":
-                assert np.array_equal(kernel_matrix(spec, cloud).entries, reference_system(cloud.points, spec, tail))
+                assert np.array_equal(kernel_matrix(spec, cloud), reference_system(cloud.points, spec, tail))
 
     @pytest.mark.parametrize("block", [None, 64, 700])
     def test_exactly_symmetric_so_diagnostics_accept_it(self, rng, monkeypatch, block):
@@ -172,11 +171,11 @@ class TestAssemblyReference:
         cloud = PointCloud(rng.uniform(size=(40, 3)))
         for spec in SPECS:
             m = kernel_matrix(spec, cloud)
-            assert np.array_equal(m.entries, m.entries.T)
-            assert np.array_equal(m.entries, reference_system(cloud.points, spec, "none"))
+            assert np.array_equal(m, m.T)
+            assert np.array_equal(m, reference_system(cloud.points, spec, "none"))
         m = kernel_matrix(gaussian(3.0), cloud)
         assert np.isfinite(condition_number(m))
-        assert np.array_equal(sparsify(m, knn=5).entries, sparsify(KernelMatrix(m.entries.copy()), knn=5).entries)
+        assert np.array_equal(sparsify(m, knn=5), sparsify(m.copy(), knn=5))
         sparsify(m, threshold=0.5)
 
     @pytest.mark.parametrize("pairs,named", [
@@ -203,7 +202,7 @@ class TestAssemblyReference:
             assert str(got.value) == str(want.value)
 
 
-class TestKernelMatrixMemory:
+class TestNodeMatrixMemory:
     def test_holds_one_matrix(self):
         # 2,000 points take the row path: the matrix plus one buffer of kernels._CHUNK distances
         n = 2000
@@ -214,20 +213,26 @@ class TestKernelMatrixMemory:
         assert peak < n * n * 8 + 2**20
 
 
+# a non-square matrix, a vector and a 2 x 2 x 2 array, which has equal first two sides and equals
+# its own transpose when its entries are all equal
+NOT_SQUARE = [(2, 3), (3,), (2, 2, 2)]
+
+
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(KernelMatrix(np.eye(3))) == 1.0
+        assert condition_number(np.eye(3)) == 1.0
 
     def test_diagonal_ratio(self):
-        assert condition_number(KernelMatrix(np.diag([10.0, 1.0]))) == pytest.approx(10.0)
+        assert condition_number(np.diag([10.0, 1.0])) == pytest.approx(10.0)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            condition_number(KernelMatrix(np.ones((2, 3))))
+        for shape in NOT_SQUARE:
+            with pytest.raises(ValueError, match="square"):
+                condition_number(np.ones(shape))
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            condition_number(KernelMatrix(np.array([[2.0, 1.0], [0.0, 1.0]])))
+            condition_number(np.array([[2.0, 1.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("mode", ["vs_fill", "vs_epsilon"])
     def test_matches_svd_reference(self, mode):
@@ -238,7 +243,7 @@ class TestConditionNumber:
         for r in rows:
             cloud = sample_sphere(r.n, config.ambient_dim - 1, config.quadrant_only, config.seed)
             spec = cubic() if r.method == "cubic" else gaussian(config.epsilon if mode == "vs_fill" else r.parameter)
-            s = np.linalg.svd(kernel_matrix(spec, cloud).entries, compute_uv=False)
+            s = np.linalg.svd(kernel_matrix(spec, cloud), compute_uv=False)
             ref = s[0] / s[-1]
             if ref <= 1e12:
                 assert abs(r.cond - ref) <= 64 * np.finfo(float).eps * ref * ref
@@ -250,21 +255,21 @@ class TestConditionNumber:
             assert gauss[0] / gauss[-1] >= 1e6 and cub[0] <= max(gauss) / 1e3
 
     def test_singular_returns_inf(self):
-        assert condition_number(KernelMatrix(np.zeros((2, 2)))) == np.inf
+        assert condition_number(np.zeros((2, 2))) == np.inf
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_entry_named(self, bad):
         e = np.eye(4)
         e[2, 1] = e[1, 2] = bad
         with pytest.raises(ValueError, match=rf"finite entries: entry \(1, 2\) is {bad}"):
-            condition_number(KernelMatrix(e))
+            condition_number(e)
 
     def test_argument_unchanged(self, rng):
-        e = kernel_matrix(cubic(), PointCloud(rng.normal(size=(30, 3)))).entries
+        e = kernel_matrix(cubic(), PointCloud(rng.normal(size=(30, 3))))
         # C-contiguous, neither, and F-contiguous like the copy that LAPACK overwrites
         for m in (e, e[::-1, ::-1], np.asfortranarray(e)):
             kept = m.copy()
-            condition_number(KernelMatrix(m))
+            condition_number(m)
             assert np.array_equal(m, kept)
 
     @pytest.mark.parametrize("mode", ["vs_fill", "vs_epsilon"])
@@ -274,7 +279,7 @@ class TestConditionNumber:
         for r in conditioning_sweep(mode, config).rows:
             cloud = sample_sphere(r.n, config.ambient_dim - 1, config.quadrant_only, config.seed)
             spec = cubic() if r.method == "cubic" else gaussian(config.epsilon if mode == "vs_fill" else r.parameter)
-            s = np.abs(np.linalg.eigvalsh(kernel_matrix(spec, cloud).entries))
+            s = np.abs(np.linalg.eigvalsh(kernel_matrix(spec, cloud)))
             assert r.cond == (np.inf if s.min() == 0.0 else float(s.max() / s.min()))
 
     def test_small_scale_gaussian_dwarfs_cubic(self):
@@ -291,7 +296,7 @@ class TestConditionNumber:
         base = condition_number(base_m)
         for c in (0.01, 7.0, 1e4):
             scaled_m = kernel_matrix(cubic(), PointCloud(c * pts))
-            assert np.allclose(scaled_m.entries, c**3 * base_m.entries, rtol=1e-12)
+            assert np.allclose(scaled_m, c**3 * base_m, rtol=1e-12)
             assert condition_number(scaled_m) == pytest.approx(base, rel=1e-8)
 
     def test_gaussian_condition_nonincreasing_in_epsilon(self):
@@ -305,7 +310,7 @@ class TestConditionNumber:
 
 class TestDegreeVector:
     def test_all_ones(self):
-        d = degree_vector(KernelMatrix(np.ones((2, 2))))
+        d = degree_vector(np.ones((2, 2)))
         assert d.tolist() == [2.0, 2.0]
 
     def test_gaussian_rows_at_least_one(self, rng):
@@ -315,11 +320,12 @@ class TestDegreeVector:
     def test_isolated_node(self):
         e = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="isolated node"):
-            degree_vector(KernelMatrix(e))
+            degree_vector(e)
 
     def test_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            degree_vector(KernelMatrix(np.ones((2, 3))))
+        for shape in NOT_SQUARE:
+            with pytest.raises(ValueError, match="square"):
+                degree_vector(np.ones(shape))
 
 
 class TestSparsify:
@@ -328,18 +334,18 @@ class TestSparsify:
 
     def test_zero_threshold_is_noop(self, rng):
         m = self.make(rng)
-        assert np.array_equal(sparsify(m, threshold=0.0).entries, m.entries)
+        assert np.array_equal(sparsify(m, threshold=0.0), m)
 
     def test_threshold_above_offdiagonal_keeps_diagonal_only(self, rng):
         m = self.make(rng, eps=3.0)
-        tau = m.entries[~np.eye(m.n, dtype=bool)].max() + 1e-9
-        out = sparsify(m, threshold=min(tau, 1.0)).entries
-        assert np.array_equal(np.diag(out), np.ones(m.n))
-        assert np.all(out[~np.eye(m.n, dtype=bool)] == 0.0)
+        tau = m[~np.eye(len(m), dtype=bool)].max() + 1e-9
+        out = sparsify(m, threshold=min(tau, 1.0))
+        assert np.array_equal(np.diag(out), np.ones(len(m)))
+        assert np.all(out[~np.eye(len(m), dtype=bool)] == 0.0)
 
     def test_knn_full_is_noop(self, rng):
         m = self.make(rng, n=7)
-        assert np.array_equal(sparsify(m, knn=6).entries, m.entries)
+        assert np.array_equal(sparsify(m, knn=6), m)
 
     def test_knn_too_large(self, rng):
         with pytest.raises(ValueError, match="knn"):
@@ -357,19 +363,25 @@ class TestSparsify:
             local = np.random.default_rng(seed)
             m = kernel_matrix(gaussian(1.2), PointCloud(local.normal(size=(int(local.integers(6, 20)), 3))))
             once = sparsify(m, threshold=0.4)
-            assert np.array_equal(sparsify(once, threshold=0.4).entries, once.entries)
-            k = int(local.integers(1, m.n - 1))
+            assert np.array_equal(sparsify(once, threshold=0.4), once)
+            k = int(local.integers(1, len(m) - 1))
             once = sparsify(m, knn=k)
-            assert np.array_equal(sparsify(once, knn=k).entries, once.entries)
+            assert np.array_equal(sparsify(once, knn=k), once)
 
     def test_knn_output_symmetric(self, rng):
-        out = sparsify(self.make(rng, n=12), knn=3).entries
+        out = sparsify(self.make(rng, n=12), knn=3)
         assert np.array_equal(out, out.T)
 
     def test_requires_symmetric(self, rng):
-        m = KernelMatrix(rng.normal(size=(4, 4)))
+        m = rng.normal(size=(4, 4))
         with pytest.raises(ValueError, match="symmetric"):
             sparsify(m, threshold=0.1)
+
+    @pytest.mark.parametrize("mode", [{"threshold": 0.1}, {"knn": 1}])
+    def test_requires_square(self, mode):
+        for shape in NOT_SQUARE:
+            with pytest.raises(ValueError, match="square"):
+                sparsify(np.ones(shape), **mode)
 
 
 def sparsify_knn_row_loop(e: np.ndarray, k: int) -> np.ndarray:
@@ -394,7 +406,7 @@ class TestSparsifyReference:
             n = int(local.integers(2, 30))
             m = kernel_matrix(gaussian(float(local.uniform(0.3, 3.0))), PointCloud(local.normal(size=(n, 3))))
             for k in {1, int(local.integers(1, n)), n - 1}:
-                assert np.array_equal(sparsify(m, knn=k).entries, sparsify_knn_row_loop(m.entries, k))
+                assert np.array_equal(sparsify(m, knn=k), sparsify_knn_row_loop(m, k))
 
     def test_knn_matches_row_loop_on_exact_ties(self):
         # entries on a coarse grid: most rows hold many equal off-diagonal values
@@ -403,13 +415,13 @@ class TestSparsifyReference:
             n = int(local.integers(3, 25))
             a = local.integers(0, 4, size=(n, n)) / 4.0
             e = np.triu(a, 1) + np.triu(a, 1).T + np.eye(n)
-            m = KernelMatrix(e)
+            m = e
             for k in range(1, n):
-                assert np.array_equal(sparsify(m, knn=k).entries, sparsify_knn_row_loop(e, k))
+                assert np.array_equal(sparsify(m, knn=k), sparsify_knn_row_loop(e, k))
 
     def test_tie_keeps_lower_column(self):
         e = np.array([[1.0, 0.5, 0.5, 0.5], [0.5, 1.0, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0], [0.5, 0.0, 0.0, 1.0]])
-        out = sparsify(KernelMatrix(e), knn=1).entries
+        out = sparsify(e, knn=1)
         # row 0 keeps column 1 of three equal entries; rows 1-3 keep column 0
         assert out[0].tolist() == [1.0, 0.5, 0.5, 0.5]
         assert out[1].tolist() == [0.5, 1.0, 0.0, 0.0]
