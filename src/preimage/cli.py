@@ -168,14 +168,19 @@ def cmd_invert(args, out: _Outputs) -> int:
 
 
 def cmd_nystrom_scan(args, out: _Outputs) -> int:
-    # the embedding has eigenvectors 0..--embed-dim: refuse any other before building a kernel
+    # refuse what discontinuity_scan would, in its words, before building a kernel: the embedding has
+    # eigenvectors 0..--embed-dim, and a query keeps between 1 and n kernel entries
     if not 0 <= args.eigvec <= args.embed_dim:
         raise ValueError(f"eigenvector index outside [0, {args.embed_dim}]: [{args.eigvec}]")
+    if args.steps < 2:
+        raise ValueError("steps must be >= 2")
     if args.cloud is not None:
         cloud = load_cloud(args.cloud)
     else:
         rng = np.random.default_rng(args.seed)
         cloud = PointCloud(rng.uniform(0.0, 1.0, size=(args.n, args.dim)))
+    if args.knn is not None and not 1 <= args.knn <= cloud.n:
+        raise ValueError(f"knn must be in [1, {cloud.n}]")
     spec = gaussian(spacing_scale(args.epsilon_multiple, local_fill_distance(cloud)))
     # a thresholded scan embeds the thresholded matrix; a knn scan embeds the full kernel and truncates only the queries
     if args.threshold is not None:

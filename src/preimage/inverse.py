@@ -227,8 +227,8 @@ def shepard_eval(
     The output is a convex combination of neighbor values, so it always lies
     in their coordinatewise hull.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if nodes.n != values.n:
         raise ValueError("nodes and values must have the same point count")
     q = np.asarray(query, dtype=float)

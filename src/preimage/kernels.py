@@ -4,17 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
-from .dataset import _ROW_GROUP, PointCloud, _row_blocks, _top_k
+from .dataset import _ROW_GROUP, PointCloud, _top_k
 
 GAUSSIAN = "gaussian"
 RADIAL_POWER = "radial_power"
 THIN_PLATE = "thin_plate"
-# _assemble takes at most this many distances at a time: a one-block assembly overwrites its condensed
-# distances with their profile in parts of this size, so it holds one condensed vector (holding two,
-# in the C heap or in one mapped block, read 1.5-3 MB (2-3%) more peak RSS on the loo-local or the
-# cli-diagnostics benchmark), and the row path fills its rows through one buffer of this size
+# _assemble fills its matrix rows from one buffer of at most this many distances (512 KB)
 _CHUNK = 1 << 16
 
 
@@ -22,7 +19,7 @@ _CHUNK = 1 << 16
 class KernelSpec:
     """Kernel family plus its shape parameters.
 
-    gaussian:      exp(-epsilon^2 r^2) with epsilon > 0
+    gaussian:      exp(-epsilon^2 r^2) with finite epsilon > 0
     radial_power:  r^rho with odd rho >= 1 (rho=3 is the cubic)
     thin_plate:    r^rho log r with even rho >= 2
     """
@@ -33,8 +30,8 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family == GAUSSIAN:
-            if self.epsilon is None or not self.epsilon > 0:
-                raise ValueError("gaussian kernel requires epsilon > 0")
+            if self.epsilon is None or not 0 < self.epsilon < np.inf:
+                raise ValueError(f"gaussian kernel requires a finite epsilon > 0, got {self.epsilon}")
             if self.rho is not None:
                 raise ValueError("rho is not a gaussian parameter")
         elif self.family == RADIAL_POWER:
@@ -111,34 +108,16 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
     """A new size x size matrix (size defaults to n) whose top-left n x n block is the exactly
     symmetric kernel matrix g(|x_i - x_j|) of the n rows of points; the caller fills the rest.
 
-    When dataset._row_blocks(n, n) gives one block (every n up to 1,024) each unordered pair is
-    evaluated once, from condensed pdist distances that the profile overwrites (_CHUNK), and
-    mirrored by squareform, which is copied into the matrix only when size > n. Otherwise the
-    matrix is the only n x n array: cdist fills one buffer of at most _CHUNK distances (whole
+    The matrix is the only n x n array: cdist fills one buffer of at most _CHUNK distances (whole
     groups of 4 rows, at least one group) at a time, and its kernel values go straight into the
-    matrix rows. cdist's rows equal squareform(pdist)'s bit for bit (zero diagonal included), so
-    both give the same matrix.
+    matrix rows. cdist gives |x_i - x_j| and |x_j - x_i| the same bits and a zero diagonal, so the
+    block is exactly symmetric.
 
-    duplicates, an exception class, is raised naming the first pair of equal points in pdist order.
+    duplicates, an exception class, is raised naming the first pair (i, j), i < j, of equal points in
+    row-major order.
     """
     n = points.shape[0]
     size = n if size is None else size
-    if len(_row_blocks(n, n)) == 1:
-        dists = pdist(points)
-        if duplicates is not None and np.any(dists == 0.0):
-            _refuse_duplicates(duplicates, squareform(dists == 0.0), 0)
-        for a in range(0, dists.size, _CHUNK):
-            part = dists[a : a + _CHUNK]
-            part[...] = _profile(spec, part)
-        k = squareform(dists)
-        diag = float(_profile(spec, np.zeros(())))
-        if diag != 0.0:
-            np.fill_diagonal(k, diag)
-        if size == n:
-            return k
-        m = np.empty((size, size))
-        m[:n, :n] = k
-        return m
     m = np.empty((size, size))
     step = _ROW_GROUP * max(1, _CHUNK // (n * _ROW_GROUP))
     buffer = np.empty((min(step, n), n))  # the one block of distances, reused
@@ -149,21 +128,16 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
             equal = r == 0.0
             equal[np.arange(len(r)), np.arange(start, rows.stop)] = False
             if equal.any():
-                _refuse_duplicates(duplicates, equal, start)
+                # rows are taken in order, so the first True names the first pair
+                i, j = np.argwhere(equal)[0]
+                raise duplicates(f"duplicate nodes at indices {start + i} and {j}")
         _profile(spec, r, out=m[rows, :n])
     return m
 
 
-def _refuse_duplicates(error, equal: np.ndarray, first_row: int):
-    """Raise error naming the first True of equal (rows from first_row on) in row-major order: with
-    the rows taken in order, that is the first pair of equal points in pdist order."""
-    i, j = np.argwhere(equal)[0]
-    raise error(f"duplicate nodes at indices {first_row + i} and {j}")
-
-
 def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> np.ndarray:
-    """The exactly symmetric node matrix k(x_i, x_j) of one cloud (see _assemble: above 1,024
-    points the matrix itself plus one buffer of _CHUNK distances)."""
+    """The exactly symmetric node matrix k(x_i, x_j) of one cloud: the matrix itself plus one buffer
+    of _CHUNK distances (see _assemble)."""
     return _assemble(spec, cloud.points)
 
 

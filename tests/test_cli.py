@@ -301,6 +301,16 @@ class TestFitInvertCommands:
                      "--kernel", "gaussian", "--out", str(tmp_path / "m")])
         assert code == 1
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_gaussian_refuses_non_finite_epsilon(self, tmp_path, rng, capsys, epsilon):
+        self.make_data(tmp_path, rng)
+        out = tmp_path / "m"
+        code = main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
+                     "--kernel", "gaussian", "--epsilon", epsilon, "--out", str(out)])
+        assert code == 1
+        assert "requires a finite epsilon > 0" in capsys.readouterr().err
+        assert not out.exists() or [p for p in out.rglob("*") if p.is_file()] == []
+
 
 class TestNystromScanCommand:
     def test_scan_csv_and_summary(self, tmp_path):
@@ -355,7 +365,9 @@ class TestNystromScanCommand:
         [(["--start", "0.5", "--stop", "0.9,0.9"], r"points in R^2"),
          (["--start", "0.1,0.1,0.1"], r"points in R^2"),
          (["--eigvec", "-1"], r"outside [0, 2]"),
-         (["--eigvec", "3"], r"outside [0, 2]")],
+         (["--eigvec", "3"], r"outside [0, 2]"),
+         (["--steps", "1"], "steps must be >= 2"),
+         (["--steps", "0"], "steps must be >= 2")],
     )
     @pytest.mark.parametrize("sparsify", [["--threshold", "0.4"], ["--knn", "5"]])
     def test_refused_segment_or_eigvec_leaves_no_file(self, tmp_path, capsys, sparsify, flags, reason):
@@ -384,6 +396,31 @@ class TestNystromScanCommand:
         argv = ["nystrom-scan", "--n", "60", "--embed-dim", "3", "--eigvec", "4"] + sparsify + ["--out", str(out)]
         assert main(argv) == 1
         assert "outside [0, 3]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [(["--threshold", "0.4", "--steps", "1"], "steps must be >= 2"),
+         (["--knn", "5", "--steps", "1"], "steps must be >= 2"),
+         (["--knn", "10", "--steps", "0"], "steps must be >= 2"),
+         (["--knn", "0"], "knn must be in [1, 60]"),
+         (["--knn", "61"], "knn must be in [1, 60]")],
+    )
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_steps_and_knn_refused_before_any_kernel(self, tmp_path, capsys, monkeypatch, flags, reason, source):
+        def never(*args, **kwargs):
+            pytest.fail("built a kernel before refusing --steps or --knn")  # not an Exception: main does not catch it
+
+        for name in ("kernel_matrix", "laplacian_eigenmaps", "embedding_from_kernel"):
+            monkeypatch.setattr(cli, name, never)
+        if source == "generated":
+            cloud = ["--n", "60"]
+        else:
+            save_cloud(PointCloud(np.random.default_rng(2).uniform(size=(60, 2))), tmp_path / "cloud.pcld")
+            cloud = ["--cloud", str(tmp_path / "cloud.pcld")]
+        out = tmp_path / "scan"
+        assert main(["nystrom-scan"] + cloud + flags + ["--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
         assert not out.exists()
 
 

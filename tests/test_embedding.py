@@ -132,10 +132,10 @@ class TestLaplacianEigenmaps:
 
 
 class TestEmbeddingMemory:
-    def test_embed_holds_one_kernel_matrix(self):
-        # 2,000 points take the row path: the kernel matrix, normalized in place, plus the assembly's
-        # buffer of kernels._CHUNK distances and the Lanczos vectors
-        n = 2000
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_embed_holds_one_kernel_matrix(self, n):
+        # the kernel matrix, normalized in place, plus the assembly's buffer of kernels._CHUNK
+        # distances and the Lanczos vectors
         cloud = random_unitary_embed(sample_sphere(n, 4, seed=7), 10, seed=8)
         spec = gaussian(0.25 / local_fill_distance(cloud))
         solver = []

@@ -237,8 +237,8 @@ class TestSolveWithCond:
     @pytest.mark.parametrize("shape", [(1, 1), (7, 7), (50, 50), (206, 206)])
     def test_norm_1_same_bits_as_numpy(self, rng, monkeypatch, block, shape):
         # _solve_with_cond's lange("1", m.T) on exactly symmetric matrices: a random one with entries
-        # over six decades, and kernel matrices assembled on the one-block path or, once n x n passes
-        # the row-block and fill caps (64 or 1,000 distances), on the row path
+        # over six decades, and kernel matrices assembled from one buffer of distances or, with the
+        # fill cap (kernels._CHUNK) at 64 or 1,000 distances, from several
         if block is not None:
             monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
             monkeypatch.setattr(kernels, "_CHUNK", block)
@@ -357,10 +357,10 @@ class TestEvalRbfRowBlocks:
 
 
 class TestSystemMemory:
-    def test_fit_holds_one_system_matrix(self):
-        # 2,000 nodes take the row path: the 2,006^2 system, factored in place, plus the assembly's
-        # buffer of kernels._CHUNK distances; the 1-norm takes no temporary
-        n = 2000
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_fit_holds_one_system_matrix(self, n):
+        # the (n + 6)^2 system, factored in place, plus the assembly's buffer of kernels._CHUNK
+        # distances; the 1-norm takes no temporary
         y = random_unitary_embed(sample_sphere(n, 4, seed=3), 5, seed=4)
         x = PointCloud(np.random.default_rng(5).normal(size=(n, 10)))
         peak = traced_peak(lambda: fit_rbf(y, x, cubic(), "linear"))
@@ -473,6 +473,12 @@ class TestShepard:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             shepard_eval(PointCloud([[0.0]]), PointCloud([[1.0]]), np.array([0.0]), epsilon=0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_epsilon_finite(self, bad):
+        # unchecked, a NaN scale gives NaN values and an infinite one reports an underflow
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            shepard_eval(PointCloud([[0.0], [1.0]]), PointCloud([[1.0], [2.0]]), np.array([0.5]), epsilon=bad)
 
 
 class TestModelSerialization:

@@ -6,7 +6,7 @@ from conftest import traced_peak
 from preimage import dataset, inverse, kernels
 from preimage.dataset import PointCloud, local_fill_distance, random_unitary_embed, sample_sphere
 from preimage.evaluation import ConditioningConfig, conditioning_sweep
-from preimage.inverse import SingularSystemError
+from preimage.inverse import SingularSystemError, UnisolvencyError
 from preimage.kernels import (
     GAUSSIAN,
     KernelSpec,
@@ -28,6 +28,13 @@ class TestKernelSpec:
         for bad in (None, 0.0, -1.0):
             with pytest.raises(ValueError):
                 KernelSpec("gaussian", epsilon=bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_gaussian_requires_finite_epsilon(self, bad):
+        # an infinite scale gives a NaN diagonal (inf * 0), which a fit would report as a singular system
+        for make in (lambda: gaussian(bad), lambda: KernelSpec.from_dict({"family": "gaussian", "epsilon": bad})):
+            with pytest.raises(ValueError, match="finite epsilon"):
+                make()
 
     def test_radial_power_requires_odd_rho(self):
         for bad in (None, 0, 2, -3):
@@ -146,19 +153,23 @@ class TestProfile:
 
 
 class TestAssemblyReference:
-    """kernel_matrix and inverse._system against reference_system, bit for bit, on both sides of the
-    one-block cut: 300 points take one row block, 1,100 take two and are filled 56 rows at a time
-    (the last fill 36 rows). With the row-block and fill caps (dataset._BLOCK_DISTANCES,
-    kernels._CHUNK) at 64 and 700 distances, 40 points take the row path and are filled 4 rows at a
-    time and 16, 16 and 8 rows at a time."""
+    """kernel_matrix and inverse._system against reference_system, bit for bit. 1 to 40 points are
+    filled in one buffer, 300 points 216 rows at a time (the last fill 84 rows) and 1,100 points 56
+    rows at a time (the last fill 36 rows). With the fill cap (kernels._CHUNK) at 64 and 700
+    distances, 40 points are filled 4 rows at a time and 16, 16 and 8 rows at a time."""
 
-    @pytest.mark.parametrize("n", [300, 1100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 300, 1100])
     def test_pairs_of_the_tail_rule(self, n):
         cloud = random_unitary_embed(sample_sphere(n, 4, seed=n), 10, seed=1)
         y = cloud.points[:, :5].copy()
-        assert len(dataset._row_blocks(n, n)) == (1 if n == 300 else 2)
         for spec, tail in PAIRS:
-            assert np.array_equal(inverse._system(y, spec, tail), reference_system(y, spec, tail))
+            if tail == "linear" and n <= 5:  # too few nodes for a linear tail in R^5: compare the kernel block
+                with pytest.raises(UnisolvencyError):
+                    inverse._system(y, spec, tail)
+                block = kernels._assemble(spec, y, n + 6, SingularSystemError)[:n, :n]
+                assert np.array_equal(block, reference_system(y, spec, "none"))
+            else:
+                assert np.array_equal(inverse._system(y, spec, tail), reference_system(y, spec, tail))
             if tail == "none":
                 assert np.array_equal(kernel_matrix(spec, cloud), reference_system(cloud.points, spec, tail))
 
@@ -203,12 +214,11 @@ class TestAssemblyReference:
 
 
 class TestNodeMatrixMemory:
-    def test_holds_one_matrix(self):
-        # 2,000 points take the row path: the matrix plus one buffer of kernels._CHUNK distances
-        n = 2000
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_holds_one_matrix(self, n):
+        # the matrix plus one buffer of kernels._CHUNK distances
         cloud = random_unitary_embed(sample_sphere(n, 4, seed=7), 10, seed=8)
         spec = gaussian(0.25 / local_fill_distance(cloud))
-        assert len(dataset._row_blocks(n, n)) > 1
         peak = traced_peak(lambda: kernel_matrix(spec, cloud))
         assert peak < n * n * 8 + 2**20
 
