@@ -27,10 +27,11 @@ from .evaluation import (
     table_to_csv,
     _cpu_count,
     _fold_workers,
+    _grid,
 )
 from .inverse import TAIL_LINEAR, TAIL_NONE, NeighborhoodPolicy, eval_rbf, fit_rbf, load_model, save_model
 from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, gaussian, kernel_matrix, sparsify
-from .nystrom import discontinuity_scan, scan_to_csv
+from .nystrom import _scan_checks, discontinuity_scan, scan_to_csv
 
 
 class _Outputs:
@@ -168,19 +169,16 @@ def cmd_invert(args, out: _Outputs) -> int:
 
 
 def cmd_nystrom_scan(args, out: _Outputs) -> int:
-    # refuse what discontinuity_scan would, in its words, before building a kernel: the embedding has
-    # eigenvectors 0..--embed-dim, and a query keeps between 1 and n kernel entries
-    if not 0 <= args.eigvec <= args.embed_dim:
-        raise ValueError(f"eigenvector index outside [0, {args.embed_dim}]: [{args.eigvec}]")
-    if args.steps < 2:
-        raise ValueError("steps must be >= 2")
     if args.cloud is not None:
         cloud = load_cloud(args.cloud)
     else:
         rng = np.random.default_rng(args.seed)
         cloud = PointCloud(rng.uniform(0.0, 1.0, size=(args.n, args.dim)))
-    if args.knn is not None and not 1 <= args.knn <= cloud.n:
-        raise ValueError(f"knn must be in [1, {cloud.n}]")
+    lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
+    start = _point(args.start) if args.start is not None else lo
+    stop = _point(args.stop) if args.stop is not None else hi
+    # refuse what discontinuity_scan would before building a kernel: the embedding has eigenvectors 0..--embed-dim
+    segment = _scan_checks(cloud, args.embed_dim, (start, stop), args.steps, args.threshold, args.knn, args.eigvec)
     spec = gaussian(spacing_scale(args.epsilon_multiple, local_fill_distance(cloud)))
     # a thresholded scan embeds the thresholded matrix; a knn scan embeds the full kernel and truncates only the queries
     if args.threshold is not None:
@@ -188,11 +186,8 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
         emb = embedding_from_kernel(kmat, args.embed_dim, spec=spec, source=cloud)
     else:
         emb = laplacian_eigenmaps(cloud, spec, d=args.embed_dim)
-    lo, hi = cloud.points.min(axis=0), cloud.points.max(axis=0)
-    start = _point(args.start) if args.start is not None else lo
-    stop = _point(args.stop) if args.stop is not None else hi
     profile = discontinuity_scan(
-        emb, cloud, spec, (start, stop), args.steps, threshold=args.threshold, knn=args.knn, l=args.eigvec
+        emb, cloud, spec, segment, args.steps, threshold=args.threshold, knn=args.knn, l=args.eigvec
     )
     scan_to_csv(profile, out.path(args.out / "scan.csv"))
     # a gap near 0 means eigenvalue --eigvec is repeated, so its eigenvector is not determined by the inputs;
@@ -214,13 +209,15 @@ def cmd_nystrom_scan(args, out: _Outputs) -> int:
 
 
 def cmd_loo_table(args, out: _Outputs) -> int:
+    # refuse a scale multiple or --max-neighbors that scale_table would before embedding
+    _grid(args.gaussian_scales, args.shepard_scales)
+    policy = NeighborhoodPolicy(max_neighbors=args.max_neighbors)
     values = load_cloud(args.values)
     if args.coords is not None:
         coords = load_cloud(args.coords)
     else:
         spec = gaussian(spacing_scale(args.affinity_multiple, local_fill_distance(values)))
         coords = PointCloud(laplacian_eigenmaps(values, spec, d=args.embed_dim).coords)
-    policy = NeighborhoodPolicy(max_neighbors=args.max_neighbors)
     rows = scale_table(values, coords, args.gaussian_scales, args.shepard_scales, policy)
     table_to_csv(rows, out.path(args.out / "table.csv"), dataset=Path(args.values).stem)
     _write_manifest(out, args.out / "manifest.json", args, [])

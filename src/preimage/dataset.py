@@ -11,9 +11,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 _MAGIC = b"PCLD"
-_BLOCK_DISTANCES = 1 << 20  # a query block (_row_blocks) holds at most this many distances: 8 MB of float64
+_BLOCK_DISTANCES = 1 << 20  # _row_blocks' default cap: a query block holds at most 8 MB of float64 distances
 _ROW_GROUP = 4  # rows OpenBLAS's dgemm and dgemv kernels take at a time on x86-64 (see _row_blocks)
-_BLOCK_TIES = 1 << 16  # _top_k settles tied rows this many keys at a time
+_BLOCK_TIES = 1 << 16  # _top_k settles tied rows in _row_blocks of at most this many keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +91,8 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     smallest, the lower indices are kept; k = 1 is argmin. argpartition at places k-1 and k
     finds the k-th and (k+1)-th smallest keys; where they are strictly increasing its first k
     places are the set. Other rows (a tie at the k-th key, or NaN) keep every key before the
-    k-th and the lowest-index keys equal to it, _BLOCK_TIES keys at a time, so no temporary
-    outgrows argpartition's index table.
+    k-th and the lowest-index keys equal to it, in _row_blocks of at most _BLOCK_TIES keys, so no
+    temporary outgrows argpartition's index table.
     """
     n = keys.shape[-1]
     if k == 1:
@@ -105,9 +105,8 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     chosen = part[:, :k].copy()
     del part  # the n-wide index table goes before any tied row is settled
     tied = np.flatnonzero(~(edge[:, 0] < edge[:, 1]))
-    rows = max(1, _BLOCK_TIES // n)
-    for start in range(0, tied.size, rows):
-        t = tied[start : start + rows]
+    for rows in _row_blocks(tied.size, n, _BLOCK_TIES):
+        t = tied[rows]
         block, kth = flat[t], edge[t, :1]
         nan = np.isnan(kth)  # a NaN k-th key: every number comes before it
         before = (block < kth) | (nan & ~np.isnan(block))
@@ -140,20 +139,19 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool 
     return idx, dist
 
 
-def _row_blocks(m: int, n: int) -> list:
-    """The row blocks in which m queries meet n points: consecutive slices of range(m), each of at
-    most _BLOCK_DISTANCES query x point entries (one group of _ROW_GROUP rows at least), so memory
-    grows with n, not m x n.
+def _row_blocks(m: int, n: int, cap: int | None = None) -> list:
+    """The one row-block rule: the blocks in which m rows meet n columns, as consecutive slices of
+    range(m), each of at most cap entries (one group of _ROW_GROUP rows at least), so memory grows
+    with n, not m x n. cap defaults to _BLOCK_DISTANCES, read at each call; kernel assembly passes
+    kernels._CHUNK and _top_k's tied rows _BLOCK_TIES.
 
-    Blocks are whole row groups, the last one excepted, and as equal in size as the cap allows.
-    A product taken block by block then gives each row the bits one unblocked product gives it:
-    BLAS kernels take rows a group at a time and are chosen by size, and with no block under half
-    the cap none is small enough for another one (a single row goes to dgemv or ddot, and
-    OpenBLAS sends a dgemm of up to 10^6 multiply-adds to its small-matrix kernel). Measured with
-    OpenBLAS 0.3.31; a cap that holds only one group (n > 2^17) can still leave a one-row block.
+    Blocks are whole row groups, the last one excepted, and as equal in size as the cap allows,
+    so a product taken block by block gives each row the bits of one unblocked product (README,
+    preimage.dataset; BENCH_query_layer.json).
     """
+    cap = _BLOCK_DISTANCES if cap is None else cap
     groups = -(-m // _ROW_GROUP)
-    count = -(-groups // max(1, _BLOCK_DISTANCES // (n * _ROW_GROUP)))
+    count = -(-groups // max(1, cap // (n * _ROW_GROUP)))
     bounds = [min(m, _ROW_GROUP * (groups * i // count)) for i in range(count)] + [m]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 

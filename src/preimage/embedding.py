@@ -17,11 +17,7 @@ EIGH = "eigh"
 # repeated eigenvalue, of which Lanczos can miss some.
 SEPARATION_RTOL = 1e-6
 LANCZOS_SEED = 0
-# ARPACK restarts before Lanczos gives up and eigh decides. The acceptance sphere embeddings need
-# at most 4 (68 matrix-vector products); knn-scan clouds (uniform squares at 0.5/h) need more as n
-# grows, up to 26 at n = 300, 34 at n = 1,000 and 56 at n = 2,000, and keep their Lanczos
-# eigenpairs. ARPACK's own cap of 10n restarts ran 21,495 products (3 s) on a clustered spectrum
-# at n = 300 before the guard refused it; this cap stops there after 981.
+# ARPACK restarts before Lanczos gives up and eigh decides (the counts inputs need are in the README)
 LANCZOS_RESTARTS = 60
 
 
@@ -136,9 +132,8 @@ def _top_eigenpairs(ktilde: np.ndarray, k: int):
 def _connected(a: np.ndarray) -> bool:
     """Whether the nonzero pattern of a symmetric matrix is one connected graph: a breadth-first
     search from node 0 that reads each row it reaches once, and stops when every node is reached
-    (after one row on a matrix without zeros). scipy's connected_components took 70-230 ms on
-    dense 1,500-2,000 node matrices with underflowed entries, its conversion of the dense pattern;
-    this search took under 9 ms on them."""
+    (after one row on a matrix without zeros); dense input costs it no conversion, unlike scipy's
+    connected_components (BENCH_query_reuse.json)."""
     seen = np.zeros(a.shape[0], dtype=bool)
     seen[0] = True
     frontier = [0]
@@ -187,16 +182,19 @@ def save_embedding(emb: Embedding, directory) -> None:
 
 def load_embedding(directory) -> Embedding:
     """Read an embedding written by save_embedding; with n = len(degrees) and d+1 = len(eigvals)
-    in embedding.json, coords must be n x d and eigvecs n x (d+1). A sidecar written before
-    solver was recorded came from the full eigh."""
+    in embedding.json, coords must be n x d and eigvecs n x (d+1), and coords must equal
+    eigvecs[:, 1:]. A sidecar written before solver was recorded came from the full eigh."""
     meta = json.loads((Path(directory) / "embedding.json").read_text())
     eigvals, degrees = np.array(meta["eigvals"]), np.array(meta["degrees"])
     n, d = degrees.size, eigvals.size - 1
     spec = KernelSpec.from_dict(meta["spec"]) if meta["spec"] is not None else None
+    coords, eigvecs = load_block(directory, "coords", (n, d)), load_block(directory, "eigvecs", (n, d + 1))
+    if not np.array_equal(coords, eigvecs[:, 1:]):
+        raise ValueError("coords block is not eigvecs[:, 1:], the nontrivial eigenvectors")
     return Embedding(
-        coords=load_block(directory, "coords", (n, d)),
+        coords=coords,
         eigvals=eigvals,
-        eigvecs=load_block(directory, "eigvecs", (n, d + 1)),
+        eigvecs=eigvecs,
         degrees=degrees,
         spec=spec,
         solver=meta.get("solver", EIGH),

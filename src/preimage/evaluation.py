@@ -47,9 +47,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 class LooReport:
     """Per-point and average leave-one-out reconstruction errors.
 
-    per_point_errors has one slot per point; folds whose fit failed hold NaN
-    and their indices are listed in failures. e_avg averages the successful
-    folds only; valid is False when more than 1% of folds failed.
+    per_point_errors has one slot per point; a fold failed exactly where its
+    error is not finite, and then holds NaN and is listed in failures. e_avg
+    averages the other folds only; valid is False when more than 1% failed.
 
     fold_condition holds, per fold, the 1-norm condition estimate (LAPACK
     gecon) of the system that fold was solved from: its own system when it was
@@ -147,15 +147,18 @@ def loo_error(
     n-1 <= max_neighbors) and gives h_local; gaussian and shepard scales are multiples of
     1/h_local (ValueError when h_local is 0). The cubic (with the linear tail, its one solvable
     tail, so every fold needs d+2 nodes) and the gaussian (plain system) interpolate a fold's
-    nodes, shepard averages their values, and a fold whose fit fails, e.g. on duplicate nodes,
-    holds NaN.
+    nodes, and shepard averages their values.
 
     When every fold is global (k = n-1), the cubic and gaussian folds come from one pivoted LU
     of the full system M by Rippa's identity (Rippa 1999, Adv. Comput. Math. 11:193; Fasshauer
     2007, Meshfree Approximation Methods with MATLAB, ch. 17): fold j's error is
-    |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0], and a fold fails where (M^-1)_jj is 0, the error
-    is not finite or its nodes lose unisolvency. Each fold is refitted on its own nodes when
-    k < n-1, for shepard, and when the full system has duplicate nodes or is singular.
+    |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0] (see _global_folds). Each fold is refitted on its
+    own nodes when k < n-1, for shepard, and when the full system has duplicate nodes or is
+    singular; a refitted fold whose fit raises, e.g. on duplicate nodes, keeps a NaN error.
+
+    Failed folds have one rule on both paths: a fold failed exactly where its error is not
+    finite. Those errors and condition estimates become NaN, and failures, valid and e_avg
+    follow from them.
 
     A refitted fold is inverse._fit (fit_rbf's body, one in-place getrf/gecon/getrs) and
     inverse._predict (eval_rbf's formula) at the left-out point from the table's own distances.
@@ -181,8 +184,7 @@ def loo_error(
     idx, dist = nearest(coords.points, coords.points, k, exclude_self=True)
     h = float(dist.min(axis=1).mean())
     if method in (METHOD_GAUSSIAN, METHOD_SHEPARD):
-        if scale_multiple is None or scale_multiple <= 0:
-            raise ValueError(f"{method} needs a positive scale multiple of 1/h_local")
+        _check_multiple(method, scale_multiple)
         epsilon = spacing_scale(scale_multiple, h)
         spec, fit_tail = gaussian(epsilon), TAIL_NONE
     elif method == METHOD_CUBIC:
@@ -193,15 +195,14 @@ def loo_error(
     errors = None
     if method != METHOD_SHEPARD and k == n - 1:
         try:
-            errors, conds, failures = _global_folds(coords.points, values.points, spec, fit_tail)
+            errors, conds = _global_folds(coords.points, values.points, spec, fit_tail)
         except InterpolationError:
             pass  # duplicate nodes or a singular full system: every fold is refitted below
     if errors is None:
         errors, conds = np.full(n, np.nan), np.full(n, np.nan)
 
-        def refit(folds) -> list:
-            """Fill the folds' slots of errors and conds; return the folds that failed."""
-            failed = []
+        def refit(folds) -> None:
+            """Fill the folds' slots of errors and conds; a fold whose fit raises keeps its NaN."""
             for j in folds:
                 try:
                     if method == METHOD_SHEPARD:
@@ -212,25 +213,16 @@ def loo_error(
                         pred = _predict(model, dist[j : j + 1], coords.points[j : j + 1])[0]
                     errors[j] = np.linalg.norm(values.points[j] - pred)
                 except InterpolationError:
-                    failed.append(j)
-            return failed
+                    pass
 
         # shepard folds factor nothing and hold the GIL: threads would only add switching
-        failures = _run_chunked(refit, n, 1 if method == METHOD_SHEPARD else _fold_workers())
-    ok = np.isfinite(errors)
-    e_avg = float(errors[ok].mean()) if np.any(ok) else float("nan")
-    return LooReport(
-        per_point_errors=errors,
-        e_avg=e_avg,
-        h_local=h,
-        method=method,
-        scale_multiple=scale_multiple,
-        n=n,
-        seed=seed,
-        failures=tuple(failures),
-        valid=len(failures) <= 0.01 * n,
-        fold_condition=conds,
-    )
+        _run_chunked(refit, n, 1 if method == METHOD_SHEPARD else _fold_workers())
+    failed = ~np.isfinite(errors)  # the one failed-fold rule
+    errors[failed] = conds[failed] = np.nan
+    failures = tuple(np.flatnonzero(failed).tolist())
+    e_avg = float(errors[~failed].mean()) if len(failures) < n else float("nan")
+    return LooReport(per_point_errors=errors, e_avg=e_avg, h_local=h, method=method, scale_multiple=scale_multiple,
+                     n=n, seed=seed, failures=failures, valid=len(failures) <= 0.01 * n, fold_condition=conds)
 
 
 def _cpu_count() -> int:
@@ -256,13 +248,13 @@ def _fold_workers() -> int:
     return 1
 
 
-def _run_chunked(run, n: int, workers: int) -> list:
-    """run(folds) over range(n) split into `workers` contiguous chunks, each returning a list;
-    the lists joined in chunk order.
+def _run_chunked(run, n: int, workers: int) -> None:
+    """run(folds) over range(n) split into `workers` contiguous chunks; each chunk fills its own
+    folds' slots and returns nothing.
 
     The calling thread runs chunk 0 and a pool of workers - 1 threads, closed before return, the
     rest; with one worker the whole range runs inline and no thread starts. The folds' LAPACK
-    calls release the GIL, so chunks overlap there.
+    calls release the GIL, so chunks overlap there. An exception a chunk raises is raised here.
     """
     workers = min(workers, n)
     bounds = [n * i // workers for i in range(workers + 1)]
@@ -270,20 +262,20 @@ def _run_chunked(run, n: int, workers: int) -> list:
     if workers == 1:
         return run(chunks[0])
     with ThreadPoolExecutor(workers - 1) as pool:
-        rest = [pool.submit(run, c) for c in chunks[1:]]
-        first = run(chunks[0])
-        return first + [j for future in rest for j in future.result()]
+        rest = pool.map(run, chunks[1:])
+        run(chunks[0])
+        list(rest)  # raises what a chunk raised
 
 
 def _global_folds(y: np.ndarray, x: np.ndarray, spec, tail: str):
     """Every leave-one-out fold of a global fit from one factorization of the full system M.
 
     Rippa's identity: with c = M^-1 [X; 0], fold j's residual x_j - s_j(y_j) is
-    c_j / (M^-1)_jj, so one solve against [X; 0 | I[:, :n]] gives every fold. A fold is a
-    failure where (M^-1)_jj is 0 (its system is singular), where the error is not finite, and,
-    with the linear tail, where its n-1 nodes fail unisolvency_rank. Returns the errors, each
-    fold's condition estimate (M's, NaN where the fold failed) and the failed folds. Raises what
-    fit_rbf raises on the full node set (duplicates, a singular system, lost unisolvency).
+    c_j / (M^-1)_jj, so one solve against [X; 0 | I[:, :n]] gives every fold. Returns the errors
+    and each fold's condition estimate, M's. An error is not finite where (M^-1)_jj is 0 (the
+    fold's system is singular) and NaN, with the linear tail, where the fold's n-1 nodes fail
+    unisolvency_rank: loo_error counts those folds as failed. Raises what fit_rbf raises on the
+    full node set (duplicates, a singular system, lost unisolvency).
     """
     n = y.shape[0]
     m = _system(y, spec, tail)
@@ -294,12 +286,9 @@ def _global_folds(y: np.ndarray, x: np.ndarray, spec, tail: str):
     diag = np.abs(np.diagonal(sol[:n, x.shape[1] :]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         errors = np.linalg.norm(sol[:n, : x.shape[1]], axis=1) / diag
-    failed = ~np.isfinite(errors)
     if tail == TAIL_LINEAR:
-        failed |= ~_folds_unisolvent(y)
-    errors[failed] = np.nan
-    conds = np.where(failed, np.nan, cond)
-    return errors, conds, np.flatnonzero(failed).tolist()
+        errors[~_folds_unisolvent(y)] = np.nan
+    return errors, np.full(n, cond)
 
 
 def _folds_unisolvent(y: np.ndarray) -> np.ndarray:
@@ -336,8 +325,17 @@ def method_grid(config: SphereConfig):
 
 
 def _grid(gaussian_multiples, shepard_multiples) -> list:
-    gaussians = [(METHOD_GAUSSIAN, m) for m in gaussian_multiples]
-    return [(METHOD_CUBIC, None)] + gaussians + [(METHOD_SHEPARD, m) for m in shepard_multiples]
+    """The cubic, then one (method, multiple) pair per gaussian and shepard multiple; ValueError,
+    as loo_error would raise it, on the first multiple that is not positive."""
+    pairs = [(METHOD_GAUSSIAN, m) for m in gaussian_multiples] + [(METHOD_SHEPARD, m) for m in shepard_multiples]
+    for method, m in pairs:
+        _check_multiple(method, m)
+    return [(METHOD_CUBIC, None)] + pairs
+
+
+def _check_multiple(method: str, multiple) -> None:
+    if multiple is None or not 0 < multiple < np.inf:  # a gaussian or shepard scale is a multiple of 1/h_local
+        raise ValueError(f"{method} needs a finite positive scale multiple of 1/h_local")
 
 
 def loglog_slope(x, y):
@@ -362,12 +360,13 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
     if n_values[0] < config.embed_dim + 3:
         raise ValueError(f"every n must be >= embed_dim+3 = {config.embed_dim + 3}")
     policy = NeighborhoodPolicy(max_neighbors=config.max_neighbors)
+    grid = method_grid(config)
     rows = []
     for n in n_values:
         for seed in seeds:
             ambient, emb = sphere_pipeline(n, config, seed)
             coords = PointCloud(emb.coords)
-            for method, mult in method_grid(config):
+            for method, mult in grid:
                 # h_local is the coordinate-domain spacing: interpolation
                 # happens there, and it is what the scale multiples divide
                 rep = loo_error(ambient, coords, method, mult, policy=policy, seed=seed)

@@ -1,17 +1,18 @@
 """Radial kernels, kernel-matrix assembly, sparsification, and conditioning diagnostics."""
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
-from .dataset import _ROW_GROUP, PointCloud, _top_k
+from .dataset import PointCloud, _row_blocks, _top_k
 
 GAUSSIAN = "gaussian"
 RADIAL_POWER = "radial_power"
 THIN_PLATE = "thin_plate"
-# _assemble fills its matrix rows from one buffer of at most this many distances (512 KB)
+# _assemble fills its matrix rows in _row_blocks of at most this many distances (512 KB)
 _CHUNK = 1 << 16
 
 
@@ -22,6 +23,9 @@ class KernelSpec:
     gaussian:      exp(-epsilon^2 r^2) with finite epsilon > 0
     radial_power:  r^rho with odd rho >= 1 (rho=3 is the cubic)
     thin_plate:    r^rho log r with even rho >= 2
+
+    epsilon must be a real number and rho an int or numpy integer (neither a bool nor a str); they
+    are stored as float and int.
     """
 
     family: str
@@ -29,6 +33,14 @@ class KernelSpec:
     rho: int | None = None
 
     def __post_init__(self):
+        if self.epsilon is not None:
+            if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, Real):
+                raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
+            object.__setattr__(self, "epsilon", float(self.epsilon))
+        if self.rho is not None:
+            if isinstance(self.rho, bool) or not isinstance(self.rho, (int, np.integer)):
+                raise ValueError(f"rho must be an integer, got {self.rho!r}")
+            object.__setattr__(self, "rho", int(self.rho))
         if self.family == GAUSSIAN:
             if self.epsilon is None or not 0 < self.epsilon < np.inf:
                 raise ValueError(f"gaussian kernel requires a finite epsilon > 0, got {self.epsilon}")
@@ -48,12 +60,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
 
     def to_dict(self) -> dict:
-        d = {"family": self.family}
-        if self.epsilon is not None:
-            d["epsilon"] = float(self.epsilon)
-        if self.rho is not None:
-            d["rho"] = int(self.rho)
-        return d
+        return {name: value for name, value in vars(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
@@ -61,11 +68,11 @@ class KernelSpec:
 
 
 def gaussian(epsilon: float) -> KernelSpec:
-    return KernelSpec(GAUSSIAN, epsilon=float(epsilon))
+    return KernelSpec(GAUSSIAN, epsilon=epsilon)
 
 
 def radial_power(rho: int) -> KernelSpec:
-    return KernelSpec(RADIAL_POWER, rho=int(rho))
+    return KernelSpec(RADIAL_POWER, rho=rho)
 
 
 def cubic() -> KernelSpec:
@@ -73,7 +80,7 @@ def cubic() -> KernelSpec:
 
 
 def thin_plate(rho: int = 2) -> KernelSpec:
-    return KernelSpec(THIN_PLATE, rho=int(rho))
+    return KernelSpec(THIN_PLATE, rho=rho)
 
 
 def eval_kernel(spec: KernelSpec, r):
@@ -108,10 +115,10 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
     """A new size x size matrix (size defaults to n) whose top-left n x n block is the exactly
     symmetric kernel matrix g(|x_i - x_j|) of the n rows of points; the caller fills the rest.
 
-    The matrix is the only n x n array: cdist fills one buffer of at most _CHUNK distances (whole
-    groups of 4 rows, at least one group) at a time, and its kernel values go straight into the
-    matrix rows. cdist gives |x_i - x_j| and |x_j - x_i| the same bits and a zero diagonal, so the
-    block is exactly symmetric.
+    The matrix is the only n x n array: cdist fills one row block (_row_blocks with cap _CHUNK) at
+    a time into one buffer the size of the largest block, and its kernel values go straight into
+    the matrix rows. cdist gives |x_i - x_j| and |x_j - x_i| the same bits and a zero diagonal, so
+    the block is exactly symmetric.
 
     duplicates, an exception class, is raised naming the first pair (i, j), i < j, of equal points in
     row-major order.
@@ -119,25 +126,24 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
     n = points.shape[0]
     size = n if size is None else size
     m = np.empty((size, size))
-    step = _ROW_GROUP * max(1, _CHUNK // (n * _ROW_GROUP))
-    buffer = np.empty((min(step, n), n))  # the one block of distances, reused
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        r = cdist(points[rows], points, out=buffer[: rows.stop - start])
+    blocks = _row_blocks(n, n, _CHUNK)
+    buffer = np.empty((max(b.stop - b.start for b in blocks), n))  # the one block of distances, reused
+    for rows in blocks:
+        r = cdist(points[rows], points, out=buffer[: rows.stop - rows.start])
         if duplicates is not None:
             equal = r == 0.0
-            equal[np.arange(len(r)), np.arange(start, rows.stop)] = False
+            equal[np.arange(len(r)), np.arange(rows.start, rows.stop)] = False
             if equal.any():
                 # rows are taken in order, so the first True names the first pair
                 i, j = np.argwhere(equal)[0]
-                raise duplicates(f"duplicate nodes at indices {start + i} and {j}")
+                raise duplicates(f"duplicate nodes at indices {rows.start + i} and {j}")
         _profile(spec, r, out=m[rows, :n])
     return m
 
 
 def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> np.ndarray:
     """The exactly symmetric node matrix k(x_i, x_j) of one cloud: the matrix itself plus one buffer
-    of _CHUNK distances (see _assemble)."""
+    of at most _CHUNK distances (see _assemble)."""
     return _assemble(spec, cloud.points)
 
 
@@ -184,19 +190,24 @@ def degree_vector(m: np.ndarray) -> np.ndarray:
     return d
 
 
+def _check_sparsifier(threshold: float | None, knn: int | None, n: int) -> None:
+    """ValueError unless exactly one of threshold and knn is given, and knn keeps 1 to n entries."""
+    if (threshold is None) == (knn is None):
+        raise ValueError("specify exactly one of threshold, knn")
+    if knn is not None and not 1 <= int(knn) <= n:
+        raise ValueError(f"knn must be in [1, {n}]")
+
+
 def _truncate_rows(values: np.ndarray, threshold: float | None, knn: int | None) -> np.ndarray:
     """The one sparsification rule, applied to each row of values.
 
     threshold zeroes every entry below the cutoff; knn keeps the knn largest
     entries of each row (ties to the lower column, see _top_k) and zeroes the
-    rest. Callers check that exactly one of the two is given.
+    rest. Callers check the two with _check_sparsifier.
     """
     if threshold is not None:
         return np.where(values < threshold, 0.0, values)
-    k = int(knn)
-    if not 1 <= k <= values.shape[-1]:
-        raise ValueError(f"knn must be in [1, {values.shape[-1]}]")
-    idx = _top_k(-values, k)
+    idx = _top_k(-values, int(knn))
     out = np.zeros_like(values)
     np.put_along_axis(out, idx, np.take_along_axis(values, idx, axis=-1), axis=-1)
     return out
@@ -209,16 +220,12 @@ def sparsify(m: np.ndarray, threshold: float | None = None, knn: int | None = No
     row, the knn largest off-diagonal entries (ties broken toward the lower
     column index) plus the diagonal, then symmetrizes with an elementwise max.
     """
-    if (threshold is None) == (knn is None):
-        raise ValueError("specify exactly one of threshold, knn")
     e = _square(m, "sparsify")
-    n = e.shape[0]
+    _check_sparsifier(threshold, knn, e.shape[0] - 1)  # knn counts off-diagonal entries
     if not np.array_equal(e, e.T):
         raise ValueError("sparsify requires a symmetric kernel matrix")
     if threshold is not None:
         return _truncate_rows(e, threshold, None)
-    if int(knn) >= n:
-        raise ValueError(f"knn must be < n = {n}")
     off = e.copy()
     np.fill_diagonal(off, -np.inf)  # the diagonal is restored separately
     kept = _truncate_rows(off, None, knn)

@@ -9,7 +9,7 @@ from scipy.spatial.distance import cdist
 from .dataset import PointCloud, _row_blocks, write_table
 from .embedding import Embedding
 from .inverse import TAIL_NONE, eval_rbf, fit_rbf
-from .kernels import KernelSpec, _profile, _truncate_rows
+from .kernels import KernelSpec, _check_sparsifier, _profile, _truncate_rows
 
 
 class ZeroDegreeError(ValueError):
@@ -52,13 +52,11 @@ def _resolve(emb: Embedding, cloud, spec):
     return cloud, spec
 
 
-def _eigenvalues(emb: Embedding, l):
-    """The eigenvector indices of l (one index or a sequence of them) as a list of Python ints,
-    whether l is one index, and their eigenvalues. ValueError for no index, an entry that is
-    not an int or numpy integer (a bool included, also inside a sequence, where np.asarray would
-    read True as 1) or outside [0, d], or a zero eigenvalue, where no extension is defined. Checked
-    on Python scalars, which on one or a few entries cost less than numpy reductions."""
-    d = len(emb.eigvals) - 1
+def _indices(l, d: int):
+    """The eigenvector indices of l (one index or a sequence of them) as a list of Python ints, and
+    whether l is one index. ValueError for no index, an entry that is not an int or numpy integer
+    (a bool included, also inside a sequence, where np.asarray would read True as 1) or outside
+    [0, d]. Python scalars cost less than numpy reductions on one or a few entries."""
     given = np.asarray(l, dtype=object)  # each entry keeps its own type
     items = given.ravel().tolist()
     if not items or any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in items):
@@ -66,17 +64,25 @@ def _eigenvalues(emb: Embedding, l):
     indices = [int(i) for i in items]
     if min(indices) < 0 or max(indices) > d:
         raise ValueError(f"eigenvector index outside [0, {d}]: {indices}")
+    return indices, given.ndim == 0
+
+
+def _eigenvalues(emb: Embedding, l):
+    """_indices(l, d) and their eigenvalues; ValueError also for a zero one (no extension)."""
+    indices, single = _indices(l, len(emb.eigvals) - 1)
     lam = emb.eigvals[indices]
     for i, value in zip(indices, lam.tolist()):
         if value == 0.0:
             raise ValueError(f"eigenvalue {i} is zero; extension undefined")
-    return indices, given.ndim == 0, lam
+    return indices, single, lam
 
 
-def _normalized(emb: Embedding, k: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """The normalized kernel rows k / sqrt(d(q) d), one per query row of k: the part of the
-    extension that every eigenvector shares."""
-    return k / np.sqrt(dq[:, None] * emb.degrees)
+def _normalized(emb: Embedding, k: np.ndarray):
+    """(knorm, dq): the normalized kernel rows k / sqrt(d(q) d), one per query row of k, which every
+    eigenvector shares, and the query degrees d(q), the row sums of k. A row of zero degree is
+    scaled by an infinite degree instead, giving 0; callers decide what such a query means."""
+    dq = k.sum(axis=1)
+    return k / np.sqrt(np.where(dq <= 0.0, np.inf, dq)[:, None] * emb.degrees), dq
 
 
 def _extension(emb: Embedding, knorm: np.ndarray, indices: list, lam: np.ndarray) -> np.ndarray:
@@ -114,22 +120,19 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
         if slot is not None and slot[0] is cloud and slot[1] == spec and slot[2] == key:
             knorm, dq = slot[3], slot[4]
         else:
-            k = _profile(spec, cdist(q[None, :], cloud.points))
-            dq = k.sum(axis=1)
+            knorm, dq = _normalized(emb, _profile(spec, cdist(q[None, :], cloud.points)))
             if dq[0] <= 0.0:
                 raise ZeroDegreeError(_ZERO_DEGREE)
-            knorm = _normalized(emb, k, dq)
             object.__setattr__(emb, "_query_slot", (cloud, spec, key, knorm, dq))
         value = _extension(emb, knorm, indices, lam)[0]
         return ExtensionResult(float(value[0]) if single else value, float(dq[0]))
     values, degrees = np.empty((len(q), len(indices))), np.empty(len(q))
     for rows in _row_blocks(len(q), cloud.n):
-        k = _profile(spec, cdist(q[rows], cloud.points))
-        dq = k.sum(axis=1)
-        zero = np.flatnonzero(dq <= 0.0)
+        knorm, degrees[rows] = _normalized(emb, _profile(spec, cdist(q[rows], cloud.points)))
+        zero = np.flatnonzero(degrees[rows] <= 0.0)
         if zero.size:
             raise ZeroDegreeError(f"{_ZERO_DEGREE} row {rows.start + zero[0]}")
-        values[rows], degrees[rows] = _extension(emb, _normalized(emb, k, dq), indices, lam), dq
+        values[rows] = _extension(emb, knorm, indices, lam)
     return ExtensionResult(values[:, 0] if single else values, degrees)
 
 
@@ -159,14 +162,19 @@ def _delta_max(values: np.ndarray) -> float:
     return float(np.abs(b[ok] - a[ok]).max())
 
 
-def _scan_rows(emb: Embedding, k: np.ndarray, indices: list, lam: np.ndarray):
-    """The extension of eigenvector indices[0] from each row of k, and which rows have zero degree.
-    Those rows get NaN: an infinite degree scales them to 0 instead of dividing by 0."""
-    dq = k.sum(axis=1)
-    zero = dq <= 0.0
-    values = _extension(emb, _normalized(emb, k, np.where(zero, np.inf, dq)), indices, lam)[:, 0]
-    values[zero] = np.nan
-    return values, zero
+def _scan_checks(cloud: PointCloud, d: int, segment, steps: int, threshold, knn, l):
+    """discontinuity_scan's checks that need no embedding, for one of cloud with eigenvectors 0..d:
+    steps >= 2, the sparsifier (_check_sparsifier), two segment endpoints in R^cloud.dim and one
+    eigenvector index in [0, d] (_indices). Returns the endpoints as float arrays."""
+    if steps < 2:
+        raise ValueError("steps must be >= 2")
+    _check_sparsifier(threshold, knn, cloud.n)
+    a, b = (np.asarray(p, dtype=float) for p in segment)
+    if a.shape != (cloud.dim,) or b.shape != (cloud.dim,):
+        raise ValueError(f"segment endpoints must be points in R^{cloud.dim}, got shapes {a.shape} and {b.shape}")
+    if not _indices(l, d)[1]:
+        raise ValueError(f"eigenvector index must be a single integer, got {l!r}")
+    return a, b
 
 
 def discontinuity_scan(
@@ -187,43 +195,30 @@ def discontinuity_scan(
     query degree discontinuous in the query. knn truncation keeps the knn
     largest entries; that extension is poorly defined for new points, so the
     profile is flagged diagnostic_only. Zero-degree queries are recorded as
-    per-point failures and the scan continues. segment is a pair of points
-    in R^cloud.dim, and l one eigenvector index under nystrom_extend's rule.
+    per-point failures and the scan continues. _scan_checks checks the arguments.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
-    if (threshold is None) == (knn is None):
-        raise ValueError("specify exactly one of threshold, knn")
     cloud, spec = _resolve(emb, cloud, spec)
-    a, b = (np.asarray(p, dtype=float) for p in segment)
-    if a.shape != (cloud.dim,) or b.shape != (cloud.dim,):
-        raise ValueError(f"segment endpoints must be points in R^{cloud.dim}, got shapes {a.shape} and {b.shape}")
-    indices, single, lam = _eigenvalues(emb, l)
-    if not single:
-        raise ValueError(f"eigenvector index must be a single integer, got {l!r}")
+    a, b = _scan_checks(cloud, len(emb.eigvals) - 1, segment, steps, threshold, knn, l)
+    indices, _, lam = _eigenvalues(emb, l)
     ts = np.linspace(0.0, 1.0, steps)
     queries = a[None, :] + ts[:, None] * (b - a)[None, :]
-    full, sparse = np.empty(steps), np.empty(steps)
-    zero = {"full": np.empty(steps, dtype=bool), "sparse": np.empty(steps, dtype=bool)}
+    values = {"full": np.empty(steps), "sparse": np.empty(steps)}
+    degrees = {"full": np.empty(steps), "sparse": np.empty(steps)}
     for rows in _row_blocks(steps, cloud.n):
         kall = _profile(spec, cdist(queries[rows], cloud.points))
-        full[rows], zero["full"][rows] = _scan_rows(emb, kall, indices, lam)
-        sparse[rows], zero["sparse"][rows] = _scan_rows(emb, _truncate_rows(kall, threshold, knn), indices, lam)
-    failures = [
-        (int(i), kind, _ZERO_DEGREE)
-        for i in np.flatnonzero(zero["full"] | zero["sparse"])
-        for kind in ("full", "sparse")
-        if zero[kind][i]
-    ]
-    return ScanProfile(
-        ts=ts,
-        values_full=full,
-        values_sparse=sparse,
-        delta_max_full=_delta_max(full),
-        delta_max_sparse=_delta_max(sparse),
-        failures=tuple(failures),
-        diagnostic_only=knn is not None,
-    )
+        for kind in ("full", "sparse"):
+            k = kall if kind == "full" else _truncate_rows(kall, threshold, knn)
+            knorm, degrees[kind][rows] = _normalized(emb, k)
+            values[kind][rows] = _extension(emb, knorm, indices, lam)[:, 0]
+            del k, knorm  # one normalized block at a time
+    zero = {kind: dq <= 0.0 for kind, dq in degrees.items()}
+    for kind, v in values.items():
+        v[zero[kind]] = np.nan  # a zero-degree query has no extension
+    failures = tuple((int(i), kind, _ZERO_DEGREE) for i in np.flatnonzero(zero["full"] | zero["sparse"])
+                     for kind in ("full", "sparse") if zero[kind][i])
+    full, sparse = values["full"], values["sparse"]
+    return ScanProfile(ts=ts, values_full=full, values_sparse=sparse, delta_max_full=_delta_max(full),
+                       delta_max_sparse=_delta_max(sparse), failures=failures, diagnostic_only=knn is not None)
 
 
 def scan_to_csv(profile: ScanProfile, path) -> None:

@@ -5,6 +5,8 @@ here fails these tests instead of a benchmark run."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,11 @@ def test_reads_are_found():
     assert {("preimage.evaluation", "method_grid"), ("preimage.evaluation", "METHOD_CUBIC"),
             ("preimage.evaluation", "SphereConfig"), ("preimage.inverse", "NeighborhoodPolicy"),
             ("preimage.evaluation", "loo_error")} <= reads
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own check of its checks, on tiny inputs: a change to what the program reports
+    # that the benchmark's checks reject fails here instead of in a benchmark run
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -264,6 +264,28 @@ class TestFitInvertCommands:
         assert not pred.exists()
 
     @pytest.mark.parametrize(
+        "kernel,spec,reason",
+        [(["--kernel", "radial-power", "--rho", "3"], {"family": "radial_power", "rho": 3.5}, "rho must be an integer"),
+         (["--kernel", "radial-power"], {"family": "radial_power", "rho": True}, "rho must be an integer"),
+         (["--kernel", "thin-plate"], {"family": "thin_plate", "rho": 2.0}, "rho must be an integer"),
+         (["--kernel", "gaussian", "--epsilon", "2", "--tail", "none"], {"family": "gaussian", "epsilon": "2"},
+          "epsilon must be a real number")],
+    )
+    def test_invert_refuses_edited_sidecar_spec(self, tmp_path, rng, capsys, kernel, spec, reason):
+        self.make_data(tmp_path, rng)
+        model_dir = tmp_path / "model"
+        assert main(["fit", "--nodes", str(tmp_path / "nodes.pcld"), "--values", str(tmp_path / "values.pcld"),
+                     "--out", str(model_dir)] + kernel) == 0
+        meta = json.loads((model_dir / "model.json").read_text())
+        meta["spec"] = spec
+        (model_dir / "model.json").write_text(json.dumps(meta))
+        pred = tmp_path / "pred.pcld"
+        assert main(["invert", "--model", str(model_dir), "--queries", str(tmp_path / "nodes.pcld"),
+                     "--out", str(pred)]) == 1
+        assert reason in capsys.readouterr().err
+        assert not pred.exists()
+
+    @pytest.mark.parametrize(
         "flags", [["--kernel", "gaussian", "--epsilon", "3", "--tail", "none"], ["--kernel", "cubic"], ["--tail", "linear"],
                   ["--rho", "3"], ["--epsilon", "1"]]
     )
@@ -362,15 +384,13 @@ class TestNystromScanCommand:
 
     @pytest.mark.parametrize(
         "flags,reason",
-        [(["--start", "0.5", "--stop", "0.9,0.9"], r"points in R^2"),
-         (["--start", "0.1,0.1,0.1"], r"points in R^2"),
-         (["--eigvec", "-1"], r"outside [0, 2]"),
+        [(["--eigvec", "-1"], r"outside [0, 2]"),
          (["--eigvec", "3"], r"outside [0, 2]"),
          (["--steps", "1"], "steps must be >= 2"),
          (["--steps", "0"], "steps must be >= 2")],
     )
     @pytest.mark.parametrize("sparsify", [["--threshold", "0.4"], ["--knn", "5"]])
-    def test_refused_segment_or_eigvec_leaves_no_file(self, tmp_path, capsys, sparsify, flags, reason):
+    def test_refused_eigvec_or_steps_leaves_no_file(self, tmp_path, capsys, sparsify, flags, reason):
         out = tmp_path / "scan"
         assert main(["nystrom-scan", "--n", "60", "--steps", "20"] + sparsify + flags + ["--out", str(out)]) == 1
         assert reason in capsys.readouterr().err
@@ -404,12 +424,18 @@ class TestNystromScanCommand:
          (["--knn", "5", "--steps", "1"], "steps must be >= 2"),
          (["--knn", "10", "--steps", "0"], "steps must be >= 2"),
          (["--knn", "0"], "knn must be in [1, 60]"),
-         (["--knn", "61"], "knn must be in [1, 60]")],
+         (["--knn", "61"], "knn must be in [1, 60]"),
+         (["--threshold", "0.4", "--start", "0.5", "--stop", "0.9,0.9"], "points in R^2"),
+         (["--knn", "5", "--start", "0.1,0.1,0.1"], "points in R^2"),
+         (["--threshold", "0.4", "--start", "0.1"], "points in R^2"),
+         (["--knn", "5", "--stop", "a,b"], "could not convert string to float"),
+         (["--threshold", "0.4", "--embed-dim", "3", "--eigvec", "4"], "outside [0, 3]")],
     )
     @pytest.mark.parametrize("source", ["generated", "loaded"])
     def test_steps_and_knn_refused_before_any_kernel(self, tmp_path, capsys, monkeypatch, flags, reason, source):
+        # every check of discontinuity_scan that needs no embedding: steps, knn, segment and eigenvector index
         def never(*args, **kwargs):
-            pytest.fail("built a kernel before refusing --steps or --knn")  # not an Exception: main does not catch it
+            pytest.fail("built a kernel before refusing the scan's arguments")  # not an Exception: main lets it through
 
         for name in ("kernel_matrix", "laplacian_eigenmaps", "embedding_from_kernel"):
             monkeypatch.setattr(cli, name, never)
@@ -438,7 +464,50 @@ def test_zero_spacing_names_duplicates(tmp_path, capsys, command):
     assert "duplicate" in err and "division" not in err
 
 
+def _never_called(monkeypatch, module, names):
+    def never(*args, **kwargs):
+        pytest.fail("embedded or ran a leave-one-out fit before refusing")  # not an Exception: main does not catch it
+
+    for name in names:
+        monkeypatch.setattr(module, name, never)
+
+
+@pytest.mark.parametrize(
+    "flags,reason",
+    [(["--gaussian-scales", "-1"], "gaussian needs a finite positive scale multiple"),
+     (["--gaussian-scales", "0.5,0"], "gaussian needs a finite positive scale multiple"),
+     (["--shepard-scales", "0"], "shepard needs a finite positive scale multiple"),
+     (["--gaussian-scales", "nan"], "gaussian needs a finite positive scale multiple"),
+     (["--shepard-scales", "1,inf"], "shepard needs a finite positive scale multiple"),
+     (["--max-neighbors", "0"], "max_neighbors must be >= 1")],
+)
+def test_sphere_refuses_scales_and_neighbours_before_any_work(tmp_path, capsys, monkeypatch, flags, reason):
+    _never_called(monkeypatch, evaluation, ["laplacian_eigenmaps", "loo_error"])
+    out = tmp_path / "run"
+    assert main(["sphere", "--n", "10,14,18", "--seed-list", "0", "--out", str(out)] + flags) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists() or [p for p in out.rglob("*") if p.is_file()] == []
+
+
 class TestLooTableCommand:
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [(["--gaussian-scales", "0"], "gaussian needs a finite positive scale multiple"),
+         (["--shepard-scales", "1,-2"], "shepard needs a finite positive scale multiple"),
+         (["--max-neighbors", "0"], "max_neighbors must be >= 1")],
+    )
+    def test_scales_and_neighbours_refused_before_embedding(self, tmp_path, capsys, monkeypatch, flags, reason):
+        from preimage.dataset import sample_sphere
+
+        _never_called(monkeypatch, cli, ["laplacian_eigenmaps"])
+        _never_called(monkeypatch, evaluation, ["loo_error"])
+        save_cloud(sample_sphere(30, 2, seed=0), tmp_path / "values.pcld")
+        out = tmp_path / "table"
+        assert main(["loo-table", "--values", str(tmp_path / "values.pcld"), "--embed-dim", "2", "--out", str(out)]
+                    + flags) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table_marks_cubic_minimum(self, tmp_path):
         from preimage.evaluation import SphereConfig, sphere_pipeline
 

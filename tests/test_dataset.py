@@ -227,6 +227,25 @@ class TestNearest:
             nearest(points, points, 0)
 
 
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 300), n=st.integers(1, 50), cap=st.integers(1, 3000))
+    def test_whole_groups_under_the_cap(self, m, n, cap):
+        blocks = dataset._row_blocks(m, n, cap)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(m))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(size > 0 and size * n <= max(cap, 4 * n) for size in sizes)
+        assert all(size % 4 == 0 for size in sizes[:-1])
+        if len(sizes) > 2:
+            assert max(sizes[:-1]) - min(sizes[:-1]) <= 4  # as equal as whole groups allow
+
+    def test_default_cap_is_read_at_each_call(self, monkeypatch):
+        assert dataset._row_blocks(40, 10) == [slice(0, 40)]
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 100)
+        want = [slice(i, i + 8) for i in range(0, 40, 8)]
+        assert dataset._row_blocks(40, 10) == dataset._row_blocks(40, 10, 100) == want
+
+
 class TestLocalFillDistance:
     def test_equals_dense_matrix_value_across_blocks(self, rng, monkeypatch):
         monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 500)  # blocks of 4 or 8 of the 57 rows

@@ -384,6 +384,15 @@ class TestSerialization:
         (tmp_path / "embedding.json").write_text(json.dumps(meta))
         assert load_embedding(tmp_path).solver == "eigh"
 
+    @pytest.mark.parametrize("block", ["coords", "eigvecs"])
+    def test_coords_must_be_the_nontrivial_eigenvectors(self, rng, tmp_path, block):
+        # each block rewritten with its right shape but other values than the other implies
+        emb = laplacian_eigenmaps(PointCloud(rng.normal(size=(14, 3))), gaussian(0.8), d=3)
+        save_embedding(emb, tmp_path)
+        save_cloud(PointCloud(getattr(emb, block) + 1.0), tmp_path / f"{block}.pcld")
+        with pytest.raises(ValueError, match="coords block is not eigvecs"):
+            load_embedding(tmp_path)
+
     @pytest.mark.parametrize("block,shape", [("coords", (14, 2)), ("coords", (13, 3)), ("eigvecs", (14, 3))])
     def test_corrupted_block_rejected(self, rng, tmp_path, block, shape):
         # a 14-point embedding with d=3; each block is replaced by one of the wrong shape

@@ -27,6 +27,7 @@ from preimage.evaluation import (
 from preimage.inverse import (
     InterpolationError,
     NeighborhoodPolicy,
+    SingularSystemError,
     eval_rbf,
     fit_rbf,
     shepard_eval,
@@ -304,6 +305,61 @@ class TestFoldWorkers:
                     assert a == b, (workers, f.name)
 
 
+class TestFailedFoldRule:
+    """A fold failed exactly where its error is not finite, whichever path computed it."""
+
+    BAD = 3
+
+    def _check(self, plain, rep, n):
+        assert plain.failures == ()
+        assert rep.failures == (self.BAD,)
+        assert len(rep.failures) == (~np.isfinite(rep.per_point_errors)).sum()
+        assert np.isnan(rep.per_point_errors[self.BAD]) and np.isnan(rep.fold_condition[self.BAD])
+        others = np.arange(n) != self.BAD
+        assert np.array_equal(rep.per_point_errors[others], plain.per_point_errors[others], equal_nan=True)
+        assert np.array_equal(rep.fold_condition[others], plain.fold_condition[others], equal_nan=True)
+        assert rep.e_avg == float(plain.per_point_errors[others].mean())
+        assert rep.valid == (len(rep.failures) <= 0.01 * n)
+
+    @pytest.mark.parametrize("method,scale", [("cubic", None), ("gaussian", 1.0)])
+    @pytest.mark.parametrize("max_neighbors", [200, 10])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refitted_fold_with_an_infinite_prediction(self, monkeypatch, method, scale, max_neighbors, workers):
+        # every fold is refitted: on all other points (global folds) at max_neighbors 200, where the
+        # full system is made to fail as a singular one would, and on the 10 nearest (local folds) at 10
+        values, coords = _fold_clouds("random")
+        policy = NeighborhoodPolicy(max_neighbors=max_neighbors)
+
+        def singular(*args):
+            raise SingularSystemError("singular system")
+
+        monkeypatch.setattr(evaluation, "_global_folds", singular)
+        monkeypatch.setattr(evaluation, "_fold_workers", lambda: workers)
+        plain = loo_error(values, coords, method, scale, policy=policy)
+        predict = evaluation._predict
+
+        def infinite_at_bad(model, r, q):  # returns inf instead of raising
+            out = predict(model, r, q)
+            return np.full_like(out, np.inf) if np.array_equal(q[0], coords.points[self.BAD]) else out
+
+        monkeypatch.setattr(evaluation, "_predict", infinite_at_bad)
+        self._check(plain, loo_error(values, coords, method, scale, policy=policy), coords.n)
+
+    @pytest.mark.parametrize("method,scale", [("cubic", None), ("gaussian", 1.0)])
+    def test_closed_form_fold_with_an_infinite_error(self, monkeypatch, method, scale):
+        values, coords = _fold_clouds("random")
+        plain = loo_error(values, coords, method, scale)
+        global_folds = evaluation._global_folds
+
+        def infinite_at_bad(*args):
+            errors, conds = global_folds(*args)
+            errors[self.BAD] = np.inf
+            return errors, conds
+
+        monkeypatch.setattr(evaluation, "_global_folds", infinite_at_bad)
+        self._check(plain, loo_error(values, coords, method, scale), coords.n)
+
+
 class TestFoldWorkerRule:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -360,6 +416,20 @@ class TestFoldWorkerRule:
 
 
 class TestConvergenceSweep:
+    @pytest.mark.parametrize("config,reason", [
+        (SphereConfig(gaussian_multiples=(0.5, -1.0)), "gaussian needs a finite positive scale multiple"),
+        (SphereConfig(shepard_multiples=(0.0,)), "shepard needs a finite positive scale multiple"),
+        (SphereConfig(gaussian_multiples=(float("nan"),)), "gaussian needs a finite positive scale multiple"),
+        (SphereConfig(shepard_multiples=(float("inf"),)), "shepard needs a finite positive scale multiple"),
+    ])
+    def test_scale_multiples_refused_before_sampling(self, monkeypatch, config, reason):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a sphere before refusing a scale multiple")
+
+        monkeypatch.setattr(evaluation, "sample_sphere", no_sampling)
+        with pytest.raises(ValueError, match=reason):
+            convergence_sweep([10, 12], config)
+
     def test_two_seeds_single_n_no_slope(self):
         cfg = SphereConfig(gaussian_multiples=(), shepard_multiples=())
         res = convergence_sweep([12], cfg, seeds=[0, 1])
@@ -458,6 +528,15 @@ class TestConditioningSweep:
 
 
 class TestScaleTable:
+    def test_scale_multiples_refused_before_any_fold(self, rng, monkeypatch):
+        def no_fold(*args, **kwargs):
+            raise AssertionError("ran a leave-one-out pair before refusing a scale multiple")
+
+        monkeypatch.setattr(evaluation, "loo_error", no_fold)
+        cloud = PointCloud(rng.normal(size=(12, 2)))
+        with pytest.raises(ValueError, match="shepard needs a finite positive scale multiple"):
+            scale_table(cloud, cloud, (1.0,), (1.0, 0.0))
+
     def test_constant_values_reconstruct(self, rng):
         # constants are reproduced exactly by the tail and by any convex
         # combination; the pure gaussian system is only exact at its nodes

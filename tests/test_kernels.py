@@ -48,6 +48,29 @@ class TestKernelSpec:
                 KernelSpec("thin_plate", rho=bad)
         assert thin_plate().rho == 2
 
+    @pytest.mark.parametrize("family,rho", [("radial_power", 3.5), ("radial_power", 3.0), ("radial_power", True),
+                                            ("radial_power", "3"), ("thin_plate", 2.0), ("thin_plate", np.True_)])
+    def test_rho_must_be_an_integer(self, family, rho):
+        for make in (lambda: KernelSpec(family, rho=rho), lambda: KernelSpec.from_dict({"family": family, "rho": rho})):
+            with pytest.raises(ValueError, match="rho must be an integer"):
+                make()
+        with pytest.raises(ValueError, match="rho must be an integer"):
+            (radial_power if family == "radial_power" else thin_plate)(rho)  # never rounded to a valid rho
+
+    @pytest.mark.parametrize("epsilon", ["2", True, np.False_, 1j, [2.0]])
+    def test_epsilon_must_be_a_real_number(self, epsilon):
+        for make in (lambda: KernelSpec("gaussian", epsilon=epsilon),
+                     lambda: KernelSpec.from_dict({"family": "gaussian", "epsilon": epsilon})):
+            with pytest.raises(ValueError, match="epsilon must be a real number"):
+                make()
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        spec = KernelSpec("radial_power", rho=np.int64(5))
+        assert spec == radial_power(5) and type(spec.rho) is int
+        assert type(gaussian(np.float64(0.5)).epsilon) is float and gaussian(2).epsilon == 2.0
+        spec = KernelSpec.from_dict({"family": "gaussian", "epsilon": 2})
+        assert spec.to_dict() == {"family": "gaussian", "epsilon": 2.0} and type(spec.epsilon) is float
+
     def test_cubic_is_radial_power_three(self):
         assert cubic() == KernelSpec("radial_power", rho=3)
 
@@ -154,9 +177,9 @@ class TestProfile:
 
 class TestAssemblyReference:
     """kernel_matrix and inverse._system against reference_system, bit for bit. 1 to 40 points are
-    filled in one buffer, 300 points 216 rows at a time (the last fill 84 rows) and 1,100 points 56
-    rows at a time (the last fill 36 rows). With the fill cap (kernels._CHUNK) at 64 and 700
-    distances, 40 points are filled 4 rows at a time and 16, 16 and 8 rows at a time."""
+    filled in one block, 300 points in blocks of 148 and 152 rows and 1,100 points in 20 blocks of
+    52 or 56 rows (dataset._row_blocks). With the fill cap (kernels._CHUNK) at 64 and 700
+    distances, 40 points are filled 4 rows at a time and in blocks of 12, 12 and 16 rows."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 300, 1100])
     def test_pairs_of_the_tail_rule(self, n):
