@@ -13,7 +13,7 @@ from scipy.spatial.distance import cdist
 _MAGIC = b"PCLD"
 _BLOCK_DISTANCES = 1 << 20  # _row_blocks' default cap: a query block holds at most 8 MB of float64 distances
 _ROW_GROUP = 4  # rows OpenBLAS's dgemm and dgemv kernels take at a time on x86-64 (see _row_blocks)
-_BLOCK_TIES = 1 << 16  # _top_k settles tied rows in _row_blocks of at most this many keys
+_BLOCK_TEMPORARY = 1 << 16  # _row_blocks' cap where blocks bound only temporaries, never a product's bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +91,8 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     smallest, the lower indices are kept; k = 1 is argmin. argpartition at places k-1 and k
     finds the k-th and (k+1)-th smallest keys; where they are strictly increasing its first k
     places are the set. Other rows (a tie at the k-th key, or NaN) keep every key before the
-    k-th and the lowest-index keys equal to it, in _row_blocks of at most _BLOCK_TIES keys, so no
-    temporary outgrows argpartition's index table.
+    k-th and the lowest-index keys equal to it, in _row_blocks of at most _BLOCK_TEMPORARY keys, so
+    no temporary outgrows argpartition's index table.
     """
     n = keys.shape[-1]
     if k == 1:
@@ -105,7 +105,7 @@ def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
     chosen = part[:, :k].copy()
     del part  # the n-wide index table goes before any tied row is settled
     tied = np.flatnonzero(~(edge[:, 0] < edge[:, 1]))
-    for rows in _row_blocks(tied.size, n, _BLOCK_TIES):
+    for rows in _row_blocks(tied.size, n, _BLOCK_TEMPORARY):
         t = tied[rows]
         block, kth = flat[t], edge[t, :1]
         nan = np.isnan(kth)  # a NaN k-th key: every number comes before it
@@ -139,11 +139,39 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool 
     return idx, dist
 
 
+def _is_int(value) -> bool:
+    """The one rule for counts and indices: an int or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value) -> int:
+    """value as a Python int when _is_int(value), otherwise ValueError naming the argument."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _query(query, dim: int, block: bool = True):
+    """The one query rule: query as a float (m, dim) block and whether it was one point (dim,);
+    ValueError for any other shape, an (m, dim) block included when block is False."""
+    q = np.asarray(query, dtype=float)
+    if q.shape[-1:] != (dim,) or not 1 <= q.ndim <= 1 + block:
+        also = f" or an (m, {dim}) block of points" if block else ""
+        raise ValueError(f"query must be a point in R^{dim}{also}, got shape {q.shape}")
+    return np.atleast_2d(q), q.ndim == 1
+
+
+def _paired(nodes: PointCloud, values: PointCloud) -> None:
+    """ValueError unless there is one value row per node."""
+    if nodes.n != values.n:
+        raise ValueError(f"nodes ({nodes.n}) and values ({values.n}) must have the same point count")
+
+
 def _row_blocks(m: int, n: int, cap: int | None = None) -> list:
     """The one row-block rule: the blocks in which m rows meet n columns, as consecutive slices of
     range(m), each of at most cap entries (one group of _ROW_GROUP rows at least), so memory grows
-    with n, not m x n. cap defaults to _BLOCK_DISTANCES, read at each call; kernel assembly passes
-    kernels._CHUNK and _top_k's tied rows _BLOCK_TIES.
+    with n, not m x n. cap defaults to _BLOCK_DISTANCES (query blocks), read at each call; kernel
+    assembly and _top_k's tied rows, whose blocks bound only temporaries, pass _BLOCK_TEMPORARY.
 
     Blocks are whole row groups, the last one excepted, and as equal in size as the cap allows,
     so a product taken block by block gives each row the bits of one unblocked product (README,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .dataset import PointCloud, load_block, local_fill_distance, save_bundle, spacing_scale
+from .dataset import PointCloud, _check_int, load_block, local_fill_distance, save_bundle, spacing_scale
 from .kernels import GAUSSIAN, KernelSpec, degree_vector, gaussian, kernel_matrix
 
 LANCZOS = "lanczos"
@@ -62,8 +62,9 @@ def laplacian_eigenmaps(cloud: PointCloud, spec: KernelSpec | None = None, d: in
     These are exactly the bottom eigenvectors of the symmetric normalized
     graph Laplacian I - D^(-1/2) K D^(-1/2), with eigenvalues reflected.
     spec must be a Gaussian affinity; it defaults to scale 1/local_fill_distance
-    of the cloud, the usual spacing-matched heuristic.
+    of the cloud, the usual spacing-matched heuristic. d is checked (_check_dim) before any kernel.
     """
+    _check_dim(d, cloud.n)
     if spec is None:
         spec = gaussian(spacing_scale(1.0, local_fill_distance(cloud)))
     if spec.family != GAUSSIAN:
@@ -77,14 +78,19 @@ def embedding_from_kernel(
 ) -> Embedding:
     """Eigen-embedding of an explicit (possibly sparsified) affinity matrix. kmat is left
     unchanged: its normalized copy is one more n x n matrix."""
+    _check_dim(d, kmat.shape[0])
     return _embed(kmat, d, spec, source, overwrite=False)
 
 
-def _embed(kmat: np.ndarray, d: int, spec: KernelSpec | None, source: PointCloud | None, overwrite: bool):
-    """embedding_from_kernel; with overwrite, D^(-1/2) K D^(-1/2) is formed in kmat itself."""
-    n = kmat.shape[0]
-    if not 1 <= d <= n - 1:
+def _check_dim(d, n: int) -> None:
+    """ValueError unless the embedding dimension d is an integer (dataset._is_int) in [1, n-1]."""
+    if not 1 <= _check_int("embedding dimension d", d) <= n - 1:
         raise ValueError(f"embedding dimension d={d} must satisfy 1 <= d <= n-1 = {n - 1}")
+
+
+def _embed(kmat: np.ndarray, d: int, spec: KernelSpec | None, source: PointCloud | None, overwrite: bool):
+    """embedding_from_kernel on a d already checked; with overwrite, D^(-1/2) K D^(-1/2) is formed
+    in kmat itself."""
     deg = degree_vector(kmat)
     half = 1.0 / np.sqrt(deg)
     ktilde = np.multiply(kmat, half[:, None], out=kmat if overwrite else None)
@@ -157,16 +163,13 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
 
 
 def unisolvency_rank(points: np.ndarray) -> int:
-    """Numerical rank of the 1-unisolvency certificate matrix [ones; points^T].
+    """Numerical rank (np.linalg.matrix_rank) of the 1-unisolvency certificate matrix [ones; points^T].
 
     Rank d+1 certifies that constants plus linear polynomials are determined
     by their values on the node set.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    p = np.vstack([np.ones(pts.shape[0]), pts.T])
-    s = np.linalg.svd(p, compute_uv=False)
-    tol = max(p.shape) * s[0] * np.finfo(float).eps
-    return int(np.count_nonzero(s > tol))
+    return int(np.linalg.matrix_rank(np.vstack([np.ones(pts.shape[0]), pts.T])))
 
 
 def save_embedding(emb: Embedding, directory) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .dataset import (
     PointCloud,
+    _paired,
     local_fill_distance,
     nearest,
     random_unitary_embed,
@@ -145,7 +146,8 @@ def loo_error(
 
     One dataset.nearest table gives every fold its nodes (all the other points when
     n-1 <= max_neighbors) and gives h_local; gaussian and shepard scales are multiples of
-    1/h_local (ValueError when h_local is 0). The cubic (with the linear tail, its one solvable
+    1/h_local (ValueError when h_local is 0), and the scale-free cubic takes none
+    (_check_multiple). The cubic (with the linear tail, its one solvable
     tail, so every fold needs d+2 nodes) and the gaussian (plain system) interpolate a fold's
     nodes, and shepard averages their values.
 
@@ -173,24 +175,22 @@ def loo_error(
     bit between any two runs (fold systems above about 300 nodes; see RbfModel).
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
-    if values.n != coords.n:
-        raise ValueError("values and coords must have the same point count")
+    _paired(coords, values)
     n, d = coords.n, coords.dim
     if n < 3:
         raise ValueError("leave-one-out needs at least 3 points")
     k = min(n - 1, policy.max_neighbors)
     if method == METHOD_CUBIC and k < d + 2:
         raise ValueError(f"cubic with linear tail needs d+2 = {d + 2} nodes per fold (n >= d+3, max_neighbors >= d+2)")
+    if method not in (METHOD_CUBIC, METHOD_GAUSSIAN, METHOD_SHEPARD):
+        raise ValueError(f"unknown method {method!r}")
+    _check_multiple(method, scale_multiple)
     idx, dist = nearest(coords.points, coords.points, k, exclude_self=True)
     h = float(dist.min(axis=1).mean())
-    if method in (METHOD_GAUSSIAN, METHOD_SHEPARD):
-        _check_multiple(method, scale_multiple)
-        epsilon = spacing_scale(scale_multiple, h)
-        spec, fit_tail = gaussian(epsilon), TAIL_NONE
-    elif method == METHOD_CUBIC:
+    if method == METHOD_CUBIC:
         spec, fit_tail = cubic(), TAIL_LINEAR
     else:
-        raise ValueError(f"unknown method {method!r}")
+        spec, fit_tail = gaussian(spacing_scale(scale_multiple, h)), TAIL_NONE
 
     errors = None
     if method != METHOD_SHEPARD and k == n - 1:
@@ -206,7 +206,7 @@ def loo_error(
             for j in folds:
                 try:
                     if method == METHOD_SHEPARD:
-                        pred = _shepard_average(dist[j], values.points[idx[j]], epsilon)
+                        pred = _shepard_average(dist[j], values.points[idx[j]], spec)
                     else:
                         model = _fit(coords.points[idx[j]], values.points[idx[j]], spec, fit_tail)
                         conds[j] = model.condition
@@ -326,7 +326,7 @@ def method_grid(config: SphereConfig):
 
 def _grid(gaussian_multiples, shepard_multiples) -> list:
     """The cubic, then one (method, multiple) pair per gaussian and shepard multiple; ValueError,
-    as loo_error would raise it, on the first multiple that is not positive."""
+    as loo_error would raise it, on the first multiple that _check_multiple refuses."""
     pairs = [(METHOD_GAUSSIAN, m) for m in gaussian_multiples] + [(METHOD_SHEPARD, m) for m in shepard_multiples]
     for method, m in pairs:
         _check_multiple(method, m)
@@ -334,7 +334,12 @@ def _grid(gaussian_multiples, shepard_multiples) -> list:
 
 
 def _check_multiple(method: str, multiple) -> None:
-    if multiple is None or not 0 < multiple < np.inf:  # a gaussian or shepard scale is a multiple of 1/h_local
+    """ValueError unless multiple suits method: None for the scale-free cubic, and for gaussian and
+    shepard, whose scale is a multiple of 1/h_local, a finite positive number."""
+    if method == METHOD_CUBIC:
+        if multiple is not None:
+            raise ValueError(f"cubic is scale-free and takes no scale multiple, got {multiple!r}")
+    elif multiple is None or not 0 < multiple < np.inf:
         raise ValueError(f"{method} needs a finite positive scale multiple of 1/h_local")
 
 

@@ -9,9 +9,9 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist
 
-from .dataset import PointCloud, _row_blocks, load_block, nearest, save_bundle
+from .dataset import PointCloud, _check_int, _paired, _query, _row_blocks, load_block, nearest, save_bundle
 from .embedding import unisolvency_rank
-from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _assemble, _profile
+from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _assemble, _profile, gaussian
 
 TAIL_NONE = "none"
 TAIL_LINEAR = "linear"
@@ -42,12 +42,12 @@ class ScaleUnderflowError(InterpolationError):
 
 @dataclass(frozen=True)
 class NeighborhoodPolicy:
-    """Cap on how many nearest nodes participate in a local fit."""
+    """Cap on how many nearest nodes participate in a local fit: an integer (dataset._is_int) >= 1."""
 
     max_neighbors: int = 200
 
     def __post_init__(self):
-        if self.max_neighbors < 1:
+        if _check_int("max_neighbors", self.max_neighbors) < 1:
             raise ValueError("max_neighbors must be >= 1")
 
 
@@ -142,8 +142,7 @@ def fit_rbf(nodes: PointCloud, values: PointCloud, spec: KernelSpec, tail: str =
     are fitted; any other raises ValueError before a matrix is built.
     """
     _check_tail(spec, tail)
-    if nodes.n != values.n:
-        raise ValueError(f"nodes ({nodes.n}) and values ({values.n}) must have the same point count")
+    _paired(nodes, values)
     return _fit(nodes.points, values.points, spec, tail)
 
 
@@ -168,16 +167,12 @@ def _fit(y: np.ndarray, x: np.ndarray, spec: KernelSpec, tail: str) -> RbfModel:
 
 
 def eval_rbf(model: RbfModel, query) -> np.ndarray:
-    """Evaluate the interpolant at one query point (d,) or a batch (m, d), one row block of
-    queries at a time (dataset._row_blocks)."""
-    q = np.asarray(query, dtype=float)
-    single = q.ndim == 1
-    q2 = np.atleast_2d(q)
-    if q2.shape[1] != model.dim_in:
-        raise ValueError(f"query dimension {q2.shape[1]} does not match nodes in R^{model.dim_in}")
-    out = np.empty((q2.shape[0], model.dim_out))
-    for rows in _row_blocks(q2.shape[0], model.n):
-        out[rows] = _predict(model, cdist(q2[rows], model.nodes), q2[rows])
+    """Evaluate the interpolant at one query point (d,) as a (D,) vector, or at an (m, d) block
+    (dataset._query) as (m, D), one row block of queries at a time (dataset._row_blocks)."""
+    q, single = _query(query, model.dim_in)
+    out = np.empty((q.shape[0], model.dim_out))
+    for rows in _row_blocks(q.shape[0], model.n):
+        out[rows] = _predict(model, cdist(q[rows], model.nodes), q[rows])
     return out[0] if single else out
 
 
@@ -201,18 +196,15 @@ def fit_local_rbf(
     """Fit on the policy-capped nearest nodes to the query, then evaluate there: one leave-one-out
     fold of evaluation.loo_error on one query, _fit on the rows dataset.nearest selects and
     _predict from the distances it returns (the bits of fit_rbf then eval_rbf on those rows).
-    The inputs are checked as fit_rbf checks them, before the neighbour search."""
+    The inputs are checked as fit_rbf and dataset._query check them, before the neighbour search."""
     _check_tail(spec, tail)
-    if nodes.n != values.n:
-        raise ValueError(f"nodes ({nodes.n}) and values ({values.n}) must have the same point count")
-    q = np.asarray(query, dtype=float)
-    if q.ndim != 1 or q.shape[0] != nodes.dim:
-        raise ValueError(f"query must be a single point in R^{nodes.dim}")
+    _paired(nodes, values)
+    q = _query(query, nodes.dim, block=False)[0]
     if tail == TAIL_LINEAR and policy.max_neighbors < nodes.dim + 2:
         raise ValueError(f"max_neighbors must be >= d+2 = {nodes.dim + 2} for the linear tail")
-    idx, dist = nearest(nodes.points, q[None, :], min(nodes.n, policy.max_neighbors))
+    idx, dist = nearest(nodes.points, q, min(nodes.n, policy.max_neighbors))
     model = _fit(nodes.points[idx[0]], values.points[idx[0]], spec, tail)
-    return _predict(model, dist, q[None, :])[0]
+    return _predict(model, dist, q)[0]
 
 
 def shepard_eval(
@@ -222,25 +214,21 @@ def shepard_eval(
     epsilon: float,
     policy: NeighborhoodPolicy = NeighborhoodPolicy(),
 ) -> np.ndarray:
-    """Gaussian-weighted moving average of the neighborhood's values.
+    """Moving average of the neighborhood's values at one point (dataset._query), weighted by gaussian(epsilon).
 
     The output is a convex combination of neighbor values, so it always lies
     in their coordinatewise hull.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    if nodes.n != values.n:
-        raise ValueError("nodes and values must have the same point count")
-    q = np.asarray(query, dtype=float)
-    if q.ndim != 1 or q.shape[0] != nodes.dim:
-        raise ValueError(f"query must be a single point in R^{nodes.dim}")
-    idx, dist = nearest(nodes.points, q[None, :], min(nodes.n, policy.max_neighbors))
-    return _shepard_average(dist[0], values.points[idx[0]], epsilon)
+    spec = gaussian(epsilon)
+    _paired(nodes, values)
+    q = _query(query, nodes.dim, block=False)[0]
+    idx, dist = nearest(nodes.points, q, min(nodes.n, policy.max_neighbors))
+    return _shepard_average(dist[0], values.points[idx[0]], spec)
 
 
-def _shepard_average(dist: np.ndarray, values: np.ndarray, epsilon: float) -> np.ndarray:
-    """Average of the neighbours' values rows, weighted by exp(-epsilon^2 dist^2)."""
-    w = np.exp(-(epsilon**2) * dist * dist)
+def _shepard_average(dist: np.ndarray, values: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Average of the neighbours' values rows, weighted by the Gaussian kernel spec at dist (kernels._profile)."""
+    w = _profile(spec, dist)
     total = w.sum()
     if total == 0.0:
         raise ScaleUnderflowError("scale too large for spacing: all weights underflowed to 0")

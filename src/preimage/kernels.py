@@ -7,13 +7,12 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
-from .dataset import PointCloud, _row_blocks, _top_k
+from . import dataset
+from .dataset import PointCloud, _check_int, _row_blocks, _top_k
 
 GAUSSIAN = "gaussian"
 RADIAL_POWER = "radial_power"
 THIN_PLATE = "thin_plate"
-# _assemble fills its matrix rows in _row_blocks of at most this many distances (512 KB)
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -24,8 +23,8 @@ class KernelSpec:
     radial_power:  r^rho with odd rho >= 1 (rho=3 is the cubic)
     thin_plate:    r^rho log r with even rho >= 2
 
-    epsilon must be a real number and rho an int or numpy integer (neither a bool nor a str); they
-    are stored as float and int.
+    epsilon must be a real number (_is_real) and rho an integer (dataset._is_int); they are stored as
+    float and int.
     """
 
     family: str
@@ -34,13 +33,11 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.epsilon is not None:
-            if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, Real):
+            if not _is_real(self.epsilon):
                 raise ValueError(f"epsilon must be a real number, got {self.epsilon!r}")
             object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.rho is not None:
-            if isinstance(self.rho, bool) or not isinstance(self.rho, (int, np.integer)):
-                raise ValueError(f"rho must be an integer, got {self.rho!r}")
-            object.__setattr__(self, "rho", int(self.rho))
+            object.__setattr__(self, "rho", _check_int("rho", self.rho))
         if self.family == GAUSSIAN:
             if self.epsilon is None or not 0 < self.epsilon < np.inf:
                 raise ValueError(f"gaussian kernel requires a finite epsilon > 0, got {self.epsilon}")
@@ -65,6 +62,11 @@ class KernelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
         return cls(d["family"], epsilon=d.get("epsilon"), rho=d.get("rho"))
+
+
+def _is_real(value) -> bool:
+    """A real number, numpy's included, but not a bool (nor a str)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def gaussian(epsilon: float) -> KernelSpec:
@@ -115,10 +117,10 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
     """A new size x size matrix (size defaults to n) whose top-left n x n block is the exactly
     symmetric kernel matrix g(|x_i - x_j|) of the n rows of points; the caller fills the rest.
 
-    The matrix is the only n x n array: cdist fills one row block (_row_blocks with cap _CHUNK) at
-    a time into one buffer the size of the largest block, and its kernel values go straight into
-    the matrix rows. cdist gives |x_i - x_j| and |x_j - x_i| the same bits and a zero diagonal, so
-    the block is exactly symmetric.
+    The matrix is the only n x n array: cdist fills one row block (_row_blocks with the cap
+    dataset._BLOCK_TEMPORARY) at a time into one buffer the size of the largest block, and its
+    kernel values go straight into the matrix rows. cdist gives |x_i - x_j| and |x_j - x_i| the
+    same bits and a zero diagonal, so the block is exactly symmetric.
 
     duplicates, an exception class, is raised naming the first pair (i, j), i < j, of equal points in
     row-major order.
@@ -126,7 +128,7 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
     n = points.shape[0]
     size = n if size is None else size
     m = np.empty((size, size))
-    blocks = _row_blocks(n, n, _CHUNK)
+    blocks = _row_blocks(n, n, dataset._BLOCK_TEMPORARY)
     buffer = np.empty((max(b.stop - b.start for b in blocks), n))  # the one block of distances, reused
     for rows in blocks:
         r = cdist(points[rows], points, out=buffer[: rows.stop - rows.start])
@@ -143,7 +145,7 @@ def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, dup
 
 def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> np.ndarray:
     """The exactly symmetric node matrix k(x_i, x_j) of one cloud: the matrix itself plus one buffer
-    of at most _CHUNK distances (see _assemble)."""
+    of at most dataset._BLOCK_TEMPORARY distances (see _assemble)."""
     return _assemble(spec, cloud.points)
 
 
@@ -191,10 +193,13 @@ def degree_vector(m: np.ndarray) -> np.ndarray:
 
 
 def _check_sparsifier(threshold: float | None, knn: int | None, n: int) -> None:
-    """ValueError unless exactly one of threshold and knn is given, and knn keeps 1 to n entries."""
+    """ValueError unless exactly one of threshold and knn is given: a threshold that is a finite real
+    number, or a knn that is an integer (dataset._is_int) keeping 1 to n entries."""
     if (threshold is None) == (knn is None):
         raise ValueError("specify exactly one of threshold, knn")
-    if knn is not None and not 1 <= int(knn) <= n:
+    if threshold is not None and not (_is_real(threshold) and np.isfinite(threshold)):
+        raise ValueError(f"threshold must be a finite real number, got {threshold!r}")
+    if knn is not None and not 1 <= _check_int("knn", knn) <= n:
         raise ValueError(f"knn must be in [1, {n}]")
 
 
@@ -207,7 +212,7 @@ def _truncate_rows(values: np.ndarray, threshold: float | None, knn: int | None)
     """
     if threshold is not None:
         return np.where(values < threshold, 0.0, values)
-    idx = _top_k(-values, int(knn))
+    idx = _top_k(-values, knn)
     out = np.zeros_like(values)
     np.put_along_axis(out, idx, np.take_along_axis(values, idx, axis=-1), axis=-1)
     return out

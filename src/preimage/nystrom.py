@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import PointCloud, _row_blocks, write_table
+from .dataset import PointCloud, _check_int, _is_int, _query, _row_blocks, write_table
 from .embedding import Embedding
 from .inverse import TAIL_NONE, eval_rbf, fit_rbf
 from .kernels import KernelSpec, _check_sparsifier, _profile, _truncate_rows
@@ -54,17 +54,25 @@ def _resolve(emb: Embedding, cloud, spec):
 
 def _indices(l, d: int):
     """The eigenvector indices of l (one index or a sequence of them) as a list of Python ints, and
-    whether l is one index. ValueError for no index, an entry that is not an int or numpy integer
-    (a bool included, also inside a sequence, where np.asarray would read True as 1) or outside
+    whether l is one index. ValueError for no index, an entry that is not an integer (dataset._is_int:
+    a bool is refused also inside a sequence, where np.asarray would read True as 1) or outside
     [0, d]. Python scalars cost less than numpy reductions on one or a few entries."""
     given = np.asarray(l, dtype=object)  # each entry keeps its own type
     items = given.ravel().tolist()
-    if not items or any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in items):
+    if not items or not all(map(_is_int, items)):
         raise ValueError(f"eigenvector index must be one or more integers in [0, {d}]: {items}")
     indices = [int(i) for i in items]
     if min(indices) < 0 or max(indices) > d:
         raise ValueError(f"eigenvector index outside [0, {d}]: {indices}")
     return indices, given.ndim == 0
+
+
+def _index(l, d: int) -> int:
+    """The one eigenvector index l in [0, d] (_indices); ValueError for a sequence of them."""
+    indices, single = _indices(l, d)
+    if not single:
+        raise ValueError(f"eigenvector index must be a single integer, got {l!r}")
+    return indices[0]
 
 
 def _eigenvalues(emb: Embedding, l):
@@ -95,8 +103,8 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
     """Extend eigenvector l to arbitrary queries by the normalized-kernel sum
     (1/lambda_l) sum_j k(query, x_j) / sqrt(d(query) d_j) * phi_l(x_j).
 
-    query is one point or an (m, dim) block of points, taken one row block at a time
-    (dataset._row_blocks), and l one index or a sequence of them, each an int or numpy integer
+    query is one point or an (m, dim) block of points (dataset._query), taken one row block at a
+    time (dataset._row_blocks), and l one index or a sequence of them, each an int or numpy integer
     (never a bool) in [0, d]; see ExtensionResult for the shapes returned. Raises ZeroDegreeError
     when a query has no kernel mass on the training set (for a block, naming the first such row);
     a query with a NaN coordinate extends to NaN.
@@ -109,18 +117,16 @@ def nystrom_extend(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec | 
     leaves a stale row there. Blocks of queries do not use it.
     """
     cloud, spec = _resolve(emb, cloud, spec)
-    q = np.asarray(query, dtype=float)
-    if q.ndim not in (1, 2) or q.shape[-1] != cloud.dim:
-        raise ValueError(f"query must be a point in R^{cloud.dim} or an (m, {cloud.dim}) block of points")
+    q, one_point = _query(query, cloud.dim)
     indices, single, lam = _eigenvalues(emb, l)
     # cdist distances are never negative, so they go to the kernel profile unchecked
-    if q.ndim == 1:
+    if one_point:
         key = q.tobytes()
         slot = emb._query_slot  # read once: another thread may replace it meanwhile
         if slot is not None and slot[0] is cloud and slot[1] == spec and slot[2] == key:
             knorm, dq = slot[3], slot[4]
         else:
-            knorm, dq = _normalized(emb, _profile(spec, cdist(q[None, :], cloud.points)))
+            knorm, dq = _normalized(emb, _profile(spec, cdist(q, cloud.points)))
             if dq[0] <= 0.0:
                 raise ZeroDegreeError(_ZERO_DEGREE)
             object.__setattr__(emb, "_query_slot", (cloud, spec, key, knorm, dq))
@@ -140,16 +146,15 @@ def nystrom_via_rbf(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec |
     """Same extension through the plain-kernel interpolation route: fit the
     kernel system to sqrt(D) phi_l, evaluate, and rescale by 1/sqrt(d(query)).
 
-    Takes one point and one l. Agrees with nystrom_extend whenever the kernel
+    Takes one point and one index l (_index). Agrees with nystrom_extend whenever the kernel
     matrix is nonsingular.
     """
-    if np.ndim(l) != 0:
-        raise ValueError(f"eigenvector index must be a single integer, got {l!r}")
+    l = _index(l, len(emb.eigvals) - 1)
     cloud, spec = _resolve(emb, cloud, spec)
     dq = nystrom_extend(emb, cloud, spec, query, l).degree_at_query
     rescaled = np.sqrt(emb.degrees) * emb.eigvecs[:, l]
     model = fit_rbf(cloud, PointCloud(rescaled[:, None]), spec, tail=TAIL_NONE)
-    value = float(eval_rbf(model, np.asarray(query, dtype=float))[0]) / np.sqrt(dq)
+    value = float(eval_rbf(model, query)[0]) / np.sqrt(dq)
     return ExtensionResult(value, dq)
 
 
@@ -164,16 +169,16 @@ def _delta_max(values: np.ndarray) -> float:
 
 def _scan_checks(cloud: PointCloud, d: int, segment, steps: int, threshold, knn, l):
     """discontinuity_scan's checks that need no embedding, for one of cloud with eigenvectors 0..d:
-    steps >= 2, the sparsifier (_check_sparsifier), two segment endpoints in R^cloud.dim and one
-    eigenvector index in [0, d] (_indices). Returns the endpoints as float arrays."""
-    if steps < 2:
+    an integer steps >= 2 (dataset._is_int), the sparsifier (_check_sparsifier), two segment
+    endpoints in R^cloud.dim and one eigenvector index in [0, d] (_index). Returns the endpoints as
+    float arrays."""
+    if _check_int("steps", steps) < 2:
         raise ValueError("steps must be >= 2")
     _check_sparsifier(threshold, knn, cloud.n)
     a, b = (np.asarray(p, dtype=float) for p in segment)
     if a.shape != (cloud.dim,) or b.shape != (cloud.dim,):
         raise ValueError(f"segment endpoints must be points in R^{cloud.dim}, got shapes {a.shape} and {b.shape}")
-    if not _indices(l, d)[1]:
-        raise ValueError(f"eigenvector index must be a single integer, got {l!r}")
+    _index(l, d)
     return a, b
 
 

@@ -429,7 +429,9 @@ class TestNystromScanCommand:
          (["--knn", "5", "--start", "0.1,0.1,0.1"], "points in R^2"),
          (["--threshold", "0.4", "--start", "0.1"], "points in R^2"),
          (["--knn", "5", "--stop", "a,b"], "could not convert string to float"),
-         (["--threshold", "0.4", "--embed-dim", "3", "--eigvec", "4"], "outside [0, 3]")],
+         (["--threshold", "0.4", "--embed-dim", "3", "--eigvec", "4"], "outside [0, 3]"),
+         (["--threshold", "nan"], "threshold must be a finite real number"),
+         (["--threshold", "inf"], "threshold must be a finite real number")],
     )
     @pytest.mark.parametrize("source", ["generated", "loaded"])
     def test_steps_and_knn_refused_before_any_kernel(self, tmp_path, capsys, monkeypatch, flags, reason, source):

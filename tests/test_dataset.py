@@ -1,4 +1,5 @@
 import csv
+import re
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,11 @@ from preimage.dataset import (
     save_cloud,
     write_table,
 )
+from preimage.embedding import laplacian_eigenmaps
+from preimage.evaluation import loo_error
+from preimage.inverse import NeighborhoodPolicy, eval_rbf, fit_local_rbf, fit_rbf, shepard_eval
+from preimage.kernels import cubic, eval_kernel, gaussian
+from preimage.nystrom import nystrom_extend
 
 from conftest import random_rotation
 
@@ -180,7 +186,7 @@ class TestNearest:
         # tie-heavy integer keys and +-inf, 1-d and 2-d, every k; `block` varies how many keys
         # of tied rows are settled at once
         want = np.argsort(keys, axis=-1, kind="stable")
-        with mock.patch.object(dataset, "_BLOCK_TIES", block):
+        with mock.patch.object(dataset, "_BLOCK_TEMPORARY", block):
             for k in range(1, keys.shape[-1] + 1):
                 got = _top_k(keys, k)
                 assert got.shape == keys.shape[:-1] + (k,)
@@ -380,3 +386,92 @@ class TestWriteTable:
             rows = list(csv.reader(f))
         assert float(rows[1][1]) == x
         assert float(rows[2][0]) == 2.5e-7
+
+
+QUERY_FUNCTIONS = ["eval_rbf", "nystrom_extend", "fit_local_rbf", "shepard_eval"]
+
+
+@pytest.fixture(scope="module")
+def query_functions():
+    """Each function that takes query points, in R^3, as (whether it takes (m, 3) blocks, the call
+    on a query, and a reference formula on an (m, 3) block with the parent's bits)."""
+    rng = np.random.default_rng(5)
+    nodes, values = PointCloud(rng.uniform(size=(30, 3))), PointCloud(rng.normal(size=(30, 2)))
+    spec, policy = gaussian(1.0 / local_fill_distance(nodes)), NeighborhoodPolicy(12)
+    model = fit_rbf(nodes, values, cubic())
+    emb = laplacian_eigenmaps(nodes, spec, d=2)
+
+    def rbf(qs):
+        return eval_kernel(cubic(), cdist(qs, nodes.points)) @ model.weights + model.poly_gamma + qs @ model.poly_beta
+
+    def extension(qs):
+        k = eval_kernel(spec, cdist(qs, nodes.points))
+        return (k / np.sqrt(k.sum(axis=1)[:, None] * emb.degrees)) @ emb.eigvecs[:, [1, 2]] / emb.eigvals[[1, 2]]
+
+    def local(qs):
+        idx = nearest(nodes.points, qs, 12)[0]
+        return np.array([eval_rbf(fit_rbf(PointCloud(nodes.points[i]), PointCloud(values.points[i]), cubic()), q)
+                         for i, q in zip(idx, qs)])
+
+    def moving_average(qs):
+        idx, dist = nearest(nodes.points, qs, 12)
+        w = np.exp(-(2.0**2) * dist * dist)  # the Shepard weights as written before they were the Gaussian kernel
+        return np.array([(w[j] @ values.points[i]) / w[j].sum() for j, i in enumerate(idx)])
+
+    return {
+        "eval_rbf": (True, lambda q: eval_rbf(model, q), rbf),
+        "nystrom_extend": (True, lambda q: nystrom_extend(emb, nodes, spec, q, [1, 2]).value, extension),
+        "fit_local_rbf": (False, lambda q: fit_local_rbf(nodes, values, cubic(), "linear", policy, q), local),
+        "shepard_eval": (False, lambda q: shepard_eval(nodes, values, q, 2.0, policy), moving_average),
+    }
+
+
+class TestQueryRule:
+    """dataset._query is the one query rule: a point in R^dim, or an (m, dim) block where blocks
+    are taken, and one message for any other shape."""
+
+    @pytest.mark.parametrize("name", QUERY_FUNCTIONS)
+    @pytest.mark.parametrize("bad", [np.float64(0.5), 0.5, np.zeros((2, 1, 3)), np.zeros(2), np.zeros((4, 2)),
+                                     np.zeros((1, 4)), [[]]],
+                             ids=["0-d", "float", "3-d", "short-point", "narrow-block", "wide-block", "empty"])
+    def test_other_shapes_raise_the_one_message(self, query_functions, name, bad):
+        blocks, call, _ = query_functions[name]
+        also = r" or an \(m, 3\) block of points" if blocks else ""
+        shape = re.escape(str(np.shape(bad)))
+        with pytest.raises(ValueError, match=rf"^query must be a point in R\^3{also}, got shape {shape}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("name", QUERY_FUNCTIONS)
+    def test_blocks_taken_only_where_documented(self, query_functions, name):
+        blocks, call, reference = query_functions[name]
+        queries = np.random.default_rng(6).uniform(size=(5, 3))
+        if blocks:
+            assert np.array_equal(call(queries), reference(queries))
+            assert np.array_equal(call(queries[:1]), reference(queries[:1]))
+        else:
+            for block in (queries, queries[:1]):
+                with pytest.raises(ValueError, match=rf"^query must be a point in R\^3, got shape \({len(block)}, 3\)$"):
+                    call(block)
+
+    @pytest.mark.parametrize("name", QUERY_FUNCTIONS)
+    def test_one_point_in_any_array_form(self, query_functions, name):
+        _, call, reference = query_functions[name]
+        q = np.array([0.25, 0.5, 0.75])
+        want = reference(q[None, :])[0]
+        for same in (q, q.tolist(), tuple(q), np.array([[0.25, 0.0], [0.5, 0.0], [0.75, 0.0]])[:, 0]):
+            got = call(same)
+            assert got.shape == (2,) and np.array_equal(got, want)
+        assert np.array_equal(call([1, 0, 1]), reference(np.array([[1.0, 0.0, 1.0]]))[0])
+
+
+def test_every_count_check_raises_the_one_message():
+    # dataset._paired: fit_rbf, fit_local_rbf, shepard_eval and loo_error (whose coords are the nodes)
+    rng = np.random.default_rng(7)
+    nodes, values = PointCloud(rng.normal(size=(6, 2))), PointCloud(rng.normal(size=(5, 1)))
+    calls = [lambda: fit_rbf(nodes, values, cubic()),
+             lambda: fit_local_rbf(nodes, values, cubic(), "linear", NeighborhoodPolicy(4), np.zeros(2)),
+             lambda: shepard_eval(nodes, values, np.zeros(2), 1.0),
+             lambda: loo_error(values, nodes, "cubic")]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^nodes \(6\) and values \(5\) must have the same point count$"):
+            call()

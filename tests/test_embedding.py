@@ -104,6 +104,20 @@ class TestLaplacianEigenmaps:
             laplacian_eigenmaps(cloud, gaussian(1.0), d=6)
         laplacian_eigenmaps(cloud, gaussian(1.0), d=5)
 
+    @pytest.mark.parametrize("d", [2.0, True, "2", np.float64(2)])
+    def test_d_must_be_an_integer_before_any_kernel(self, rng, monkeypatch, d):
+        # d = 2.0 failed inside ARPACK with a SystemError, and d = True embedded in one dimension
+        cloud = PointCloud(rng.normal(size=(8, 2)))
+        kmat = kernel_matrix(gaussian(1.0), cloud)
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, "kernel_matrix", lambda *args: pytest.fail("kernel built before checking d"))
+            with pytest.raises(ValueError, match="embedding dimension d must be an integer"):
+                laplacian_eigenmaps(cloud, gaussian(1.0), d=d)
+        with pytest.raises(ValueError, match="embedding dimension d must be an integer"):
+            embedding_from_kernel(kmat, d)
+        want = laplacian_eigenmaps(cloud, gaussian(1.0), d=2)
+        assert np.array_equal(laplacian_eigenmaps(cloud, gaussian(1.0), d=np.int64(2)).coords, want.coords)
+
     def test_rejects_non_gaussian(self, rng):
         with pytest.raises(ValueError, match="gaussian"):
             laplacian_eigenmaps(PointCloud(rng.normal(size=(8, 2))), cubic(), d=2)
@@ -134,8 +148,8 @@ class TestLaplacianEigenmaps:
 class TestEmbeddingMemory:
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_embed_holds_one_kernel_matrix(self, n):
-        # the kernel matrix, normalized in place, plus the assembly's buffer of kernels._CHUNK
-        # distances and the Lanczos vectors
+        # the kernel matrix, normalized in place, plus the assembly's buffer of
+        # dataset._BLOCK_TEMPORARY distances and the Lanczos vectors
         cloud = random_unitary_embed(sample_sphere(n, 4, seed=7), 10, seed=8)
         spec = gaussian(0.25 / local_fill_distance(cloud))
         solver = []

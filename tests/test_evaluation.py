@@ -109,6 +109,16 @@ class TestLooError:
             with pytest.raises(ValueError, match="scale multiple"):
                 loo_error(values, coords, method)
 
+    @pytest.mark.parametrize("multiple", [0.5, -1.0, 1, np.nan])
+    def test_cubic_takes_no_scale_multiple(self, rng, monkeypatch, multiple):
+        # the cubic is scale-free: a multiple used to be ignored and copied into the report
+        coords = PointCloud(rng.normal(size=(10, 2)))
+        values = PointCloud(rng.normal(size=(10, 2)))
+        assert loo_error(values, coords, "cubic", None).scale_multiple is None
+        monkeypatch.setattr(evaluation, "nearest", lambda *args, **kwargs: pytest.fail("neighbour search ran"))
+        with pytest.raises(ValueError, match="cubic is scale-free"):
+            loo_error(values, coords, "cubic", multiple)
+
     def test_unknown_method(self, rng):
         coords = PointCloud(rng.normal(size=(10, 2)))
         with pytest.raises(ValueError, match="unknown method"):

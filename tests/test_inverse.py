@@ -238,10 +238,10 @@ class TestSolveWithCond:
     def test_norm_1_same_bits_as_numpy(self, rng, monkeypatch, block, shape):
         # _solve_with_cond's lange("1", m.T) on exactly symmetric matrices: a random one with entries
         # over six decades, and kernel matrices assembled from one buffer of distances or, with the
-        # fill cap (kernels._CHUNK) at 64 or 1,000 distances, from several
+        # fill cap (dataset._BLOCK_TEMPORARY) at 64 or 1,000 distances, from several
         if block is not None:
             monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
-            monkeypatch.setattr(kernels, "_CHUNK", block)
+            monkeypatch.setattr(dataset, "_BLOCK_TEMPORARY", block)
         a = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
         n = shape[0]
         y = rng.normal(size=(n, 3)) * rng.uniform(1e-2, 1e2, size=(n, 1))
@@ -280,7 +280,7 @@ class TestEvalRbf:
     def test_dimension_mismatch(self, rng):
         nodes = PointCloud(rng.normal(size=(8, 3)))
         model = fit_rbf(nodes, PointCloud(rng.normal(size=(8, 2))), cubic(), tail="linear")
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"query must be a point in R\^3 or an \(m, 3\) block"):
             eval_rbf(model, np.zeros(2))
 
     def test_rigid_motion_invariance(self, rng):
@@ -359,8 +359,8 @@ class TestEvalRbfRowBlocks:
 class TestSystemMemory:
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_fit_holds_one_system_matrix(self, n):
-        # the (n + 6)^2 system, factored in place, plus the assembly's buffer of kernels._CHUNK
-        # distances; the 1-norm takes no temporary
+        # the (n + 6)^2 system, factored in place, plus the assembly's buffer of
+        # dataset._BLOCK_TEMPORARY distances; the 1-norm takes no temporary
         y = random_unitary_embed(sample_sphere(n, 4, seed=3), 5, seed=4)
         x = PointCloud(np.random.default_rng(5).normal(size=(n, 10)))
         peak = traced_peak(lambda: fit_rbf(y, x, cubic(), "linear"))
@@ -416,6 +416,13 @@ class TestFitLocalRbf:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             NeighborhoodPolicy(max_neighbors=0)
+
+    @pytest.mark.parametrize("max_neighbors", [10.5, 10.0, True, "10"])
+    def test_max_neighbors_must_be_an_integer(self, max_neighbors):
+        # 10.5 and True were accepted, and loo_error then raised TypeError inside the neighbour search
+        with pytest.raises(ValueError, match="max_neighbors must be an integer"):
+            NeighborhoodPolicy(max_neighbors=max_neighbors)
+        assert NeighborhoodPolicy(max_neighbors=np.int64(10)) == NeighborhoodPolicy(10)
 
     @pytest.mark.parametrize("spec,tail,n_values,match", [
         (cubic(), "linear", 25, "point count"),
@@ -477,7 +484,7 @@ class TestShepard:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_epsilon_finite(self, bad):
         # unchecked, a NaN scale gives NaN values and an infinite one reports an underflow
-        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+        with pytest.raises(ValueError, match="gaussian kernel requires a finite epsilon > 0"):
             shepard_eval(PointCloud([[0.0], [1.0]]), PointCloud([[1.0], [2.0]]), np.array([0.5]), epsilon=bad)
 
 

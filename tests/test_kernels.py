@@ -178,8 +178,8 @@ class TestProfile:
 class TestAssemblyReference:
     """kernel_matrix and inverse._system against reference_system, bit for bit. 1 to 40 points are
     filled in one block, 300 points in blocks of 148 and 152 rows and 1,100 points in 20 blocks of
-    52 or 56 rows (dataset._row_blocks). With the fill cap (kernels._CHUNK) at 64 and 700
-    distances, 40 points are filled 4 rows at a time and in blocks of 12, 12 and 16 rows."""
+    52 or 56 rows (dataset._row_blocks). With the fill cap (dataset._BLOCK_TEMPORARY) at 64 and
+    700 distances, 40 points are filled 4 rows at a time and in blocks of 12, 12 and 16 rows."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 300, 1100])
     def test_pairs_of_the_tail_rule(self, n):
@@ -200,7 +200,7 @@ class TestAssemblyReference:
     def test_exactly_symmetric_so_diagnostics_accept_it(self, rng, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
-            monkeypatch.setattr(kernels, "_CHUNK", block)
+            monkeypatch.setattr(dataset, "_BLOCK_TEMPORARY", block)
             assert len(dataset._row_blocks(40, 40)) in (3, 10)
         cloud = PointCloud(rng.uniform(size=(40, 3)))
         for spec in SPECS:
@@ -229,7 +229,7 @@ class TestAssemblyReference:
         assert str(want.value) == f"duplicate nodes at indices {named[0]} and {named[1]}"
         if block is not None:
             monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
-            monkeypatch.setattr(kernels, "_CHUNK", block)
+            monkeypatch.setattr(dataset, "_BLOCK_TEMPORARY", block)
         for spec, tail in PAIRS:
             with pytest.raises(SingularSystemError) as got:
                 inverse._system(y, spec, tail)
@@ -239,7 +239,7 @@ class TestAssemblyReference:
 class TestNodeMatrixMemory:
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_holds_one_matrix(self, n):
-        # the matrix plus one buffer of kernels._CHUNK distances
+        # the matrix plus one buffer of dataset._BLOCK_TEMPORARY distances
         cloud = random_unitary_embed(sample_sphere(n, 4, seed=7), 10, seed=8)
         spec = gaussian(0.25 / local_fill_distance(cloud))
         peak = traced_peak(lambda: kernel_matrix(spec, cloud))
@@ -383,6 +383,20 @@ class TestSparsify:
     def test_knn_too_large(self, rng):
         with pytest.raises(ValueError, match="knn"):
             sparsify(self.make(rng, n=5), knn=5)
+
+    @pytest.mark.parametrize("knn", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_knn_must_be_an_integer(self, rng, knn):
+        # a fractional or boolean knn was truncated by int(): 2.5 kept 2 entries and True kept 1
+        m = self.make(rng, n=6)
+        with pytest.raises(ValueError, match="knn must be an integer"):
+            sparsify(m, knn=knn)
+        assert np.array_equal(sparsify(m, knn=np.int64(2)), sparsify(m, knn=2))
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, True, "0.5"])
+    def test_threshold_must_be_a_finite_real_number(self, rng, threshold):
+        # a NaN threshold zeroed nothing, so the "sparse" matrix was the full one
+        with pytest.raises(ValueError, match="threshold must be a finite real number"):
+            sparsify(self.make(rng), threshold=threshold)
 
     def test_exactly_one_mode(self, rng):
         m = self.make(rng, n=5)

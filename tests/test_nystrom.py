@@ -188,6 +188,17 @@ class TestExtend:
         with pytest.raises(ValueError, match="eigenvector index must be a single integer"):
             nystrom_via_rbf(emb, cloud, spec, cloud.points[0], l)
 
+    def test_rbf_form_index_rule(self, rng, monkeypatch):
+        # nystrom_via_rbf takes the one index _scan_checks takes (nystrom._index)
+        cloud, spec, emb = small_setup(rng, d=3)
+        q = cloud.points[0] + 0.01
+        assert nystrom_via_rbf(emb, cloud, spec, q, np.int64(1)).value == nystrom_via_rbf(emb, cloud, spec, q, 1).value
+        monkeypatch.setattr(nystrom, "_profile", no_kernel)
+        monkeypatch.setattr(nystrom, "fit_rbf", no_kernel)
+        for l in ([1], True, 1.0):
+            with pytest.raises(ValueError, match="eigenvector index"):
+                nystrom_via_rbf(emb, cloud, spec, q, l)
+
     def test_zero_degree_at_faraway_query(self, rng):
         cloud, spec, emb = small_setup(rng, eps=40.0)
         with pytest.raises(ZeroDegreeError, match="zero degree"):
@@ -283,6 +294,26 @@ class TestDiscontinuityScan:
             discontinuity_scan(emb, cloud, spec, self.segment(), 1, threshold=0.0)
         with pytest.raises(ValueError, match="exactly one"):
             discontinuity_scan(emb, cloud, spec, self.segment(), 5)
+
+    @pytest.mark.parametrize("steps,sparsifier,match", [
+        (10.0, dict(threshold=0.1), "steps must be an integer"),
+        (True, dict(knn=5), "steps must be an integer"),
+        (5, dict(knn=2.5), "knn must be an integer"),
+        (5, dict(knn=True), "knn must be an integer"),
+        (5, dict(threshold=np.nan), "threshold must be a finite real number"),
+        (5, dict(threshold=np.inf), "threshold must be a finite real number"),
+    ])
+    def test_counts_and_threshold_refused_before_any_kernel(self, rng, monkeypatch, steps, sparsifier, match):
+        cloud, spec, emb = small_setup(rng, n=20, dim=2, d=2)
+        monkeypatch.setattr(nystrom, "_profile", no_kernel)
+        with pytest.raises(ValueError, match=match):
+            discontinuity_scan(emb, cloud, spec, self.segment(), steps, **sparsifier)
+
+    def test_numpy_integer_counts_accepted(self, rng):
+        cloud, spec, emb = small_setup(rng, n=20, dim=2, d=2)
+        want = discontinuity_scan(emb, cloud, spec, self.segment(), 7, knn=5)
+        got = discontinuity_scan(emb, cloud, spec, self.segment(), np.int64(7), knn=np.int32(5))
+        assert np.array_equal(got.values_sparse, want.values_sparse, equal_nan=True)
 
     def test_endpoints_must_be_points_of_the_cloud_space(self, rng):
         cloud, spec, emb = small_setup(rng, n=20, dim=2, d=2)
