@@ -42,16 +42,17 @@ class PointCloud:
 
 
 def sample_sphere(n: int, sphere_dim: int, quadrant_only: bool = False, seed: int = 0) -> PointCloud:
-    """Draw n points uniformly from the unit sphere S^sphere_dim in R^(sphere_dim+1).
+    """Draw n points uniformly from the unit sphere S^sphere_dim in R^(sphere_dim+1); n and sphere_dim
+    are integers (_check_int).
 
     Sampling normalizes standard Gaussian vectors, which is rejection-free and
     exactly uniform. With quadrant_only the points are folded into the
     nonnegative orthant by taking absolute values; the fold preserves
     uniformity on that patch.
     """
-    if n < 1:
+    if _check_int("n", n) < 1:
         raise ValueError("n must be >= 1")
-    if sphere_dim < 1:
+    if _check_int("sphere_dim", sphere_dim) < 1:
         raise ValueError("sphere_dim must be >= 1")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, sphere_dim + 1))
@@ -67,13 +68,13 @@ def sample_sphere(n: int, sphere_dim: int, quadrant_only: bool = False, seed: in
 
 
 def random_unitary_embed(cloud: PointCloud, target_dim: int, seed: int = 0) -> PointCloud:
-    """Embed a cloud isometrically into R^target_dim with a Haar orthogonal map.
+    """Embed a cloud isometrically into R^target_dim (an integer, _check_int) with a Haar orthogonal map.
 
     The map is the first cloud.dim rows of a target_dim x target_dim orthogonal
     matrix drawn from the Haar distribution (QR of a Gaussian matrix with the
     sign of R's diagonal fixed), so pairwise distances are preserved.
     """
-    if target_dim < cloud.dim:
+    if _check_int("target_dim", target_dim) < cloud.dim:
         raise ValueError(f"target_dim {target_dim} < cloud dimension {cloud.dim}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((target_dim, target_dim))

@@ -154,9 +154,11 @@ def loo_error(
     When every fold is global (k = n-1), the cubic and gaussian folds come from one pivoted LU
     of the full system M by Rippa's identity (Rippa 1999, Adv. Comput. Math. 11:193; Fasshauer
     2007, Meshfree Approximation Methods with MATLAB, ch. 17): fold j's error is
-    |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0] (see _global_folds). Each fold is refitted on its
-    own nodes when k < n-1, for shepard, and when the full system has duplicate nodes or is
-    singular; a refitted fold whose fit raises, e.g. on duplicate nodes, keeps a NaN error.
+    |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0] (see _global_folds). Each cubic or gaussian fold is
+    refitted on its own nodes when k < n-1, and when the full system has duplicate nodes or is
+    singular; a refitted fold whose fit raises, e.g. on duplicate nodes, keeps a NaN prediction.
+    Shepard folds refit nothing: one inverse._shepard_average call, shepard_eval's body, predicts
+    them all, NaN where every weight underflowed. One line turns the predictions into errors.
 
     Failed folds have one rule on both paths: a fold failed exactly where its error is not
     finite. Those errors and condition estimates become NaN, and failures, valid and e_avg
@@ -170,9 +172,9 @@ def loo_error(
     CPU count divided by the BLAS thread count read from OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
     OMP_NUM_THREADS (the first positive one), and w = 1, the serial loop, when none is set, since
     OpenBLAS then already uses every core. Pin OPENBLAS_NUM_THREADS=1 to run folds in parallel.
-    Shepard folds always run inline. Each fold does the same arithmetic on any thread, so the
-    report does not depend on w, bit for bit, except where gecon's estimate varies in the last
-    bit between any two runs (fold systems above about 300 nodes; see RbfModel).
+    Each fold does the same arithmetic on any thread, so the report does not depend on w, bit for
+    bit, except where gecon's estimate varies in the last bit between any two runs (fold systems
+    above about 300 nodes; see RbfModel).
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
     _paired(coords, values)
@@ -199,24 +201,25 @@ def loo_error(
         except InterpolationError:
             pass  # duplicate nodes or a singular full system: every fold is refitted below
     if errors is None:
-        errors, conds = np.full(n, np.nan), np.full(n, np.nan)
+        conds = np.full(n, np.nan)
+        if method == METHOD_SHEPARD:
+            preds = _shepard_average(dist, idx, values.points, spec)
+        else:
+            preds = np.full(values.points.shape, np.nan)
 
-        def refit(folds) -> None:
-            """Fill the folds' slots of errors and conds; a fold whose fit raises keeps its NaN."""
-            for j in folds:
-                try:
-                    if method == METHOD_SHEPARD:
-                        pred = _shepard_average(dist[j], values.points[idx[j]], spec)
-                    else:
+            def refit(folds) -> None:
+                """Fill the folds' slots of preds and conds; a fold whose fit raises keeps its NaN."""
+                for j in folds:
+                    try:
                         model = _fit(coords.points[idx[j]], values.points[idx[j]], spec, fit_tail)
-                        conds[j] = model.condition
-                        pred = _predict(model, dist[j : j + 1], coords.points[j : j + 1])[0]
-                    errors[j] = np.linalg.norm(values.points[j] - pred)
-                except InterpolationError:
-                    pass
+                    except InterpolationError:
+                        continue
+                    conds[j] = model.condition
+                    preds[j] = _predict(model, dist[j : j + 1], coords.points[j : j + 1])[0]
 
-        # shepard folds factor nothing and hold the GIL: threads would only add switching
-        _run_chunked(refit, n, 1 if method == METHOD_SHEPARD else _fold_workers())
+            _run_chunked(refit, n, _fold_workers())
+        r = values.points - preds  # per row, the sqrt of one ddot: np.linalg.norm's bits
+        errors = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
     failed = ~np.isfinite(errors)  # the one failed-fold rule
     errors[failed] = conds[failed] = np.nan
     failures = tuple(np.flatnonzero(failed).tolist())
@@ -357,9 +360,13 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
     Each (n, seed, method, scale) gives one row pairing the coordinate-domain
     h_local with the leave-one-out average error. The slope of log e_avg
     against log h_local is fitted on the valid cubic rows once they cover at
-    least three distinct n values.
+    least three distinct n values. Raises ValueError on an empty sweep (no n_values, or no seeds)
+    before sampling.
     """
-    n_values = list(n_values)
+    n_values, seeds = list(n_values), list(seeds)
+    for name, swept in (("n_values", n_values), ("seeds", seeds)):
+        if not swept:
+            raise ValueError(f"empty sphere sweep: no {name}")
     if n_values != sorted(n_values) or len(set(n_values)) != len(n_values):
         raise ValueError("n_values must be strictly increasing")
     if n_values[0] < config.embed_dim + 3:

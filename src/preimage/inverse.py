@@ -9,6 +9,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist
 
+from . import dataset
 from .dataset import PointCloud, _check_int, _paired, _query, _row_blocks, load_block, nearest, save_bundle
 from .embedding import unisolvency_rank
 from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _assemble, _profile, gaussian
@@ -214,7 +215,9 @@ def shepard_eval(
     epsilon: float,
     policy: NeighborhoodPolicy = NeighborhoodPolicy(),
 ) -> np.ndarray:
-    """Moving average of the neighborhood's values at one point (dataset._query), weighted by gaussian(epsilon).
+    """Moving average of the neighborhood's values at one point (dataset._query), weighted by gaussian(epsilon):
+    _shepard_average on the one row of the query's nearest nodes. Raises ScaleUnderflowError where every
+    weight underflowed to 0.
 
     The output is a convex combination of neighbor values, so it always lies
     in their coordinatewise hull.
@@ -223,16 +226,24 @@ def shepard_eval(
     _paired(nodes, values)
     q = _query(query, nodes.dim, block=False)[0]
     idx, dist = nearest(nodes.points, q, min(nodes.n, policy.max_neighbors))
-    return _shepard_average(dist[0], values.points[idx[0]], spec)
-
-
-def _shepard_average(dist: np.ndarray, values: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Average of the neighbours' values rows, weighted by the Gaussian kernel spec at dist (kernels._profile)."""
-    w = _profile(spec, dist)
-    total = w.sum()
-    if total == 0.0:
+    pred = _shepard_average(dist, idx, values.points, spec)[0]
+    if np.isnan(pred).any():
         raise ScaleUnderflowError("scale too large for spacing: all weights underflowed to 0")
-    return (w @ values) / total
+    return pred
+
+
+def _shepard_average(dist: np.ndarray, idx: np.ndarray, values: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The one Shepard body: for each of m rows of a neighbour table (dist, idx, both m x k), the average of
+    the values rows idx names, weighted by the Gaussian kernel spec at dist (kernels._profile), as (m, D).
+    A row whose weights all underflowed to 0 is NaN (0/0). Rows go in _row_blocks of at most
+    dataset._BLOCK_TEMPORARY gathered values, so values[idx] is never built whole; each row has the bits
+    of w @ values[idx[i]] / w.sum() (the batched matmul takes the same gemv per row)."""
+    out = np.empty((idx.shape[0], values.shape[1]))
+    for rows in _row_blocks(idx.shape[0], idx.shape[1] * values.shape[1], dataset._BLOCK_TEMPORARY):
+        w = _profile(spec, dist[rows])
+        with np.errstate(invalid="ignore"):
+            out[rows] = np.matmul(w[:, None, :], values[idx[rows]])[:, 0] / w.sum(axis=1)[:, None]
+    return out
 
 
 def save_model(model: RbfModel, directory) -> list:

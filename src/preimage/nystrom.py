@@ -146,11 +146,12 @@ def nystrom_via_rbf(emb: Embedding, cloud: PointCloud | None, spec: KernelSpec |
     """Same extension through the plain-kernel interpolation route: fit the
     kernel system to sqrt(D) phi_l, evaluate, and rescale by 1/sqrt(d(query)).
 
-    Takes one point and one index l (_index). Agrees with nystrom_extend whenever the kernel
-    matrix is nonsingular.
+    Takes one point (dataset._query) and one index l (_index), both checked before any kernel is
+    built. Agrees with nystrom_extend whenever the kernel matrix is nonsingular.
     """
     l = _index(l, len(emb.eigvals) - 1)
     cloud, spec = _resolve(emb, cloud, spec)
+    _query(query, cloud.dim, block=False)
     dq = nystrom_extend(emb, cloud, spec, query, l).degree_at_query
     rescaled = np.sqrt(emb.degrees) * emb.eigvecs[:, l]
     model = fit_rbf(cloud, PointCloud(rescaled[:, None]), spec, tail=TAIL_NONE)

@@ -481,10 +481,12 @@ def _never_called(monkeypatch, module, names):
      (["--shepard-scales", "0"], "shepard needs a finite positive scale multiple"),
      (["--gaussian-scales", "nan"], "gaussian needs a finite positive scale multiple"),
      (["--shepard-scales", "1,inf"], "shepard needs a finite positive scale multiple"),
-     (["--max-neighbors", "0"], "max_neighbors must be >= 1")],
+     (["--max-neighbors", "0"], "max_neighbors must be >= 1"),
+     (["--n", ""], "empty sphere sweep: no n_values"),
+     (["--seed-list", ""], "empty sphere sweep: no seeds")],
 )
 def test_sphere_refuses_scales_and_neighbours_before_any_work(tmp_path, capsys, monkeypatch, flags, reason):
-    _never_called(monkeypatch, evaluation, ["laplacian_eigenmaps", "loo_error"])
+    _never_called(monkeypatch, evaluation, ["sample_sphere", "laplacian_eigenmaps", "loo_error"])
     out = tmp_path / "run"
     assert main(["sphere", "--n", "10,14,18", "--seed-list", "0", "--out", str(out)] + flags) == 1
     assert reason in capsys.readouterr().err

@@ -23,7 +23,7 @@ from preimage.dataset import (
     write_table,
 )
 from preimage.embedding import laplacian_eigenmaps
-from preimage.evaluation import loo_error
+from preimage.evaluation import ConditioningConfig, conditioning_sweep, loo_error
 from preimage.inverse import NeighborhoodPolicy, eval_rbf, fit_local_rbf, fit_rbf, shepard_eval
 from preimage.kernels import cubic, eval_kernel, gaussian
 from preimage.nystrom import nystrom_extend
@@ -83,6 +83,21 @@ class TestSampleSphere:
             sample_sphere(0, 4)
         with pytest.raises(ValueError):
             sample_sphere(5, 0)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: sample_sphere(2.5, 2), "n"),
+    (lambda: sample_sphere(True, 2), "n"),
+    (lambda: sample_sphere("3", 2), "n"),
+    (lambda: sample_sphere(3, 2.0), "sphere_dim"),
+    (lambda: sample_sphere(3, True), "sphere_dim"),
+    (lambda: random_unitary_embed(sample_sphere(5, 1), 3.0), "target_dim"),
+    (lambda: conditioning_sweep("vs_fill", ConditioningConfig(n_values=(10.5, 20))), "n"),
+], ids=["n-float", "n-bool", "n-str", "dim-float", "dim-bool", "target-float", "vs-fill-float"])
+def test_sampling_counts_follow_the_integer_rule(call, name):
+    # dataset._check_int: an int or numpy integer, never a bool, a float or a string
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
 
 
 class TestRandomUnitaryEmbed:

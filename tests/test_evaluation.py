@@ -34,6 +34,8 @@ from preimage.inverse import (
 )
 from preimage.kernels import cubic, gaussian
 
+from conftest import traced_peak
+
 
 class TestLooError:
     def test_constant_values_reconstruct_exactly(self, rng):
@@ -315,6 +317,17 @@ class TestFoldWorkers:
                     assert a == b, (workers, f.name)
 
 
+class TestShepardFoldMemory:
+    def test_values_are_gathered_one_row_block_at_a_time(self):
+        # the neighbour table's cdist and argpartition blocks dominate; all of values[idx] at once
+        # (1000 x 200 x 40 floats, 61 MiB) would triple the peak
+        rng = np.random.default_rng(11)
+        coords, values = PointCloud(rng.normal(size=(1000, 5))), PointCloud(rng.normal(size=(1000, 40)))
+        policy = NeighborhoodPolicy(max_neighbors=200)
+        peak = traced_peak(lambda: loo_error(values, coords, "shepard", 1.0, policy=policy))
+        assert peak < 21 * 2**20
+
+
 class TestFailedFoldRule:
     """A fold failed exactly where its error is not finite, whichever path computed it."""
 
@@ -439,6 +452,15 @@ class TestConvergenceSweep:
         monkeypatch.setattr(evaluation, "sample_sphere", no_sampling)
         with pytest.raises(ValueError, match=reason):
             convergence_sweep([10, 12], config)
+
+    @pytest.mark.parametrize("n_values,seeds,name", [([], (0,), "n_values"), ([20], (), "seeds"), ([], (), "n_values")])
+    def test_empty_sweep_refused_before_sampling(self, monkeypatch, n_values, seeds, name):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a sphere for an empty sweep")
+
+        monkeypatch.setattr(evaluation, "sample_sphere", no_sampling)
+        with pytest.raises(ValueError, match=f"^empty sphere sweep: no {name}$"):
+            convergence_sweep(n_values, SphereConfig(), seeds=seeds)
 
     def test_two_seeds_single_n_no_slope(self):
         cfg = SphereConfig(gaussian_multiples=(), shepard_multiples=())

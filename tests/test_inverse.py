@@ -488,6 +488,30 @@ class TestShepard:
             shepard_eval(PointCloud([[0.0], [1.0]]), PointCloud([[1.0], [2.0]]), np.array([0.5]), epsilon=bad)
 
 
+class TestShepardAverage:
+    """inverse._shepard_average is the one Shepard body, for one query row or many."""
+
+    @pytest.mark.parametrize("m", [1, 4, 33, 1000])
+    def test_rows_match_the_per_row_average(self, m):
+        rng = np.random.default_rng(m)
+        nodes, values = rng.normal(size=(300, 3)), rng.normal(size=(300, 20))
+        queries = rng.normal(size=(m, 3))
+        queries[3::7] += 200.0  # far from every node: all weights underflow
+        idx, dist = dataset.nearest(nodes, queries, 40)
+        eps = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inverse._shepard_average(dist, idx, values, gaussian(eps))
+        assert len(dataset._row_blocks(1000, 40 * 20, dataset._BLOCK_TEMPORARY)) > 1  # 1000 rows span blocks
+        for i in range(m):
+            w = np.exp(-(eps**2) * dist[i] * dist[i])
+            if w.sum() == 0.0:
+                assert i % 7 == 3 and np.isnan(got[i]).all()
+            else:
+                assert np.array_equal(got[i], (w @ values[idx[i]]) / w.sum())
+        assert np.isnan(got[3::7]).all()
+
+
 class TestModelSerialization:
     def test_round_trip(self, rng, tmp_path):
         nodes = PointCloud(rng.normal(size=(11, 2)))

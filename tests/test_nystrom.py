@@ -188,6 +188,18 @@ class TestExtend:
         with pytest.raises(ValueError, match="eigenvector index must be a single integer"):
             nystrom_via_rbf(emb, cloud, spec, cloud.points[0], l)
 
+    def test_rbf_form_takes_one_point(self, rng, monkeypatch):
+        # dataset._query with block=False, before any kernel is built; one point keeps its value
+        cloud, spec, emb = small_setup(rng, dim=2, d=3)
+        q = cloud.points[0] + 0.01
+        got, want = nystrom_via_rbf(emb, cloud, spec, q, 1), nystrom_extend(emb, cloud, spec, q, 1)
+        assert abs(got.value - want.value) <= 1e-8 * abs(want.value) and got.degree_at_query == want.degree_at_query
+        monkeypatch.setattr(nystrom, "_profile", no_kernel)
+        monkeypatch.setattr(nystrom, "fit_rbf", no_kernel)
+        for block in (cloud.points[:3], cloud.points[:1]):
+            with pytest.raises(ValueError, match=rf"^query must be a point in R\^2, got shape \({len(block)}, 2\)$"):
+                nystrom_via_rbf(emb, cloud, spec, block, 1)
+
     def test_rbf_form_index_rule(self, rng, monkeypatch):
         # nystrom_via_rbf takes the one index _scan_checks takes (nystrom._index)
         cloud, spec, emb = small_setup(rng, d=3)
