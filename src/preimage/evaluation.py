@@ -361,7 +361,7 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
     h_local with the leave-one-out average error. The slope of log e_avg
     against log h_local is fitted on the valid cubic rows once they cover at
     least three distinct n values. Raises ValueError on an empty sweep (no n_values, or no seeds)
-    before sampling.
+    or a repeated seed before sampling.
     """
     n_values, seeds = list(n_values), list(seeds)
     for name, swept in (("n_values", n_values), ("seeds", seeds)):
@@ -369,6 +369,8 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
             raise ValueError(f"empty sphere sweep: no {name}")
     if n_values != sorted(n_values) or len(set(n_values)) != len(n_values):
         raise ValueError("n_values must be strictly increasing")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
     if n_values[0] < config.embed_dim + 3:
         raise ValueError(f"every n must be >= embed_dim+3 = {config.embed_dim + 3}")
     policy = NeighborhoodPolicy(max_neighbors=config.max_neighbors)

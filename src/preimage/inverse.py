@@ -56,10 +56,11 @@ class NeighborhoodPolicy:
 class RbfModel:
     """Fitted interpolant mapping R^d node coordinates to R^D values.
 
-    weights column i holds the kernel weights of output coordinate i; with the
-    linear tail, poly_gamma and poly_beta hold the constant and linear
-    coefficients and the weights satisfy the moment conditions
-    sum_j w[j] = 0 and nodes^T w = 0 per column.
+    weights (n x D) column i holds the kernel weights of output coordinate i. With the linear
+    tail, poly is the (d+1) x D tail block [gamma; beta] of the bordered system's solution:
+    row 0 the constant and rows 1..d the linear coefficients, so a query q maps to
+    g(|q - nodes|) weights + poly[0] + q poly[1:]; the weights then satisfy the moment
+    conditions sum_j w[j] = 0 and nodes^T w = 0 per column. With tail "none" poly is None.
 
     condition is LAPACK gecon's 1-norm estimate; above about 300 nodes it can differ in
     the last bit between runs, the one field (also in model.json) not reproducible bit for bit.
@@ -67,8 +68,7 @@ class RbfModel:
 
     nodes: np.ndarray
     weights: np.ndarray
-    poly_gamma: np.ndarray | None
-    poly_beta: np.ndarray | None
+    poly: np.ndarray | None
     spec: KernelSpec
     tail: str
     condition: float
@@ -162,9 +162,7 @@ def _fit(y: np.ndarray, x: np.ndarray, spec: KernelSpec, tail: str) -> RbfModel:
     rhs = np.zeros((m.shape[0], x.shape[1]))
     rhs[:n] = x
     sol, cond = _solve_with_cond(m, rhs)
-    if tail == TAIL_NONE:
-        return RbfModel(y, sol, None, None, spec, tail, cond)
-    return RbfModel(y, sol[:n], sol[n], sol[n + 1 :], spec, tail, cond)
+    return RbfModel(y, sol[:n], sol[n:] if tail == TAIL_LINEAR else None, spec, tail, cond)
 
 
 def eval_rbf(model: RbfModel, query) -> np.ndarray:
@@ -179,10 +177,10 @@ def eval_rbf(model: RbfModel, query) -> np.ndarray:
 
 def _predict(model: RbfModel, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The model's values at the queries q (m x d) from their distances r (m x n, never negative)
-    to its nodes: g(r) weights, plus gamma + q beta with the linear tail."""
+    to its nodes: g(r) weights, plus poly[0] + q poly[1:] with the linear tail."""
     out = _profile(model.spec, r) @ model.weights
-    if model.poly_gamma is not None:
-        out = out + model.poly_gamma[None, :] + q @ model.poly_beta
+    if model.poly is not None:
+        out = out + model.poly[0] + q @ model.poly[1:]
     return out
 
 
@@ -247,11 +245,11 @@ def _shepard_average(dist: np.ndarray, idx: np.ndarray, values: np.ndarray, spec
 
 
 def save_model(model: RbfModel, directory) -> list:
-    """Write a fitted model as a bundle: model.json plus nodes, weights and (linear tail) poly blocks.
-    Returns the paths written."""
+    """Write a fitted model as a bundle: model.json plus the nodes and weights blocks and, with the
+    linear tail, model.poly as the poly block. Returns the paths written."""
     blocks = {"nodes": model.nodes, "weights": model.weights}
-    if model.tail == TAIL_LINEAR:
-        blocks["poly"] = np.vstack([model.poly_gamma[None, :], model.poly_beta])
+    if model.poly is not None:
+        blocks["poly"] = model.poly
     meta = {
         "spec": model.spec.to_dict(),
         "tail": model.tail,
@@ -265,22 +263,19 @@ def save_model(model: RbfModel, directory) -> list:
 
 def load_model(directory) -> RbfModel:
     """Read a model written by save_model, checking its (spec, tail) pair as fit_rbf does and each
-    block's shape against model.json."""
+    block's shape against model.json; the poly block, present with the linear tail only, becomes
+    model.poly as it is stored."""
     meta = json.loads((Path(directory) / "model.json").read_text())
     spec = KernelSpec.from_dict(meta["spec"])
     _check_tail(spec, meta["tail"])
     n, dim_in, dim_out = int(meta["n"]), int(meta["dim_in"]), int(meta["dim_out"])
     nodes = load_block(directory, "nodes", (n, dim_in))
     weights = load_block(directory, "weights", (n, dim_out))
-    gamma = beta = None
-    if meta["tail"] == TAIL_LINEAR:
-        poly = load_block(directory, "poly", (dim_in + 1, dim_out))
-        gamma, beta = poly[0], poly[1:]
+    poly = load_block(directory, "poly", (dim_in + 1, dim_out)) if meta["tail"] == TAIL_LINEAR else None
     return RbfModel(
         nodes=nodes,
         weights=weights,
-        poly_gamma=gamma,
-        poly_beta=beta,
+        poly=poly,
         spec=spec,
         tail=meta["tail"],
         condition=float(meta["condition"]),

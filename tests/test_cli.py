@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +94,28 @@ class TestSphereCommand:
         assert main(["sphere", "--cubic-only", "--n", "10,30,100", "--seed-list", "0,1", "--out", str(out)]) == 0
         slope = json.loads((out / "summary.json").read_text())["slope"]
         assert 1.5 <= slope <= 2.5
+
+
+class TestModuleEntryPoint:
+    """`python -m preimage.cli` runs the CLI in a fresh interpreter, as the installed script does."""
+
+    @staticmethod
+    def _run(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "preimage.cli", *argv], env=env, capture_output=True, text=True,
+                              timeout=300)
+
+    def test_sphere_writes_rows(self, tmp_path):
+        out = tmp_path / "run"
+        done = self._run("sphere", "--n", "12", "--seed-list", "0", "--cubic-only", "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert (out / "rows.csv").exists()
+        assert "Warning" not in done.stderr
+
+    def test_failure_exits_1(self, tmp_path):
+        done = self._run("sphere", "--n", "6", "--seed-list", "0", "--cubic-only", "--out", str(tmp_path / "run"))
+        assert done.returncode == 1
+        assert "preimage: error:" in done.stderr
 
 
 class TestParserDefaults:
@@ -483,7 +508,8 @@ def _never_called(monkeypatch, module, names):
      (["--shepard-scales", "1,inf"], "shepard needs a finite positive scale multiple"),
      (["--max-neighbors", "0"], "max_neighbors must be >= 1"),
      (["--n", ""], "empty sphere sweep: no n_values"),
-     (["--seed-list", ""], "empty sphere sweep: no seeds")],
+     (["--seed-list", ""], "empty sphere sweep: no seeds"),
+     (["--seed-list", "0,0"], "seeds must be distinct")],
 )
 def test_sphere_refuses_scales_and_neighbours_before_any_work(tmp_path, capsys, monkeypatch, flags, reason):
     _never_called(monkeypatch, evaluation, ["sample_sphere", "laplacian_eigenmaps", "loo_error"])

@@ -417,7 +417,7 @@ def query_functions():
     emb = laplacian_eigenmaps(nodes, spec, d=2)
 
     def rbf(qs):
-        return eval_kernel(cubic(), cdist(qs, nodes.points)) @ model.weights + model.poly_gamma + qs @ model.poly_beta
+        return eval_kernel(cubic(), cdist(qs, nodes.points)) @ model.weights + model.poly[0] + qs @ model.poly[1:]
 
     def extension(qs):
         k = eval_kernel(spec, cdist(qs, nodes.points))

@@ -462,6 +462,14 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match=f"^empty sphere sweep: no {name}$"):
             convergence_sweep(n_values, SphereConfig(), seeds=seeds)
 
+    def test_repeated_seed_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a sphere for a sweep with a repeated seed")
+
+        monkeypatch.setattr(evaluation, "sample_sphere", no_sampling)
+        with pytest.raises(ValueError, match="^seeds must be distinct$"):
+            convergence_sweep([12], SphereConfig(gaussian_multiples=(), shepard_multiples=()), seeds=[0, 0])
+
     def test_two_seeds_single_n_no_slope(self):
         cfg = SphereConfig(gaussian_multiples=(), shepard_multiples=())
         res = convergence_sweep([12], cfg, seeds=[0, 1])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 import warnings
@@ -13,7 +14,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from preimage import dataset, inverse, kernels
-from preimage.dataset import PointCloud, random_unitary_embed, sample_sphere, save_cloud
+from preimage.dataset import PointCloud, load_cloud, random_unitary_embed, sample_sphere, save_cloud
 from preimage.inverse import (
     NeighborhoodPolicy,
     ScaleUnderflowError,
@@ -82,8 +83,8 @@ class TestFitRbf:
         c = rng.normal(size=4)
         model = fit_rbf(nodes, PointCloud(nodes.points @ b + c), cubic(), tail="linear")
         assert np.abs(model.weights).max() < 1e-8
-        assert np.allclose(model.poly_beta, b, atol=1e-8)
-        assert np.allclose(model.poly_gamma, c, atol=1e-8)
+        assert np.allclose(model.poly[1:], b, atol=1e-8)
+        assert np.allclose(model.poly[0], c, atol=1e-8)
         queries = rng.normal(size=(7, 3))
         assert np.abs(eval_rbf(model, queries) - (queries @ b + c)).max() < 1e-8
 
@@ -148,8 +149,9 @@ class TestFitRbf:
             model = fit_rbf(nodes, values, spec, tail)
             assert np.array_equal(model.weights, sol[:40])
             if tail == "linear":
-                assert np.array_equal(model.poly_gamma, sol[40])
-                assert np.array_equal(model.poly_beta, sol[41:])
+                assert np.array_equal(model.poly, sol[40:])
+            else:
+                assert model.poly is None
 
 
 # The (family, rho) -> tails that are solvable on every 1-unisolvent set of distinct nodes (Wendland
@@ -306,15 +308,15 @@ class TestEvalRbf:
             scaled_model = fit_rbf(PointCloud(c * nodes.points), values, cubic(), tail="linear")
             assert np.abs(eval_rbf(scaled_model, c * queries) - base).max() < 1e-8
             assert np.allclose(scaled_model.weights, base_model.weights / c**3, atol=1e-8)
-            assert np.allclose(scaled_model.poly_beta, base_model.poly_beta / c, atol=1e-8)
+            assert np.allclose(scaled_model.poly[1:], base_model.poly[1:] / c, atol=1e-8)
 
 
 def unblocked_eval(model, q):
     """eval_rbf as it was before row blocks, kept as the reference: one product over the whole
     query x node block, through eval_kernel."""
     out = eval_kernel(model.spec, cdist(q, model.nodes)) @ model.weights
-    if model.poly_gamma is not None:
-        out = out + model.poly_gamma[None, :] + q @ model.poly_beta
+    if model.poly is not None:
+        out = out + model.poly[0] + q @ model.poly[1:]
     return out
 
 
@@ -338,7 +340,7 @@ class TestEvalRbfRowBlocks:
         # one of 40 would send the 40 to another dgemm kernel than the unblocked product
         n = 1000
         model = inverse.RbfModel(nodes=rng.uniform(size=(n, 5)), weights=rng.normal(size=(n, 10)),
-                                 poly_gamma=rng.normal(size=10), poly_beta=rng.normal(size=(5, 10)),
+                                 poly=rng.normal(size=(6, 10)),
                                  spec=cubic(), tail="linear", condition=1.0)
         q = rng.uniform(size=(1088, 5))
         assert [s.stop - s.start for s in dataset._row_blocks(1088, n)] == [544, 544]
@@ -524,6 +526,21 @@ class TestModelSerialization:
             assert np.array_equal(eval_rbf(back, queries), eval_rbf(model, queries))
             assert back.spec == model.spec
             assert back.condition == model.condition
+
+    @pytest.mark.parametrize("spec,tail", [(cubic(), "linear"), (gaussian(0.9), "none")])
+    def test_every_field_comes_back_bitwise(self, rng, tmp_path, spec, tail):
+        model = fit_rbf(PointCloud(rng.normal(size=(11, 2))), PointCloud(rng.normal(size=(11, 3))), spec, tail)
+        save_model(model, tmp_path)
+        back = load_model(tmp_path)
+        for field in dataclasses.fields(model):
+            got, want = getattr(back, field.name), getattr(model, field.name)
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, field.name
+        if tail == "linear":
+            assert model.poly.shape == (3, 3)
+            assert np.array_equal(load_cloud(tmp_path / "poly.pcld").points, model.poly)
+        else:
+            assert model.poly is None
+            assert not (tmp_path / "poly.pcld").exists()
 
     @pytest.mark.parametrize("block,shape", [("nodes", (11, 3)), ("weights", (10, 3)), ("poly", (3, 2))])
     def test_corrupted_block_rejected(self, rng, tmp_path, block, shape):
