@@ -65,6 +65,7 @@ from .nystrom import (
 from .evaluation import (
     ConditioningConfig,
     CondRow,
+    LooFolds,
     LooReport,
     SphereConfig,
     SweepResult,
@@ -73,6 +74,7 @@ from .evaluation import (
     conditioning_sweep,
     convergence_sweep,
     loo_error,
+    loo_folds,
     scale_table,
     sphere_pipeline,
     sweep_to_csv,

@@ -5,10 +5,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
+from . import dataset
 from .dataset import (
     PointCloud,
     _paired,
+    _row_blocks,
     local_fill_distance,
     nearest,
     random_unitary_embed,
@@ -22,13 +25,12 @@ from .inverse import (
     TAIL_NONE,
     InterpolationError,
     NeighborhoodPolicy,
-    _fit,
-    _predict,
+    _border,
     _shepard_average,
     _solve_with_cond,
     _system,
 )
-from .kernels import _condition, cubic, gaussian, kernel_matrix
+from .kernels import _condition, _profile, cubic, gaussian, kernel_matrix
 
 METHOD_CUBIC = "cubic"
 METHOD_GAUSSIAN = "gaussian"
@@ -133,6 +135,23 @@ class ConditioningConfig:
     epsilon_values: tuple = field(default_factory=lambda: tuple(np.logspace(-2.0, 1.0, 13)))
 
 
+@dataclass(frozen=True, eq=False)
+class LooFolds:
+    """Every leave-one-out fold of some (method, scale_multiple) pairs on one dataset (loo_folds).
+
+    values, coords and policy are what the folds were computed from: loo_error takes them only with
+    the same two PointCloud objects and an equal policy. pairs maps each (method, scale_multiple)
+    to its per-fold errors and condition estimates, as computed: loo_error applies the failed-fold
+    rule to a copy.
+    """
+
+    values: PointCloud
+    coords: PointCloud
+    policy: NeighborhoodPolicy
+    h_local: float
+    pairs: dict
+
+
 def loo_error(
     values: PointCloud,
     coords: PointCloud,
@@ -141,40 +160,72 @@ def loo_error(
     *,
     policy: NeighborhoodPolicy | None = None,
     seed: int | None = None,
+    folds: LooFolds | None = None,
 ) -> LooReport:
     """Reconstruct each point from its k = min(n-1, max_neighbors) nearest others.
 
-    One dataset.nearest table gives every fold its nodes (all the other points when
-    n-1 <= max_neighbors) and gives h_local; gaussian and shepard scales are multiples of
-    1/h_local (ValueError when h_local is 0), and the scale-free cubic takes none
-    (_check_multiple). The cubic (with the linear tail, its one solvable
-    tail, so every fold needs d+2 nodes) and the gaussian (plain system) interpolate a fold's
-    nodes, and shepard averages their values.
+    The folds come from loo_folds: the one-pair call loo_folds(values, coords, [(method,
+    scale_multiple)], policy=policy), or folds computed before for several pairs, which must hold
+    this pair and come from these very values and coords objects and an equal policy (ValueError
+    otherwise). A sweep over a (method, scale) grid computes its folds once and calls loo_error once
+    per pair; every report field is bitwise the one-pair call's.
 
-    When every fold is global (k = n-1), the cubic and gaussian folds come from one pivoted LU
+    Failed folds have one rule on every path: a fold failed exactly where its error is not finite.
+    Those errors and condition estimates become NaN, and failures, valid and e_avg follow from them.
+    See loo_folds for how each fold is computed.
+    """
+    policy = policy if policy is not None else NeighborhoodPolicy()
+    if folds is None:
+        folds = loo_folds(values, coords, [(method, scale_multiple)], policy=policy)
+    elif folds.values is not values or folds.coords is not coords or folds.policy != policy:
+        raise ValueError("folds were computed from other point clouds or another neighbourhood policy")
+    if (method, scale_multiple) not in folds.pairs:
+        raise ValueError(f"folds hold no ({method!r}, {scale_multiple!r}) pair")
+    errors, conds = (a.copy() for a in folds.pairs[(method, scale_multiple)])
+    failed = ~np.isfinite(errors)  # the one failed-fold rule
+    errors[failed] = conds[failed] = np.nan
+    n = coords.n
+    failures = tuple(np.flatnonzero(failed).tolist())
+    e_avg = float(errors[~failed].mean()) if len(failures) < n else float("nan")
+    return LooReport(per_point_errors=errors, e_avg=e_avg, h_local=folds.h_local, method=method,
+                     scale_multiple=scale_multiple, n=n, seed=seed, failures=failures,
+                     valid=len(failures) <= 0.01 * n, fold_condition=conds)
+
+
+def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: NeighborhoodPolicy | None = None) -> LooFolds:
+    """Every leave-one-out fold of each (method, scale_multiple) pair on one dataset, in one pass.
+
+    Every pair is checked before any work: the cubic takes no multiple and the gaussian and shepard
+    a finite positive one (_check_multiple), and the cubic (with the linear tail, its one solvable
+    tail) needs d+2 nodes per fold. One dataset.nearest table gives every fold of every pair its k
+    nodes (all the other points when n-1 <= max_neighbors) and gives h_local; gaussian and shepard
+    scales are multiples of 1/h_local (ValueError when h_local is 0). The cubic and the gaussian
+    (plain system) interpolate a fold's nodes, and shepard averages their values.
+
+    When every fold is global (k = n-1), a cubic or gaussian pair's folds come from one pivoted LU
     of the full system M by Rippa's identity (Rippa 1999, Adv. Comput. Math. 11:193; Fasshauer
     2007, Meshfree Approximation Methods with MATLAB, ch. 17): fold j's error is
-    |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0] (see _global_folds). Each cubic or gaussian fold is
-    refitted on its own nodes when k < n-1, and when the full system has duplicate nodes or is
-    singular; a refitted fold whose fit raises, e.g. on duplicate nodes, keeps a NaN prediction.
-    Shepard folds refit nothing: one inverse._shepard_average call, shepard_eval's body, predicts
-    them all, NaN where every weight underflowed. One line turns the predictions into errors.
+    |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0] (see _global_folds). A pair's folds are refitted when
+    k < n-1, and when its full system has duplicate nodes or is singular. Shepard folds refit
+    nothing: one inverse._shepard_average call, shepard_eval's body, predicts them all, NaN where
+    every weight underflowed.
 
-    Failed folds have one rule on both paths: a fold failed exactly where its error is not
-    finite. Those errors and condition estimates become NaN, and failures, valid and e_avg
-    follow from them.
+    Every refitted pair goes through one pass over the folds (_refit_folds): a fold takes its
+    nodes' distances once and fills each pair's system from them, the matrix fit_rbf builds on
+    those nodes, so its LU and condition estimate have fit_rbf's bits (but for gecon's last-bit
+    noise, below). The system is solved once, for the left-out point: with b = [g(|y_j - nodes|);
+    1; y_j] (no tail rows for the gaussian), the prediction is (M^-1 b)[:k] @ X, the Lagrange form
+    of the interpolant (Wendland 2005, Scattered Data Approximation), since M is exactly symmetric.
+    It differs from fit_rbf then eval_rbf on the fold's nodes by rounding only, within 64 eps cond.
+    A fold whose system is singular, or whose nodes are duplicated or, with the linear tail, fail
+    unisolvency_rank, keeps a NaN error.
 
-    A refitted fold is inverse._fit (fit_rbf's body, one in-place getrf/gecon/getrs) and
-    inverse._predict (eval_rbf's formula) at the left-out point from the table's own distances.
-    The report carries each fold's condition estimate.
-
-    Refitted cubic and gaussian folds run in w contiguous chunks, one per thread, where w is the
-    CPU count divided by the BLAS thread count read from OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-    OMP_NUM_THREADS (the first positive one), and w = 1, the serial loop, when none is set, since
-    OpenBLAS then already uses every core. Pin OPENBLAS_NUM_THREADS=1 to run folds in parallel.
-    Each fold does the same arithmetic on any thread, so the report does not depend on w, bit for
-    bit, except where gecon's estimate varies in the last bit between any two runs (fold systems
-    above about 300 nodes; see RbfModel).
+    The refitted folds run in w contiguous chunks, one per thread (_run_chunked), where w is the
+    CPU count divided by the BLAS thread count (_fold_workers), and w = 1, the serial loop, when no
+    BLAS thread variable is set, since OpenBLAS then already uses every core. Pin
+    OPENBLAS_NUM_THREADS=1 to run folds in parallel. Each fold does the same arithmetic on any
+    thread, so the folds do not depend on w, bit for bit, except where gecon's estimate varies in
+    the last bit between any two runs (fold systems above about 300 nodes; see RbfModel).
     """
     policy = policy if policy is not None else NeighborhoodPolicy()
     _paired(coords, values)
@@ -182,50 +233,89 @@ def loo_error(
     if n < 3:
         raise ValueError("leave-one-out needs at least 3 points")
     k = min(n - 1, policy.max_neighbors)
-    if method == METHOD_CUBIC and k < d + 2:
-        raise ValueError(f"cubic with linear tail needs d+2 = {d + 2} nodes per fold (n >= d+3, max_neighbors >= d+2)")
-    if method not in (METHOD_CUBIC, METHOD_GAUSSIAN, METHOD_SHEPARD):
-        raise ValueError(f"unknown method {method!r}")
-    _check_multiple(method, scale_multiple)
-    idx, dist = nearest(coords.points, coords.points, k, exclude_self=True)
+    pairs = list(dict.fromkeys(pairs))
+    for method, multiple in pairs:
+        if method == METHOD_CUBIC and k < d + 2:
+            raise ValueError(f"cubic with linear tail needs d+2 = {d + 2} nodes per fold (n >= d+3, max_neighbors >= d+2)")
+        if method not in (METHOD_CUBIC, METHOD_GAUSSIAN, METHOD_SHEPARD):
+            raise ValueError(f"unknown method {method!r}")
+        _check_multiple(method, multiple)
+    y, x = coords.points, values.points
+    idx, dist = nearest(y, y, k, exclude_self=True)
     h = float(dist.min(axis=1).mean())
-    if method == METHOD_CUBIC:
-        spec, fit_tail = cubic(), TAIL_LINEAR
-    else:
-        spec, fit_tail = gaussian(spacing_scale(scale_multiple, h)), TAIL_NONE
-
-    errors = None
-    if method != METHOD_SHEPARD and k == n - 1:
-        try:
-            errors, conds = _global_folds(coords.points, values.points, spec, fit_tail)
-        except InterpolationError:
-            pass  # duplicate nodes or a singular full system: every fold is refitted below
-    if errors is None:
-        conds = np.full(n, np.nan)
-        if method == METHOD_SHEPARD:
-            preds = _shepard_average(dist, idx, values.points, spec)
+    folds, refits = {}, []
+    for method, multiple in pairs:
+        if method == METHOD_CUBIC:
+            spec, tail = cubic(), TAIL_LINEAR
         else:
-            preds = np.full(values.points.shape, np.nan)
+            spec, tail = gaussian(spacing_scale(multiple, h)), TAIL_NONE
+        if method == METHOD_SHEPARD:
+            r = x - _shepard_average(dist, idx, x, spec)  # per row, the sqrt of one ddot: np.linalg.norm's bits
+            folds[method, multiple] = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]), np.full(n, np.nan)
+            continue
+        if k == n - 1:
+            try:
+                folds[method, multiple] = _global_folds(y, x, spec, tail)
+                continue
+            except InterpolationError:
+                pass  # duplicate nodes or a singular full system: every fold is refitted below
+        folds[method, multiple] = np.full(n, np.nan), np.full(n, np.nan)
+        refits.append((spec, tail, *folds[method, multiple]))
+    if refits:
+        _run_chunked(lambda chunk: _refit_folds(chunk, y, x, idx, dist, refits), n, _fold_workers())
+    return LooFolds(values=values, coords=coords, policy=policy, h_local=h, pairs=folds)
 
-            def refit(folds) -> None:
-                """Fill the folds' slots of preds and conds; a fold whose fit raises keeps its NaN."""
-                for j in folds:
-                    try:
-                        model = _fit(coords.points[idx[j]], values.points[idx[j]], spec, fit_tail)
-                    except InterpolationError:
-                        continue
-                    conds[j] = model.condition
-                    preds[j] = _predict(model, dist[j : j + 1], coords.points[j : j + 1])[0]
 
-            _run_chunked(refit, n, _fold_workers())
-        r = values.points - preds  # per row, the sqrt of one ddot: np.linalg.norm's bits
-        errors = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
-    failed = ~np.isfinite(errors)  # the one failed-fold rule
-    errors[failed] = conds[failed] = np.nan
-    failures = tuple(np.flatnonzero(failed).tolist())
-    e_avg = float(errors[~failed].mean()) if len(failures) < n else float("nan")
-    return LooReport(per_point_errors=errors, e_avg=e_avg, h_local=h, method=method, scale_multiple=scale_multiple,
-                     n=n, seed=seed, failures=failures, valid=len(failures) <= 0.01 * n, fold_condition=conds)
+def _refit_folds(chunk, y: np.ndarray, x: np.ndarray, idx: np.ndarray, dist: np.ndarray, refits) -> None:
+    """Refit every fold j of chunk for each (spec, tail, errors, conds) of refits, filling slot j of
+    its errors and conds; a fold that fails keeps its NaN.
+
+    The fold's nodes y[idx[j]] get their distances once, from the cdist row blocks kernels._assemble
+    takes, hence its bits. Once per fold, a second zero among them (cdist's diagonal is exactly 0)
+    marks duplicate nodes, which fail every pair, and unisolvency_rank, called only when a pair has
+    the linear tail, decides whether the linear tail's pairs fail. Each pair's system is filled from
+    those distances, as inverse._system fills it, into one buffer the chunk reuses, and
+    _lagrange_predict solves it for the left-out point from the table's own distances dist[j].
+    """
+    k, d = idx.shape[1], y.shape[1]
+    linear = any(tail == TAIL_LINEAR for _, tail, _, _ in refits)
+    r = np.empty((k, k))
+    system = np.empty((k + d + 1) ** 2 if linear else k * k)  # every pair's system, in turn
+    blocks = _row_blocks(k, k, dataset._BLOCK_TEMPORARY)
+    for j in chunk:
+        nodes, node_values = y[idx[j]], x[idx[j]]
+        for rows in blocks:
+            cdist(nodes[rows], nodes, out=r[rows])
+        if np.count_nonzero(r == 0.0) > k:
+            continue
+        unisolvent = linear and unisolvency_rank(nodes) == d + 1
+        for spec, tail, errors, conds in refits:
+            if tail == TAIL_LINEAR and not unisolvent:
+                continue
+            size = k + d + 1 if tail == TAIL_LINEAR else k
+            m, b = system[: size * size].reshape(size, size), np.empty(size)
+            _profile(spec, r, out=m[:k, :k])
+            _profile(spec, dist[j], out=b[:k])
+            if tail == TAIL_LINEAR:
+                _border(m, nodes)
+                b[k] = 1.0
+                b[k + 1 :] = y[j]
+            try:
+                pred, cond = _lagrange_predict(m, b, node_values)
+            except InterpolationError:
+                continue
+            res = x[j] - pred
+            errors[j], conds[j] = np.sqrt(res @ res), cond
+
+
+def _lagrange_predict(m: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """The interpolant of the values x (k x D) at the nodes of the exactly symmetric system m, which
+    it consumes, evaluated at the query whose right-hand side is b (m's column for the query: its
+    kernel values at the k nodes, then 1 and the query with the linear tail): (m^-1 b)[:k] @ x, one
+    solve instead of one per value column. Returns it with m's condition estimate (_solve_with_cond,
+    which raises on a singular m)."""
+    sol, cond = _solve_with_cond(m, b)
+    return sol[: x.shape[0]] @ x, cond
 
 
 def _cpu_count() -> int:
@@ -358,7 +448,8 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
     """Run the sphere pipeline over a grid of sample counts and seeds.
 
     Each (n, seed, method, scale) gives one row pairing the coordinate-domain
-    h_local with the leave-one-out average error. The slope of log e_avg
+    h_local with the leave-one-out average error: one loo_folds pass per (n, seed)
+    computes every pair's folds, and one loo_error call per pair reports them. The slope of log e_avg
     against log h_local is fitted on the valid cubic rows once they cover at
     least three distinct n values. Raises ValueError on an empty sweep (no n_values, or no seeds)
     or a repeated seed before sampling.
@@ -380,10 +471,11 @@ def convergence_sweep(n_values, config: SphereConfig = SphereConfig(), seeds=(0,
         for seed in seeds:
             ambient, emb = sphere_pipeline(n, config, seed)
             coords = PointCloud(emb.coords)
+            # h_local is the coordinate-domain spacing: interpolation
+            # happens there, and it is what the scale multiples divide
+            folds = loo_folds(ambient, coords, grid, policy=policy)
             for method, mult in grid:
-                # h_local is the coordinate-domain spacing: interpolation
-                # happens there, and it is what the scale multiples divide
-                rep = loo_error(ambient, coords, method, mult, policy=policy, seed=seed)
+                rep = loo_error(ambient, coords, method, mult, policy=policy, seed=seed, folds=folds)
                 rows.append(
                     SweepRow(
                         n=n,
@@ -459,10 +551,12 @@ def scale_table(
     policy: NeighborhoodPolicy | None = None,
 ) -> list:
     """Leave-one-out error for the cubic and every gaussian/shepard scale on one dataset,
-    with the lowest entry marked."""
+    with the lowest entry marked: one loo_folds pass, then one loo_error report per pair."""
+    grid = _grid(gaussian_multiples, shepard_multiples)
+    folds = loo_folds(values, coords, grid, policy=policy)
     entries = []
-    for method, mult in _grid(gaussian_multiples, shepard_multiples):
-        rep = loo_error(values, coords, method, mult, policy=policy)
+    for method, mult in grid:
+        rep = loo_error(values, coords, method, mult, policy=policy, folds=folds)
         entries.append((method, mult, rep.e_avg, len(rep.failures)))
     finite = [e for _, _, e, _ in entries if np.isfinite(e)]
     best = min(finite) if finite else float("nan")

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preimage import evaluation, inverse
-from preimage.dataset import PointCloud, local_fill_distance, nearest
+from preimage import dataset, evaluation, inverse
+from preimage.dataset import PointCloud, _row_blocks, local_fill_distance, nearest
 from preimage.evaluation import (
     ConditioningConfig,
     SphereConfig,
+    SweepRow,
     conditioning_sweep,
     conditioning_to_csv,
     convergence_sweep,
     loglog_slope,
     loo_error,
+    loo_folds,
     median_rows,
     scale_table,
     sphere_pipeline,
@@ -136,8 +138,8 @@ class TestLooError:
 
 def _reference_loo(values, coords, method, scale_multiple, policy):
     """The per-fold loop of the first loo_error: every fold copies the n-1 remaining points, then
-    fits globally or, above the cap, on its nearest max_neighbors. Also returns each global fold's
-    condition estimate (1 elsewhere)."""
+    fits globally or, above the cap, on its nearest max_neighbors. Also returns each fitted fold's
+    condition estimate (1 for Shepard and failed folds)."""
     n = coords.n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # local_fill_distance warns on duplicates
@@ -159,11 +161,10 @@ def _reference_loo(values, coords, method, scale_multiple, policy):
                     # the first local fit: copies of the nearest rows, then fit_rbf and eval_rbf
                     near = nearest(train_nodes.points, query[None, :], policy.max_neighbors)[0][0]
                     model = fit_rbf(PointCloud(train_nodes.points[near]), PointCloud(train_values.points[near]), spec, fit_tail)
-                    pred = eval_rbf(model, query)
                 else:
                     model = fit_rbf(train_nodes, train_values, spec, fit_tail)
-                    conds[j] = model.condition
-                    pred = eval_rbf(model, query)
+                conds[j] = model.condition
+                pred = eval_rbf(model, query)
             errors[j] = np.linalg.norm(values.points[j] - pred)
         except InterpolationError:
             failures.append(j)
@@ -177,6 +178,16 @@ def _assert_within_cond(got, want, conds):
     ok = ~np.isnan(want)
     tol = 64 * np.finfo(float).eps * conds[ok] * np.maximum(1.0, want[ok])
     assert np.all(np.abs(got[ok] - want[ok]) <= tol), np.max(np.abs(got[ok] - want[ok]) / tol)
+
+
+def _assert_same_report(got, want, case=None):
+    """Every LooReport field bitwise equal, NaN where NaN."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, (np.ndarray, float)):
+            assert np.array_equal(a, b, equal_nan=True), (case, f.name)
+        else:
+            assert a == b, (case, f.name)
 
 
 def _fold_clouds(kind):
@@ -210,11 +221,12 @@ class TestFoldPathReference:
         h, errors, failures, conds = _reference_loo(values, coords, method, scale, policy)
         rep = loo_error(values, coords, method, scale, policy=policy)
         assert rep.h_local == h
-        if method != "shepard" and max_neighbors >= coords.n - 1:
-            # one factorization of the full system (Rippa's identity), not n refits: equal to rounding
-            _assert_within_cond(rep.per_point_errors, errors, conds)
-        else:
+        if method == "shepard":
             assert np.array_equal(rep.per_point_errors, errors, equal_nan=True)
+        else:
+            # one factorization of the full system (Rippa's identity), or one solve per refitted fold
+            # for the left-out point instead of for the values: equal to rounding
+            _assert_within_cond(rep.per_point_errors, errors, conds)
         assert rep.failures == failures
         if kind == "duplicate" and method != "shepard":
             assert failures  # the clouds do reach the failed-fold path
@@ -242,6 +254,34 @@ class TestFoldPathReference:
         want[list(rep.failures)] = np.nan
         assert np.array_equal(rep.fold_condition, want, equal_nan=True)
         assert np.array_equal(np.isnan(rep.fold_condition), np.isnan(rep.per_point_errors))
+
+    def test_fold_systems_at_400_neighbours(self, monkeypatch):
+        # 400 neighbours: 160,000 distances per fold, more than _BLOCK_TEMPORARY (2^16), so
+        # kernels._assemble takes them in several row blocks, and so does each fold
+        rng = np.random.default_rng(7)
+        coords, values = PointCloud(rng.normal(size=(402, 3))), PointCloud(rng.normal(size=(402, 2)))
+        assert len(_row_blocks(400, 400, dataset._BLOCK_TEMPORARY)) > 1
+        idx = nearest(coords.points, coords.points, 400, exclude_self=True)[0]
+        nodes_of = {values.points[i].tobytes(): i for i in idx}  # two folds may share their nodes
+        checked = []
+        solve = evaluation._lagrange_predict
+
+        def fit_rbf_system(m, b, x):
+            i = nodes_of[x.tobytes()]
+            assert np.array_equal(m, inverse._system(coords.points[i], cubic(), "linear"))
+            checked.append(x.tobytes())
+            return solve(m, b, x)
+
+        monkeypatch.setattr(evaluation, "_lagrange_predict", fit_rbf_system)
+        rep = loo_error(values, coords, "cubic", policy=NeighborhoodPolicy(max_neighbors=400))
+        assert sorted(checked) == sorted(values.points[i].tobytes() for i in idx) and rep.failures == ()
+        models = [fit_rbf(PointCloud(coords.points[i]), PointCloud(values.points[i]), cubic()) for i in idx]
+        conds = np.array([model.condition for model in models])
+        # the same matrices give the same LU; gecon's estimate from it can still move in its last
+        # bits with the alignment of its work arrays at this size (README, numerics policy)
+        assert np.allclose(rep.fold_condition, conds, rtol=16 * np.finfo(float).eps, atol=0.0)
+        errors = np.linalg.norm(values.points - [eval_rbf(model, q) for model, q in zip(models, coords.points)], axis=1)
+        _assert_within_cond(rep.per_point_errors, errors, conds)
 
     def test_global_folds_skip_refits(self, monkeypatch):
         values, coords = _fold_clouds("random")
@@ -293,28 +333,102 @@ class TestFoldWorkers:
 
             return run
 
-        for name in ("_fit", "_shepard_average"):
+        for name in ("_refit_folds", "_shepard_average"):
             monkeypatch.setattr(evaluation, name, on_thread(getattr(evaluation, name)))
         reports = {}
         for workers in (1, 2, 3, 7):
             monkeypatch.setattr(evaluation, "_fold_workers", lambda workers=workers: workers)
             threads.clear()
             reports[workers] = loo_error(values, coords, method, scale, policy=policy)
-            refitted = bool(threads)  # the closed-form path fits no fold
             if method == "shepard" or workers == 1:
                 assert threads <= {threading.get_ident()}
-            elif refitted:
+            elif max_neighbors < coords.n - 1 or threads:  # the closed-form path refits no fold
                 assert len(threads) > 1  # the chunks did run on the pool
         want = reports[1]
         if kind == "duplicate" and method != "shepard":
             assert min(want.failures) < coords.n // 2 <= max(want.failures)  # failed folds in both halves
         for workers in (2, 3, 7):
-            for f in dataclasses.fields(want):
-                a, b = getattr(reports[workers], f.name), getattr(want, f.name)
-                if isinstance(b, (np.ndarray, float)):
-                    assert np.array_equal(a, b, equal_nan=True), (workers, f.name)
-                else:
-                    assert a == b, (workers, f.name)
+            _assert_same_report(reports[workers], want, workers)
+
+
+class TestLooFoldsContract:
+    """A sweep computes each dataset's folds once (loo_folds) and still reports every (method, scale) pair
+    through one evaluation.loo_error call, the module attribute a caller can wrap to read each report."""
+
+    @pytest.fixture
+    def reports(self, monkeypatch):
+        reports = []
+        plain = evaluation.loo_error
+
+        def recorded(*args, **kwargs):
+            reports.append(plain(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(evaluation, "loo_error", recorded)
+        return reports
+
+    def test_sweep_reports_every_pair_through_loo_error(self, reports):
+        # n = 10 folds are global (Rippa's identity), n = 16 folds are refitted on 12 neighbours
+        cfg = SphereConfig(gaussian_multiples=(0.5, 1.0), shepard_multiples=(1.0,), max_neighbors=12)
+        res = convergence_sweep([10, 16], cfg, seeds=[0, 1])
+        grid = evaluation.method_grid(cfg)
+        assert [(r.n, r.seed, r.method, r.scale_multiple) for r in reports] == [
+            (n, seed, method, mult) for n in (10, 16) for seed in (0, 1) for method, mult in grid
+        ]
+        assert res.rows == [
+            SweepRow(n=r.n, seed=r.seed, h_local=r.h_local, method=r.method, scale_multiple=r.scale_multiple,
+                     e_avg=r.e_avg, failures=len(r.failures), valid=r.valid)
+            for r in reports
+        ]
+
+    def test_table_reports_every_pair_through_loo_error(self, rng, reports):
+        coords, values = PointCloud(rng.normal(size=(25, 3))), PointCloud(rng.normal(size=(25, 2)))
+        rows = scale_table(values, coords, (0.5, 1.0), (1.0,), NeighborhoodPolicy(max_neighbors=10))
+        assert [(r.method, r.scale_multiple) for r in reports] == evaluation._grid((0.5, 1.0), (1.0,))
+        assert [(row.method, row.scale_multiple, row.e_avg, row.failures) for row in rows] == [
+            (r.method, r.scale_multiple, r.e_avg, len(r.failures)) for r in reports
+        ]
+
+    @pytest.mark.parametrize("kind", ["random", "duplicate", "plane", "ties"])
+    @pytest.mark.parametrize("max_neighbors", [200, 10])
+    def test_precomputed_folds_give_the_plain_reports(self, kind, max_neighbors):
+        values, coords = _fold_clouds(kind)
+        policy = NeighborhoodPolicy(max_neighbors=max_neighbors)
+        grid = evaluation._grid((0.5, 1.0), (0.5, 1.0))
+        folds = loo_folds(values, coords, grid, policy=policy)
+        for method, scale in grid:
+            want = loo_error(values, coords, method, scale, policy=policy, seed=3)
+            _assert_same_report(loo_error(values, coords, method, scale, policy=policy, seed=3, folds=folds), want)
+
+    def test_folds_of_other_inputs_are_refused(self):
+        values, coords = _fold_clouds("random")
+        policy = NeighborhoodPolicy(max_neighbors=10)
+        folds = loo_folds(values, coords, [("cubic", None), ("shepard", 1.0)], policy=policy)
+        same_values, same_coords = PointCloud(values.points.copy()), PointCloud(coords.points.copy())
+        for args, other_policy in [
+            ((same_values, coords, "cubic"), policy),
+            ((values, same_coords, "cubic"), policy),
+            ((values, coords, "cubic"), None),
+            ((values, coords, "cubic"), NeighborhoodPolicy(max_neighbors=11)),
+        ]:
+            with pytest.raises(ValueError, match="other point clouds or another neighbourhood policy"):
+                loo_error(*args, policy=other_policy, folds=folds)
+        for method, scale in [("gaussian", 1.0), ("shepard", 0.5), ("cubic", 1.0)]:
+            with pytest.raises(ValueError, match="folds hold no"):
+                loo_error(values, coords, method, scale, policy=policy, folds=folds)
+        rep = loo_error(values, coords, "shepard", 1.0, policy=NeighborhoodPolicy(max_neighbors=10), folds=folds)
+        _assert_same_report(rep, loo_error(values, coords, "shepard", 1.0, policy=policy))
+
+    def test_every_pair_checked_before_the_neighbour_search(self, rng, monkeypatch):
+        coords, values = PointCloud(rng.normal(size=(20, 3))), PointCloud(rng.normal(size=(20, 2)))
+        monkeypatch.setattr(evaluation, "nearest", lambda *args, **kwargs: pytest.fail("neighbour search ran"))
+        for pairs, max_neighbors, reason in [
+            ([("cubic", None), ("shepard", 0.0)], 10, "shepard needs a finite positive scale multiple"),
+            ([("gaussian", 1.0), ("kriging", None)], 10, "unknown method"),
+            ([("shepard", 1.0), ("cubic", None)], 4, "d\\+2"),
+        ]:
+            with pytest.raises(ValueError, match=reason):
+                loo_folds(values, coords, pairs, policy=NeighborhoodPolicy(max_neighbors=max_neighbors))
 
 
 class TestShepardFoldMemory:
@@ -359,13 +473,14 @@ class TestFailedFoldRule:
         monkeypatch.setattr(evaluation, "_global_folds", singular)
         monkeypatch.setattr(evaluation, "_fold_workers", lambda: workers)
         plain = loo_error(values, coords, method, scale, policy=policy)
-        predict = evaluation._predict
+        bad_nodes = nearest(coords.points, coords.points, min(coords.n - 1, max_neighbors), exclude_self=True)[0][self.BAD]
+        solve = evaluation._lagrange_predict
 
-        def infinite_at_bad(model, r, q):  # returns inf instead of raising
-            out = predict(model, r, q)
-            return np.full_like(out, np.inf) if np.array_equal(q[0], coords.points[self.BAD]) else out
+        def infinite_at_bad(m, b, x):  # returns inf instead of raising
+            pred, cond = solve(m, b, x)
+            return (np.full_like(pred, np.inf) if np.array_equal(x, values.points[bad_nodes]) else pred), cond
 
-        monkeypatch.setattr(evaluation, "_predict", infinite_at_bad)
+        monkeypatch.setattr(evaluation, "_lagrange_predict", infinite_at_bad)
         self._check(plain, loo_error(values, coords, method, scale, policy=policy), coords.n)
 
     @pytest.mark.parametrize("method,scale", [("cubic", None), ("gaussian", 1.0)])
