@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 from . import dataset
@@ -25,7 +26,9 @@ from .inverse import (
     TAIL_NONE,
     InterpolationError,
     NeighborhoodPolicy,
+    SingularSystemError,
     _border,
+    _factor,
     _shepard_average,
     _solve_with_cond,
     _system,
@@ -203,11 +206,12 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
     (plain system) interpolate a fold's nodes, and shepard averages their values.
 
     When every fold is global (k = n-1), a cubic or gaussian pair's folds come from one pivoted LU
-    of the full system M by Rippa's identity (Rippa 1999, Adv. Comput. Math. 11:193; Fasshauer
-    2007, Meshfree Approximation Methods with MATLAB, ch. 17): fold j's error is
+    of the full system M, inverted in place, by Rippa's identity (Rippa 1999, Adv. Comput. Math.
+    11:193; Fasshauer 2007, Meshfree Approximation Methods with MATLAB, ch. 17): fold j's error is
     |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0] (see _global_folds). A pair's folds are refitted when
     k < n-1, and when its full system has duplicate nodes or is singular. Shepard folds refit
-    nothing: one inverse._shepard_average call, shepard_eval's body, predicts them all, NaN where
+    nothing: one inverse._shepard_average call, shepard_eval's body, predicts the folds of every
+    shepard pair, gathering each block of neighbour values once for all their scales, NaN where
     every weight underflowed.
 
     Every refitted pair goes through one pass over the folds (_refit_folds): a fold takes its
@@ -244,14 +248,18 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
     idx, dist = nearest(y, y, k, exclude_self=True)
     h = float(dist.min(axis=1).mean())
     folds, refits = {}, []
+    shepard = [pair for pair in pairs if pair[0] == METHOD_SHEPARD]
+    if shepard:
+        specs = [gaussian(spacing_scale(multiple, h)) for _, multiple in shepard]
+        for pair, avg in zip(shepard, _shepard_average(dist, idx, x, specs)):
+            r = x - avg  # per row, the sqrt of one ddot: np.linalg.norm's bits
+            folds[pair] = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]), np.full(n, np.nan)
     for method, multiple in pairs:
         if method == METHOD_CUBIC:
             spec, tail = cubic(), TAIL_LINEAR
-        else:
+        elif method == METHOD_GAUSSIAN:
             spec, tail = gaussian(spacing_scale(multiple, h)), TAIL_NONE
-        if method == METHOD_SHEPARD:
-            r = x - _shepard_average(dist, idx, x, spec)  # per row, the sqrt of one ddot: np.linalg.norm's bits
-            folds[method, multiple] = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]), np.full(n, np.nan)
+        else:
             continue
         if k == n - 1:
             try:
@@ -363,22 +371,25 @@ def _run_chunked(run, n: int, workers: int) -> None:
 def _global_folds(y: np.ndarray, x: np.ndarray, spec, tail: str):
     """Every leave-one-out fold of a global fit from one factorization of the full system M.
 
-    Rippa's identity: with c = M^-1 [X; 0], fold j's residual x_j - s_j(y_j) is
-    c_j / (M^-1)_jj, so one solve against [X; 0 | I[:, :n]] gives every fold. Returns the errors
-    and each fold's condition estimate, M's. An error is not finite where (M^-1)_jj is 0 (the
-    fold's system is singular) and NaN, with the linear tail, where the fold's n-1 nodes fail
-    unisolvency_rank: loo_error counts those folds as failed. Raises what fit_rbf raises on the
-    full node set (duplicates, a singular system, lost unisolvency).
+    Rippa's identity: with c = M^-1 [X; 0], fold j's residual x_j - s_j(y_j) is c_j / (M^-1)_jj.
+    M is factored once (inverse._factor) and inverted in place by LAPACK getri, so the path holds
+    one system and no n x n temporary; c = M^-1[:, :n] X (every row) and the diagonal of M^-1 give
+    every fold. Returns the errors and each fold's condition estimate, M's. An error is not finite
+    where (M^-1)_jj is 0 (the fold's system is singular) and NaN, with the linear tail, where the
+    fold's n-1 nodes fail unisolvency_rank: loo_error counts those folds as failed. Raises what
+    fit_rbf raises on the full node set (duplicates, a singular system, lost unisolvency), and
+    SingularSystemError where c is not finite, which every non-finite entry of M^-1[:, :n] makes it.
     """
     n = y.shape[0]
-    m = _system(y, spec, tail)
-    rhs = np.zeros((m.shape[0], x.shape[1] + n))
-    rhs[:n, : x.shape[1]] = x
-    rhs[:n, x.shape[1] :] = np.eye(n)
-    sol, cond = _solve_with_cond(m, rhs)
-    diag = np.abs(np.diagonal(sol[:n, x.shape[1] :]))
+    lu, piv, cond = _factor(_system(y, spec, tail))
+    getri, getri_lwork = get_lapack_funcs(("getri", "getri_lwork"), (lu,))
+    inv, _ = getri(lu, piv, lwork=int(getri_lwork(lu.shape[0])[0]), overwrite_lu=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite c raises below, as a solve's does
+        c = inv[:, :n] @ x
+    if not np.all(np.isfinite(c)):
+        raise SingularSystemError("singular system")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        errors = np.linalg.norm(sol[:n, : x.shape[1]], axis=1) / diag
+        errors = np.linalg.norm(c[:n], axis=1) / np.abs(np.diagonal(inv)[:n])
     if tail == TAIL_LINEAR:
         errors[~_folds_unisolvent(y)] = np.nan
     return errors, np.full(n, cond)
@@ -419,10 +430,13 @@ def method_grid(config: SphereConfig):
 
 def _grid(gaussian_multiples, shepard_multiples) -> list:
     """The cubic, then one (method, multiple) pair per gaussian and shepard multiple; ValueError,
-    as loo_error would raise it, on the first multiple that _check_multiple refuses."""
+    as loo_error would raise it, on the first multiple that _check_multiple refuses, and on a
+    multiple repeated within a method, which would report one pair twice."""
     pairs = [(METHOD_GAUSSIAN, m) for m in gaussian_multiples] + [(METHOD_SHEPARD, m) for m in shepard_multiples]
-    for method, m in pairs:
+    for i, (method, m) in enumerate(pairs):
         _check_multiple(method, m)
+        if (method, m) in pairs[:i]:
+            raise ValueError(f"{method} scale multiple {m!r} is repeated")
     return [(METHOD_CUBIC, None)] + pairs
 
 
@@ -503,15 +517,19 @@ def conditioning_sweep(mode: str, config: ConditioningConfig = ConditioningConfi
     one node set and sweeps the gaussian scale; the cubic is scale-free, so it
     contributes a single flat reference row. Each matrix goes to kernels._condition
     as it was assembled (its view .T), so the sweep holds one matrix at a time.
-    Raises ValueError on an empty sweep (no n_values, or no epsilon_values) before sampling.
+    Raises ValueError on an empty sweep (no n_values, or no epsilon_values) or a repeated swept
+    value before sampling.
     """
     if config.ambient_dim < 2:
         raise ValueError("ambient_dim must be >= 2")
     if mode not in ("vs_fill", "vs_epsilon"):
         raise ValueError(f"unknown mode {mode!r}; expected vs_fill or vs_epsilon")
     swept = "n_values" if mode == "vs_fill" else "epsilon_values"
-    if len(getattr(config, swept)) == 0:
+    values = list(getattr(config, swept))
+    if not values:
         raise ValueError(f"empty {mode} sweep: no {swept}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{swept} must be distinct")
     sphere_dim = config.ambient_dim - 1
 
     def cond(spec, cloud):

@@ -86,27 +86,32 @@ class RbfModel:
         return self.weights.shape[1]
 
 
-def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
-    """Pivoted-LU solve of m x = rhs, returning x and a 1-norm condition estimate of m.
+def _factor(m: np.ndarray):
+    """Pivoted LU of the exactly symmetric m, with a 1-norm condition estimate of m: (lu, piv, cond).
 
-    m must be exactly symmetric, and it is consumed: LAPACK's getrf factors its F-contiguous
-    view m.T, which equals m, in place, so callers pass a matrix they own and do not read it
-    afterwards. The 1-norm is LAPACK lange's on the same view, with no temporary: its column j is
-    row j of m, whose entries it adds in the order np.linalg.norm(m, 1) adds column j's, so the
-    symmetric m gets numpy's bits. Raises SingularSystemError on an exactly zero pivot (getrf's
-    info > 0) or a non-finite solution; no regularization is ever added, so ill-conditioning
-    stays observable in the returned estimate.
+    m is consumed: LAPACK's getrf factors its F-contiguous view m.T, which equals m, in place, and
+    lu is that view, so callers pass a matrix they own and read only lu afterwards. The 1-norm is
+    LAPACK lange's on the same view, with no temporary: its column j is row j of m, whose entries it
+    adds in the order np.linalg.norm(m, 1) adds column j's, so the symmetric m gets numpy's bits.
+    Raises SingularSystemError on an exactly zero pivot (getrf's info > 0); no regularization is
+    ever added, so ill-conditioning stays observable in the returned estimate (gecon's).
     """
-    lange, getrf, gecon, getrs = get_lapack_funcs(("lange", "getrf", "gecon", "getrs"), (m,))
+    lange, getrf, gecon = get_lapack_funcs(("lange", "getrf", "gecon"), (m,))
     anorm = lange("1", m.T)
     lu, piv, info = getrf(m.T, overwrite_a=True)
     if info > 0:
         raise SingularSystemError("singular system")
     rcond, _ = gecon(lu, anorm)
-    sol, _ = getrs(lu, piv, rhs)
+    return lu, piv, float("inf") if rcond == 0.0 else 1.0 / float(rcond)
+
+
+def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
+    """Solve m x = rhs from _factor's LU of m (which it consumes) by getrs, returning x and m's
+    condition estimate. Raises SingularSystemError as _factor does, and on a non-finite solution."""
+    lu, piv, cond = _factor(m)
+    sol, _ = get_lapack_funcs("getrs", (lu,))(lu, piv, rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularSystemError("singular system")
-    cond = float("inf") if rcond == 0.0 else 1.0 / float(rcond)
     return sol, cond
 
 
@@ -222,8 +227,8 @@ def shepard_eval(
     policy: NeighborhoodPolicy = NeighborhoodPolicy(),
 ) -> np.ndarray:
     """Moving average of the neighborhood's values at one point (dataset._query), weighted by gaussian(epsilon):
-    _shepard_average on the one row of the query's nearest nodes. Raises ScaleUnderflowError where every
-    weight underflowed to 0.
+    _shepard_average with that one spec on the one row of the query's nearest nodes. Raises ScaleUnderflowError
+    where every weight underflowed to 0.
 
     The output is a convex combination of neighbor values, so it always lies
     in their coordinatewise hull.
@@ -232,24 +237,27 @@ def shepard_eval(
     _paired(nodes, values)
     q = _query(query, nodes.dim, block=False)[0]
     idx, dist = nearest(nodes.points, q, min(nodes.n, policy.max_neighbors))
-    pred = _shepard_average(dist, idx, values.points, spec)[0]
+    pred = _shepard_average(dist, idx, values.points, [spec])[0][0]
     if np.isnan(pred).any():
         raise ScaleUnderflowError("scale too large for spacing: all weights underflowed to 0")
     return pred
 
 
-def _shepard_average(dist: np.ndarray, idx: np.ndarray, values: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """The one Shepard body: for each of m rows of a neighbour table (dist, idx, both m x k), the average of
-    the values rows idx names, weighted by the Gaussian kernel spec at dist (kernels._profile), as (m, D).
-    A row whose weights all underflowed to 0 is NaN (0/0). Rows go in _row_blocks of at most
-    dataset._BLOCK_TEMPORARY gathered values, so values[idx] is never built whole; each row has the bits
-    of w @ values[idx[i]] / w.sum() (the batched matmul takes the same gemv per row)."""
-    out = np.empty((idx.shape[0], values.shape[1]))
+def _shepard_average(dist: np.ndarray, idx: np.ndarray, values: np.ndarray, specs) -> list:
+    """The one Shepard body: for each Gaussian kernel spec of specs, and each of m rows of a neighbour
+    table (dist, idx, both m x k), the average of the values rows idx names, weighted by the spec at
+    dist (kernels._profile); one (m, D) array per spec. A row whose weights all underflowed to 0 is
+    NaN (0/0). Rows go in _row_blocks of at most dataset._BLOCK_TEMPORARY gathered values, and each
+    block of values[idx] is gathered once for every spec, so values[idx] is never built whole; each
+    row has the bits of w @ values[idx[i]] / w.sum() (the batched matmul takes the same gemv per row)."""
+    outs = [np.empty((idx.shape[0], values.shape[1])) for _ in specs]
     for rows in _row_blocks(idx.shape[0], idx.shape[1] * values.shape[1], dataset._BLOCK_TEMPORARY):
-        w = _profile(spec, dist[rows])
-        with np.errstate(invalid="ignore"):
-            out[rows] = np.matmul(w[:, None, :], values[idx[rows]])[:, 0] / w.sum(axis=1)[:, None]
-    return out
+        gathered = values[idx[rows]]
+        for spec, out in zip(specs, outs):
+            w = _profile(spec, dist[rows])
+            with np.errstate(invalid="ignore"):
+                out[rows] = np.matmul(w[:, None, :], gathered)[:, 0] / w.sum(axis=1)[:, None]
+    return outs
 
 
 def save_model(model: RbfModel, directory) -> list:

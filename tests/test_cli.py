@@ -200,6 +200,16 @@ class TestConditioningCommand:
         assert "empty vs_" in capsys.readouterr().err
         assert not (out / "conditioning.csv").exists() and not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv,reason", [(["--mode", "vs_fill", "--n-values", "10,30,10"], "n_values must be distinct"),
+                                             (["--mode", "vs_epsilon", "--epsilon-values", "1,1"],
+                                              "epsilon_values must be distinct")])
+    def test_repeated_swept_value_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, reason):
+        _never_called(monkeypatch, evaluation, ["sample_sphere"])
+        out = tmp_path / "cond"
+        assert main(["conditioning"] + argv + ["--out", str(out)]) == 1
+        assert f"preimage: error: {reason}" in capsys.readouterr().err
+        assert not (out / "conditioning.csv").exists() and not (out / "manifest.json").exists()
+
 
 class TestFitInvertCommands:
     def make_data(self, tmp_path, rng):
@@ -509,7 +519,9 @@ def _never_called(monkeypatch, module, names):
      (["--max-neighbors", "0"], "max_neighbors must be >= 1"),
      (["--n", ""], "empty sphere sweep: no n_values"),
      (["--seed-list", ""], "empty sphere sweep: no seeds"),
-     (["--seed-list", "0,0"], "seeds must be distinct")],
+     (["--seed-list", "0,0"], "seeds must be distinct"),
+     (["--gaussian-scales", "1,1", "--shepard-scales", "0.5"], "gaussian scale multiple 1.0 is repeated"),
+     (["--shepard-scales", "0.5,1,0.5"], "shepard scale multiple 0.5 is repeated")],
 )
 def test_sphere_refuses_scales_and_neighbours_before_any_work(tmp_path, capsys, monkeypatch, flags, reason):
     _never_called(monkeypatch, evaluation, ["sample_sphere", "laplacian_eigenmaps", "loo_error"])
@@ -524,7 +536,9 @@ class TestLooTableCommand:
         "flags,reason",
         [(["--gaussian-scales", "0"], "gaussian needs a finite positive scale multiple"),
          (["--shepard-scales", "1,-2"], "shepard needs a finite positive scale multiple"),
-         (["--max-neighbors", "0"], "max_neighbors must be >= 1")],
+         (["--max-neighbors", "0"], "max_neighbors must be >= 1"),
+         (["--gaussian-scales", "1,1"], "gaussian scale multiple 1.0 is repeated"),
+         (["--shepard-scales", "2,0.5,2"], "shepard scale multiple 2.0 is repeated")],
     )
     def test_scales_and_neighbours_refused_before_embedding(self, tmp_path, capsys, monkeypatch, flags, reason):
         from preimage.dataset import sample_sphere

@@ -285,18 +285,29 @@ class TestFoldPathReference:
 
     def test_global_folds_skip_refits(self, monkeypatch):
         values, coords = _fold_clouds("random")
-        solves = []
+        factored = []
 
-        def counted(m, rhs):
-            solves.append(m.shape)
-            return solve(m, rhs)
+        def counted(m):
+            factored.append(m.shape)
+            return factor(m)
 
-        solve = inverse._solve_with_cond
-        for module in (evaluation, inverse):  # the closed-form folds' solve and every refit's
-            monkeypatch.setattr(module, "_solve_with_cond", counted)
+        factor = inverse._factor
+        for module in (evaluation, inverse):  # the closed-form folds' factorization and every refit's
+            monkeypatch.setattr(module, "_factor", counted)
         for method, scale in [("cubic", None), ("gaussian", 1.0)]:
             assert loo_error(values, coords, method, scale).failures == ()
-        assert solves == [(34, 34), (30, 30)]  # one full system per call, no per-fold refit
+        assert factored == [(34, 34), (30, 30)]  # one full system per call, no per-fold refit
+
+    @pytest.mark.parametrize("spec,tail", [(cubic(), "linear"), (gaussian(1.0), "none")])
+    def test_global_folds_refuse_a_non_finite_solution(self, spec, tail):
+        # values near the largest float overflow c = M^-1 [X; 0]: a singular system, as for a solve
+        values, coords = _fold_clouds("random")
+        errors, _ = evaluation._global_folds(coords.points, values.points, spec, tail)
+        assert np.all(np.isfinite(errors))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match="singular system"):
+                evaluation._global_folds(coords.points, values.points * (np.finfo(float).max / 4), spec, tail)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -559,6 +570,8 @@ class TestConvergenceSweep:
         (SphereConfig(shepard_multiples=(0.0,)), "shepard needs a finite positive scale multiple"),
         (SphereConfig(gaussian_multiples=(float("nan"),)), "gaussian needs a finite positive scale multiple"),
         (SphereConfig(shepard_multiples=(float("inf"),)), "shepard needs a finite positive scale multiple"),
+        (SphereConfig(gaussian_multiples=(1.0, 1.0), shepard_multiples=(0.5,)), "gaussian scale multiple 1.0 is repeated"),
+        (SphereConfig(shepard_multiples=(0.5, 1, 0.5)), "shepard scale multiple 0.5 is repeated"),
     ])
     def test_scale_multiples_refused_before_sampling(self, monkeypatch, config, reason):
         def no_sampling(*args, **kwargs):
@@ -642,6 +655,40 @@ class TestConvergenceSweep:
         assert a.rows == b.rows
 
 
+class TestScaleGrid:
+    """evaluation._grid, the one owner of a sweep's (method, multiple) pairs."""
+
+    @pytest.mark.parametrize("gaussian_multiples,shepard_multiples,reason", [
+        ((1.0, 1.0), (0.5,), "gaussian scale multiple 1.0 is repeated"),
+        ((2, 2.0), (), "gaussian scale multiple 2.0 is repeated"),
+        ((0.5,), (0.25, 1.0, 0.25), "shepard scale multiple 0.25 is repeated"),
+    ])
+    def test_repeated_multiple_refused(self, gaussian_multiples, shepard_multiples, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            evaluation._grid(gaussian_multiples, shepard_multiples)
+
+    def test_one_multiple_for_two_methods_is_two_pairs(self):
+        assert evaluation._grid((1.0,), (1.0,)) == [("cubic", None), ("gaussian", 1.0), ("shepard", 1.0)]
+
+    def test_scale_table_refuses_a_repeat_before_any_fold(self, rng, monkeypatch):
+        monkeypatch.setattr(evaluation, "nearest", lambda *args, **kwargs: pytest.fail("neighbour search ran"))
+        cloud = PointCloud(rng.normal(size=(12, 2)))
+        with pytest.raises(ValueError, match="gaussian scale multiple 1.0 is repeated"):
+            scale_table(cloud, cloud, (1.0, 1.0), (0.5,))
+
+
+class TestGlobalFoldMemory:
+    @pytest.mark.parametrize("spec,tail", [(cubic(), "linear"), (gaussian(3.0), "none")])
+    def test_global_folds_hold_one_system(self, spec, tail):
+        # the full system, factored and inverted in place, plus small buffers: no n x n temporary
+        n = 1500
+        rng = np.random.default_rng(12)
+        y, x = rng.normal(size=(n, 5)), rng.normal(size=(n, 10))
+        size = n + 6 if tail == "linear" else n
+        peak = traced_peak(lambda: evaluation._global_folds(y, x, spec, tail))
+        assert peak <= size**2 * 8 + 2 * 2**20
+
+
 class TestConditioningSweep:
     def test_vs_fill_gaussian_grows_as_nodes_densify(self):
         cfg = ConditioningConfig(n_values=(10, 100, 1000))
@@ -668,6 +715,19 @@ class TestConditioningSweep:
     def test_dimension_validation(self):
         with pytest.raises(ValueError, match="ambient_dim"):
             conditioning_sweep("vs_fill", ConditioningConfig(ambient_dim=1))
+
+    @pytest.mark.parametrize("mode,config,swept", [
+        ("vs_fill", ConditioningConfig(n_values=(10, 10)), "n_values"),
+        ("vs_fill", ConditioningConfig(n_values=(50, 10, 50)), "n_values"),
+        ("vs_epsilon", ConditioningConfig(epsilon_values=(1.0, 1.0)), "epsilon_values"),
+    ])
+    def test_repeated_values_refused_before_sampling(self, monkeypatch, mode, config, swept):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled nodes for a sweep with a repeated value")
+
+        monkeypatch.setattr(evaluation, "sample_sphere", no_sampling)
+        with pytest.raises(ValueError, match=f"^{swept} must be distinct$"):
+            conditioning_sweep(mode, config)
 
     @pytest.mark.parametrize("mode,config", [
         ("vs_fill", ConditioningConfig(n_values=())),

@@ -500,18 +500,20 @@ class TestShepardAverage:
         queries = rng.normal(size=(m, 3))
         queries[3::7] += 200.0  # far from every node: all weights underflow
         idx, dist = dataset.nearest(nodes, queries, 40)
-        eps = 3.0
+        scales = (3.0, 0.7)  # one gather per row block serves every spec
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = inverse._shepard_average(dist, idx, values, gaussian(eps))
+            averages = inverse._shepard_average(dist, idx, values, [gaussian(eps) for eps in scales])
         assert len(dataset._row_blocks(1000, 40 * 20, dataset._BLOCK_TEMPORARY)) > 1  # 1000 rows span blocks
-        for i in range(m):
-            w = np.exp(-(eps**2) * dist[i] * dist[i])
-            if w.sum() == 0.0:
-                assert i % 7 == 3 and np.isnan(got[i]).all()
-            else:
-                assert np.array_equal(got[i], (w @ values[idx[i]]) / w.sum())
-        assert np.isnan(got[3::7]).all()
+        assert len(averages) == len(scales)
+        for eps, got in zip(scales, averages):
+            for i in range(m):
+                w = np.exp(-(eps**2) * dist[i] * dist[i])
+                if w.sum() == 0.0:
+                    assert i % 7 == 3 and np.isnan(got[i]).all()
+                else:
+                    assert np.array_equal(got[i], (w @ values[idx[i]]) / w.sum())
+            assert np.isnan(got[3::7]).all()
 
 
 class TestModelSerialization:
