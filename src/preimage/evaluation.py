@@ -29,11 +29,11 @@ from .inverse import (
     SingularSystemError,
     _border,
     _factor,
+    _lagrange_predict,
     _shepard_average,
-    _solve_with_cond,
     _system,
 )
-from .kernels import _condition, _profile, cubic, gaussian, kernel_matrix
+from .kernels import _condition, _is_real, _profile, cubic, gaussian, kernel_matrix
 
 METHOD_CUBIC = "cubic"
 METHOD_GAUSSIAN = "gaussian"
@@ -214,14 +214,11 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
     shepard pair, gathering each block of neighbour values once for all their scales, NaN where
     every weight underflowed.
 
-    Every refitted pair goes through one pass over the folds (_refit_folds): a fold takes its
-    nodes' distances once and fills each pair's system from them, the matrix fit_rbf builds on
-    those nodes, so its LU and condition estimate have fit_rbf's bits (but for gecon's last-bit
-    noise, below). The system is solved once, for the left-out point: with b = [g(|y_j - nodes|);
-    1; y_j] (no tail rows for the gaussian), the prediction is (M^-1 b)[:k] @ X, the Lagrange form
-    of the interpolant (Wendland 2005, Scattered Data Approximation), since M is exactly symmetric.
-    It differs from fit_rbf then eval_rbf on the fold's nodes by rounding only, within 64 eps cond.
-    A fold whose system is singular, or whose nodes are duplicated or, with the linear tail, fail
+    Every refitted pair goes through one pass over the folds (_refit_folds). A refitted fold j is
+    inverse.fit_local_rbf on the other points at y_j, bit for bit: the same k nodes, the same
+    system and the same one solve for the left-out point (inverse._lagrange_predict). Both differ
+    from fit_rbf then eval_rbf on the fold's nodes by rounding only, within 64 eps cond. A fold
+    whose system is singular, or whose nodes are duplicated or, with the linear tail, fail
     unisolvency_rank, keeps a NaN error.
 
     The refitted folds run in w contiguous chunks, one per thread (_run_chunked), where w is the
@@ -278,12 +275,11 @@ def _refit_folds(chunk, y: np.ndarray, x: np.ndarray, idx: np.ndarray, dist: np.
     """Refit every fold j of chunk for each (spec, tail, errors, conds) of refits, filling slot j of
     its errors and conds; a fold that fails keeps its NaN.
 
-    The fold's nodes y[idx[j]] get their distances once, from the cdist row blocks kernels._assemble
-    takes, hence its bits. Once per fold, a second zero among them (cdist's diagonal is exactly 0)
-    marks duplicate nodes, which fail every pair, and unisolvency_rank, called only when a pair has
-    the linear tail, decides whether the linear tail's pairs fail. Each pair's system is filled from
-    those distances, as inverse._system fills it, into one buffer the chunk reuses, and
-    _lagrange_predict solves it for the left-out point from the table's own distances dist[j].
+    Each fold is fit_local_rbf on the other points at y_j, bit for bit, sharing per fold: the
+    nodes' distances (the cdist row blocks of kernels._assemble, hence its bits), the duplicate
+    check (a second zero among them fails every pair) and unisolvency_rank (the linear tail's
+    pairs). Each pair's system is filled from them, as inverse._system fills it, into one buffer
+    the chunk reuses, and _lagrange_predict solves it for y_j from the table's distances dist[j].
     """
     k, d = idx.shape[1], y.shape[1]
     linear = any(tail == TAIL_LINEAR for _, tail, _, _ in refits)
@@ -301,29 +297,16 @@ def _refit_folds(chunk, y: np.ndarray, x: np.ndarray, idx: np.ndarray, dist: np.
             if tail == TAIL_LINEAR and not unisolvent:
                 continue
             size = k + d + 1 if tail == TAIL_LINEAR else k
-            m, b = system[: size * size].reshape(size, size), np.empty(size)
+            m = system[: size * size].reshape(size, size)
             _profile(spec, r, out=m[:k, :k])
-            _profile(spec, dist[j], out=b[:k])
             if tail == TAIL_LINEAR:
                 _border(m, nodes)
-                b[k] = 1.0
-                b[k + 1 :] = y[j]
             try:
-                pred, cond = _lagrange_predict(m, b, node_values)
+                pred, cond = _lagrange_predict(m, spec, tail, dist[j], y[j], node_values)
             except InterpolationError:
                 continue
             res = x[j] - pred
             errors[j], conds[j] = np.sqrt(res @ res), cond
-
-
-def _lagrange_predict(m: np.ndarray, b: np.ndarray, x: np.ndarray):
-    """The interpolant of the values x (k x D) at the nodes of the exactly symmetric system m, which
-    it consumes, evaluated at the query whose right-hand side is b (m's column for the query: its
-    kernel values at the k nodes, then 1 and the query with the linear tail): (m^-1 b)[:k] @ x, one
-    solve instead of one per value column. Returns it with m's condition estimate (_solve_with_cond,
-    which raises on a singular m)."""
-    sol, cond = _solve_with_cond(m, b)
-    return sol[: x.shape[0]] @ x, cond
 
 
 def _cpu_count() -> int:
@@ -442,11 +425,12 @@ def _grid(gaussian_multiples, shepard_multiples) -> list:
 
 def _check_multiple(method: str, multiple) -> None:
     """ValueError unless multiple suits method: None for the scale-free cubic, and for gaussian and
-    shepard, whose scale is a multiple of 1/h_local, a finite positive number."""
+    shepard, whose scale is a multiple of 1/h_local, a finite positive real number (kernels._is_real:
+    not a bool or a str)."""
     if method == METHOD_CUBIC:
         if multiple is not None:
             raise ValueError(f"cubic is scale-free and takes no scale multiple, got {multiple!r}")
-    elif multiple is None or not 0 < multiple < np.inf:
+    elif not (_is_real(multiple) and 0 < multiple < np.inf):
         raise ValueError(f"{method} needs a finite positive scale multiple of 1/h_local")
 
 

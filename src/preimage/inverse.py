@@ -156,7 +156,11 @@ def fit_rbf(nodes: PointCloud, values: PointCloud, spec: KernelSpec, tail: str =
     """
     _check_tail(spec, tail)
     _paired(nodes, values)
-    return _fit(nodes.points, values.points, spec, tail)
+    m, n = _system(nodes.points, spec, tail), nodes.n
+    rhs = np.zeros((m.shape[0], values.dim))
+    rhs[:n] = values.points
+    sol, cond = _solve_with_cond(m, rhs)
+    return RbfModel(nodes.points, sol[:n], sol[n:] if tail == TAIL_LINEAR else None, spec, tail, cond)
 
 
 def _check_tail(spec: KernelSpec, tail: str) -> None:
@@ -166,34 +170,41 @@ def _check_tail(spec: KernelSpec, tail: str) -> None:
         raise ValueError(f"kernel {spec.to_dict()} does not take tail {tail!r}; it needs {need}")
 
 
-def _fit(y: np.ndarray, x: np.ndarray, spec: KernelSpec, tail: str) -> RbfModel:
-    """fit_rbf on the node (n x d) and value (n x D) arrays, which it does not check; the model
-    keeps y itself as its nodes."""
-    n = y.shape[0]
-    m = _system(y, spec, tail)
-    rhs = np.zeros((m.shape[0], x.shape[1]))
-    rhs[:n] = x
-    sol, cond = _solve_with_cond(m, rhs)
-    return RbfModel(y, sol[:n], sol[n:] if tail == TAIL_LINEAR else None, spec, tail, cond)
-
-
 def eval_rbf(model: RbfModel, query) -> np.ndarray:
     """Evaluate the interpolant at one query point (d,) as a (D,) vector, or at an (m, d) block
-    (dataset._query) as (m, D), one row block of queries at a time (dataset._row_blocks)."""
+    (dataset._query) as (m, D), one row block of queries at a time (dataset._row_blocks): g(|q -
+    nodes|) weights, plus poly[0] + q poly[1:] with the linear tail."""
     q, single = _query(query, model.dim_in)
     out = np.empty((q.shape[0], model.dim_out))
     for rows in _row_blocks(q.shape[0], model.n):
-        out[rows] = _predict(model, cdist(q[rows], model.nodes), q[rows])
+        out[rows] = _profile(model.spec, cdist(q[rows], model.nodes)) @ model.weights
+        if model.poly is not None:
+            out[rows] = out[rows] + model.poly[0] + q[rows] @ model.poly[1:]
     return out[0] if single else out
 
 
-def _predict(model: RbfModel, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The model's values at the queries q (m x d) from their distances r (m x n, never negative)
-    to its nodes: g(r) weights, plus poly[0] + q poly[1:] with the linear tail."""
-    out = _profile(model.spec, r) @ model.weights
-    if model.poly is not None:
-        out = out + model.poly[0] + q @ model.poly[1:]
-    return out
+def _lagrange_predict(m: np.ndarray, spec: KernelSpec, tail: str, r: np.ndarray, q: np.ndarray, x: np.ndarray):
+    """The interpolant of the values x (k x D) on the k nodes of _system's matrix m (consumed) at the
+    query q, whose distances to the nodes are r (k,): (m^-1 b)[:k] @ x, with b m's column for q (g(r),
+    then 1 and q with the linear tail), the Lagrange form (Wendland 2005, Scattered Data Approximation)
+    of the symmetric m. Returns it and m's condition estimate; raises as _solve_with_cond does."""
+    k = x.shape[0]
+    b = np.empty(m.shape[0])
+    _profile(spec, r, out=b[:k])
+    if tail == TAIL_LINEAR:
+        b[k] = 1.0
+        b[k + 1 :] = q
+    sol, cond = _solve_with_cond(m, b)
+    return sol[:k] @ x, cond
+
+
+def _local_query(query, dim: int) -> np.ndarray:
+    """The one point (dataset._query) of a local fit or Shepard average as a (1, dim) block; ValueError
+    on a NaN or infinite coordinate, since such a query has no nearest nodes."""
+    q = _query(query, dim, block=False)[0]
+    if not np.isfinite(q).all():
+        raise ValueError(f"query must be finite, got {q[0].tolist()}")
+    return q
 
 
 def fit_local_rbf(
@@ -204,19 +215,20 @@ def fit_local_rbf(
     policy: NeighborhoodPolicy,
     query,
 ) -> np.ndarray:
-    """Fit on the policy-capped nearest nodes to the query, then evaluate there: _fit on the rows
-    dataset.nearest selects and _predict from the distances it returns, the bits of fit_rbf then
-    eval_rbf on those rows. A leave-one-out fold of evaluation.loo_folds on the same nodes solves
-    for the query instead of the values and agrees with it within 64 eps cond of their system.
-    The inputs are checked as fit_rbf and dataset._query check them, before the neighbour search."""
+    """The interpolant of the policy-capped nearest nodes to the query (dataset.nearest) at the query:
+    _system on those rows, solved once for it from the table's distances (_lagrange_predict). A
+    refitted fold of evaluation.loo_folds is fit_local_rbf on the other points, bit for bit; both
+    differ from fit_rbf then eval_rbf on the same rows by rounding only, within 64 eps cond.
+    Inputs are checked as fit_rbf and _local_query check them, before the neighbour search; the fit
+    raises as fit_rbf does (duplicate nodes, a singular system, lost unisolvency)."""
     _check_tail(spec, tail)
     _paired(nodes, values)
-    q = _query(query, nodes.dim, block=False)[0]
+    q = _local_query(query, nodes.dim)
     if tail == TAIL_LINEAR and policy.max_neighbors < nodes.dim + 2:
         raise ValueError(f"max_neighbors must be >= d+2 = {nodes.dim + 2} for the linear tail")
     idx, dist = nearest(nodes.points, q, min(nodes.n, policy.max_neighbors))
-    model = _fit(nodes.points[idx[0]], values.points[idx[0]], spec, tail)
-    return _predict(model, dist, q)[0]
+    m = _system(nodes.points[idx[0]], spec, tail)
+    return _lagrange_predict(m, spec, tail, dist[0], q[0], values.points[idx[0]])[0]
 
 
 def shepard_eval(
@@ -227,15 +239,15 @@ def shepard_eval(
     policy: NeighborhoodPolicy = NeighborhoodPolicy(),
 ) -> np.ndarray:
     """Moving average of the neighborhood's values at one point (dataset._query), weighted by gaussian(epsilon):
-    _shepard_average with that one spec on the one row of the query's nearest nodes. Raises ScaleUnderflowError
-    where every weight underflowed to 0.
+    _shepard_average with that one spec on the one row of the query's nearest nodes. The query is checked as
+    _local_query checks it, before the neighbour search. Raises ScaleUnderflowError where every weight underflowed to 0.
 
     The output is a convex combination of neighbor values, so it always lies
     in their coordinatewise hull.
     """
     spec = gaussian(epsilon)
     _paired(nodes, values)
-    q = _query(query, nodes.dim, block=False)[0]
+    q = _local_query(query, nodes.dim)
     idx, dist = nearest(nodes.points, q, min(nodes.n, policy.max_neighbors))
     pred = _shepard_average(dist, idx, values.points, [spec])[0][0]
     if np.isnan(pred).any():

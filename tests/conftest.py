@@ -33,6 +33,15 @@ def random_rotation(dim, seed=0):
     return q
 
 
+def _assert_within_cond(got, want, conds):
+    """Equal NaN positions; finite errors within 64 eps cond of the explicit fold's condition
+    estimate, relative to the error where it exceeds 1."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    tol = 64 * np.finfo(float).eps * conds[ok] * np.maximum(1.0, want[ok])
+    assert np.all(np.abs(got[ok] - want[ok]) <= tol), np.max(np.abs(got[ok] - want[ok]) / tol)
+
+
 def traced_peak(call) -> int:
     """Peak bytes tracemalloc sees allocated while call() runs, the result included."""
     tracemalloc.start()

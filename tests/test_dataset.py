@@ -28,7 +28,7 @@ from preimage.inverse import NeighborhoodPolicy, eval_rbf, fit_local_rbf, fit_rb
 from preimage.kernels import cubic, eval_kernel, gaussian
 from preimage.nystrom import nystrom_extend
 
-from conftest import random_rotation
+from conftest import _assert_within_cond, random_rotation
 
 
 class TestPointCloud:
@@ -409,7 +409,8 @@ QUERY_FUNCTIONS = ["eval_rbf", "nystrom_extend", "fit_local_rbf", "shepard_eval"
 @pytest.fixture(scope="module")
 def query_functions():
     """Each function that takes query points, in R^3, as (whether it takes (m, 3) blocks, the call
-    on a query, and a reference formula on an (m, 3) block with the parent's bits)."""
+    on a query, a reference formula on an (m, 3) block, and None where the reference has the call's
+    bits, or else the condition estimates of the systems whose rounding separates them)."""
     rng = np.random.default_rng(5)
     nodes, values = PointCloud(rng.uniform(size=(30, 3))), PointCloud(rng.normal(size=(30, 2)))
     spec, policy = gaussian(1.0 / local_fill_distance(nodes)), NeighborhoodPolicy(12)
@@ -423,10 +424,12 @@ def query_functions():
         k = eval_kernel(spec, cdist(qs, nodes.points))
         return (k / np.sqrt(k.sum(axis=1)[:, None] * emb.degrees)) @ emb.eigvecs[:, [1, 2]] / emb.eigvals[[1, 2]]
 
-    def local(qs):
+    def local_models(qs):
         idx = nearest(nodes.points, qs, 12)[0]
-        return np.array([eval_rbf(fit_rbf(PointCloud(nodes.points[i]), PointCloud(values.points[i]), cubic()), q)
-                         for i, q in zip(idx, qs)])
+        return [fit_rbf(PointCloud(nodes.points[i]), PointCloud(values.points[i]), cubic()) for i in idx]
+
+    def local(qs):
+        return np.array([eval_rbf(model, q) for model, q in zip(local_models(qs), qs)])
 
     def moving_average(qs):
         idx, dist = nearest(nodes.points, qs, 12)
@@ -434,10 +437,12 @@ def query_functions():
         return np.array([(w[j] @ values.points[i]) / w[j].sum() for j, i in enumerate(idx)])
 
     return {
-        "eval_rbf": (True, lambda q: eval_rbf(model, q), rbf),
-        "nystrom_extend": (True, lambda q: nystrom_extend(emb, nodes, spec, q, [1, 2]).value, extension),
-        "fit_local_rbf": (False, lambda q: fit_local_rbf(nodes, values, cubic(), "linear", policy, q), local),
-        "shepard_eval": (False, lambda q: shepard_eval(nodes, values, q, 2.0, policy), moving_average),
+        "eval_rbf": (True, lambda q: eval_rbf(model, q), rbf, None),
+        "nystrom_extend": (True, lambda q: nystrom_extend(emb, nodes, spec, q, [1, 2]).value, extension, None),
+        # the Lagrange form solves for the query, fit_rbf for the values: they differ by rounding
+        "fit_local_rbf": (False, lambda q: fit_local_rbf(nodes, values, cubic(), "linear", policy, q), local,
+                          lambda qs: np.array([model.condition for model in local_models(qs)])),
+        "shepard_eval": (False, lambda q: shepard_eval(nodes, values, q, 2.0, policy), moving_average, None),
     }
 
 
@@ -450,7 +455,7 @@ class TestQueryRule:
                                      np.zeros((1, 4)), [[]]],
                              ids=["0-d", "float", "3-d", "short-point", "narrow-block", "wide-block", "empty"])
     def test_other_shapes_raise_the_one_message(self, query_functions, name, bad):
-        blocks, call, _ = query_functions[name]
+        blocks, call, _, _ = query_functions[name]
         also = r" or an \(m, 3\) block of points" if blocks else ""
         shape = re.escape(str(np.shape(bad)))
         with pytest.raises(ValueError, match=rf"^query must be a point in R\^3{also}, got shape {shape}$"):
@@ -458,7 +463,7 @@ class TestQueryRule:
 
     @pytest.mark.parametrize("name", QUERY_FUNCTIONS)
     def test_blocks_taken_only_where_documented(self, query_functions, name):
-        blocks, call, reference = query_functions[name]
+        blocks, call, reference, _ = query_functions[name]
         queries = np.random.default_rng(6).uniform(size=(5, 3))
         if blocks:
             assert np.array_equal(call(queries), reference(queries))
@@ -470,13 +475,18 @@ class TestQueryRule:
 
     @pytest.mark.parametrize("name", QUERY_FUNCTIONS)
     def test_one_point_in_any_array_form(self, query_functions, name):
-        _, call, reference = query_functions[name]
+        _, call, reference, conds = query_functions[name]
         q = np.array([0.25, 0.5, 0.75])
-        want = reference(q[None, :])[0]
-        for same in (q, q.tolist(), tuple(q), np.array([[0.25, 0.0], [0.5, 0.0], [0.75, 0.0]])[:, 0]):
-            got = call(same)
-            assert got.shape == (2,) and np.array_equal(got, want)
-        assert np.array_equal(call([1, 0, 1]), reference(np.array([[1.0, 0.0, 1.0]]))[0])
+        for same in (q.tolist(), tuple(q), np.array([[0.25, 0.0], [0.5, 0.0], [0.75, 0.0]])[:, 0]):
+            assert np.array_equal(call(same), call(q))  # every form of one point, bit for bit
+        assert np.array_equal(call([1, 0, 1]), call(np.array([1.0, 0.0, 1.0])))
+        for point in (q, np.array([1.0, 0.0, 1.0])):
+            got, want = call(point), reference(point[None, :])[0]
+            assert got.shape == (2,)
+            if conds is None:
+                assert np.array_equal(got, want)
+            else:
+                _assert_within_cond(got, want, np.full(2, conds(point[None, :])[0]))
 
 
 def test_every_count_check_raises_the_one_message():

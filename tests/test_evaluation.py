@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preimage import dataset, evaluation, inverse
-from preimage.dataset import PointCloud, _row_blocks, local_fill_distance, nearest
+from preimage.dataset import PointCloud, _row_blocks, local_fill_distance, nearest, spacing_scale
 from preimage.evaluation import (
     ConditioningConfig,
     SphereConfig,
@@ -31,12 +31,13 @@ from preimage.inverse import (
     NeighborhoodPolicy,
     SingularSystemError,
     eval_rbf,
+    fit_local_rbf,
     fit_rbf,
     shepard_eval,
 )
 from preimage.kernels import cubic, gaussian
 
-from conftest import traced_peak
+from conftest import _assert_within_cond, traced_peak
 
 
 class TestLooError:
@@ -61,8 +62,7 @@ class TestLooError:
         def no_fit(*args, **kwargs):
             raise AssertionError("a fold was fitted before the neighbour cap was checked")
 
-        for module in (evaluation, inverse):  # the closed-form folds' solve and every refit's
-            monkeypatch.setattr(module, "_solve_with_cond", no_fit)
+        monkeypatch.setattr(inverse, "_solve_with_cond", no_fit)  # every refit's one solve
         with pytest.raises(ValueError, match="d\\+2"):
             loo_error(values, coords, "cubic", policy=NeighborhoodPolicy(max_neighbors=4))
 
@@ -171,15 +171,6 @@ def _reference_loo(values, coords, method, scale_multiple, policy):
     return h, errors, tuple(failures), conds
 
 
-def _assert_within_cond(got, want, conds):
-    """Equal NaN positions; finite errors within 64 eps cond of the explicit fold's condition
-    estimate, relative to the error where it exceeds 1."""
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    ok = ~np.isnan(want)
-    tol = 64 * np.finfo(float).eps * conds[ok] * np.maximum(1.0, want[ok])
-    assert np.all(np.abs(got[ok] - want[ok]) <= tol), np.max(np.abs(got[ok] - want[ok]) / tol)
-
-
 def _assert_same_report(got, want, case=None):
     """Every LooReport field bitwise equal, NaN where NaN."""
     for f in dataclasses.fields(want):
@@ -266,11 +257,11 @@ class TestFoldPathReference:
         checked = []
         solve = evaluation._lagrange_predict
 
-        def fit_rbf_system(m, b, x):
+        def fit_rbf_system(m, spec, tail, r, q, x):
             i = nodes_of[x.tobytes()]
             assert np.array_equal(m, inverse._system(coords.points[i], cubic(), "linear"))
             checked.append(x.tobytes())
-            return solve(m, b, x)
+            return solve(m, spec, tail, r, q, x)
 
         monkeypatch.setattr(evaluation, "_lagrange_predict", fit_rbf_system)
         rep = loo_error(values, coords, "cubic", policy=NeighborhoodPolicy(max_neighbors=400))
@@ -435,6 +426,8 @@ class TestLooFoldsContract:
         monkeypatch.setattr(evaluation, "nearest", lambda *args, **kwargs: pytest.fail("neighbour search ran"))
         for pairs, max_neighbors, reason in [
             ([("cubic", None), ("shepard", 0.0)], 10, "shepard needs a finite positive scale multiple"),
+            ([("gaussian", True)], 10, "gaussian needs a finite positive scale multiple"),
+            ([("shepard", "1.0")], 10, "shepard needs a finite positive scale multiple"),
             ([("gaussian", 1.0), ("kriging", None)], 10, "unknown method"),
             ([("shepard", 1.0), ("cubic", None)], 4, "d\\+2"),
         ]:
@@ -451,6 +444,30 @@ class TestShepardFoldMemory:
         policy = NeighborhoodPolicy(max_neighbors=200)
         peak = traced_peak(lambda: loo_error(values, coords, "shepard", 1.0, policy=policy))
         assert peak < 21 * 2**20
+
+
+class TestRefittedFoldIsLocalFit:
+    """A refitted fold is inverse.fit_local_rbf on the other points at the left-out one, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "duplicate", "plane"])
+    @pytest.mark.parametrize("method,scale", [("cubic", None), ("gaussian", 1.0)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_fold_is_fit_local_rbf(self, monkeypatch, kind, method, scale, workers):
+        values, coords = _fold_clouds(kind)
+        policy = NeighborhoodPolicy(max_neighbors=10)  # k < n-1: every fold is refitted
+        monkeypatch.setattr(evaluation, "_fold_workers", lambda: workers)
+        rep = loo_error(values, coords, method, scale, policy=policy)
+        spec, tail = (cubic(), "linear") if method == "cubic" else (gaussian(spacing_scale(scale, rep.h_local)), "none")
+        for j in range(coords.n):
+            rest = np.arange(coords.n) != j
+            try:
+                pred = fit_local_rbf(PointCloud(coords.points[rest]), PointCloud(values.points[rest]), spec, tail,
+                                     policy, coords.points[j])
+            except InterpolationError:  # duplicate nodes, lost unisolvency or a singular system
+                assert np.isnan(rep.per_point_errors[j])
+                continue
+            r = values.points[j] - pred
+            assert rep.per_point_errors[j] == np.sqrt(r @ r)
 
 
 class TestFailedFoldRule:
@@ -487,8 +504,8 @@ class TestFailedFoldRule:
         bad_nodes = nearest(coords.points, coords.points, min(coords.n - 1, max_neighbors), exclude_self=True)[0][self.BAD]
         solve = evaluation._lagrange_predict
 
-        def infinite_at_bad(m, b, x):  # returns inf instead of raising
-            pred, cond = solve(m, b, x)
+        def infinite_at_bad(m, spec, tail, r, q, x):  # returns inf instead of raising
+            pred, cond = solve(m, spec, tail, r, q, x)
             return (np.full_like(pred, np.inf) if np.array_equal(x, values.points[bad_nodes]) else pred), cond
 
         monkeypatch.setattr(evaluation, "_lagrange_predict", infinite_at_bad)

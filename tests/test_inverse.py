@@ -41,7 +41,7 @@ from preimage.kernels import (
     thin_plate,
 )
 
-from conftest import random_rotation, traced_peak
+from conftest import _assert_within_cond, random_rotation, traced_peak
 
 
 def lange_1(m):
@@ -380,8 +380,9 @@ class TestFitLocalRbf:
         assert np.abs(local - together).max() < 1e-10
 
     def test_neighbor_subset_is_nearest(self, rng):
-        # the prediction is fit_rbf then eval_rbf on the k nearest nodes, bit for bit: far nodes play
-        # no part, and equidistant nodes go to the lower index
+        # the prediction is fit_rbf then eval_rbf on the k nearest nodes, up to rounding (the Lagrange
+        # form solves for the query, not the values): far nodes play no part, and equidistant nodes
+        # go to the lower index
         random_nodes = rng.normal(size=(30, 2))
         lattice = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
         cases = [
@@ -396,8 +397,8 @@ class TestFitLocalRbf:
             dist = cdist(query[None, :], nodes_pts)[0]
             keep = np.sort(np.argsort(dist, kind="stable")[:k])
             got = fit_local_rbf(PointCloud(nodes_pts), PointCloud(values_pts), spec, tail, NeighborhoodPolicy(k), query)
-            direct = eval_rbf(fit_rbf(PointCloud(nodes_pts[keep]), PointCloud(values_pts[keep]), spec, tail), query)
-            assert np.array_equal(got, direct)
+            model = fit_rbf(PointCloud(nodes_pts[keep]), PointCloud(values_pts[keep]), spec, tail)
+            _assert_within_cond(got, eval_rbf(model, query), np.full(got.shape, model.condition))
             if k < len(nodes_pts):
                 assert dist[keep].max() <= np.delete(dist, keep).min()
 
@@ -441,6 +442,49 @@ class TestFitLocalRbf:
         nodes, values = PointCloud(rng.normal(size=(20, 2))), PointCloud(rng.normal(size=(n_values, 3)))
         with pytest.raises(ValueError, match=match):
             fit_local_rbf(nodes, values, spec, tail, NeighborhoodPolicy(10), np.zeros(2))
+
+
+    @pytest.mark.parametrize("spec,tail,size", [(cubic(), "linear", 12 + 3), (gaussian(1.0), "none", 12)])
+    def test_one_solve_for_the_query(self, rng, spec, tail, size):
+        # one right-hand side, m's column for the query, however many value columns there are
+        nodes, values = PointCloud(rng.normal(size=(30, 2))), PointCloud(rng.normal(size=(30, 7)))
+        with mock.patch.object(inverse, "_solve_with_cond", wraps=inverse._solve_with_cond) as solve:
+            fit_local_rbf(nodes, values, spec, tail, NeighborhoodPolicy(12), rng.normal(size=2))
+        assert solve.call_count == 1
+        assert solve.call_args.args[1].shape == (size,)
+
+    def test_failures_raise_as_fit_rbf_raises(self):
+        values = PointCloud(np.arange(10.0).reshape(5, 2))
+        # the four nodes nearest (0.5, 0.5) are equidistant from it, and two of them are equal
+        duplicated = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+        with pytest.raises(SingularSystemError, match="duplicate nodes at indices 1 and 2"):
+            fit_local_rbf(duplicated, values, cubic(), "linear", NeighborhoodPolicy(4), np.array([0.5, 0.5]))
+        # the four nodes nearest (1.5, 1.5) lie on one line
+        collinear = PointCloud([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [9.0, 0.0]])
+        with pytest.raises(UnisolvencyError):
+            fit_local_rbf(collinear, values, cubic(), "linear", NeighborhoodPolicy(4), np.array([1.5, 1.5]))
+
+
+class TestLocalQuery:
+    """fit_local_rbf and shepard_eval refuse a query that has no nearest nodes."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["fit_local_rbf", "shepard_eval"])
+    def test_non_finite_query_refused_before_neighbour_search(self, rng, monkeypatch, name, bad):
+        # unchecked, a NaN Shepard query reported a scale underflow and a Gaussian local fit at an
+        # infinite one returned zeros
+        def never(*args, **kwargs):
+            raise AssertionError("neighbour search ran")
+
+        monkeypatch.setattr(inverse, "nearest", never)
+        nodes, values = PointCloud(rng.normal(size=(20, 2))), PointCloud(rng.normal(size=(20, 3)))
+        call = {
+            "fit_local_rbf": lambda q: fit_local_rbf(nodes, values, gaussian(1.0), "none", NeighborhoodPolicy(5), q),
+            "shepard_eval": lambda q: shepard_eval(nodes, values, q, 1.0, NeighborhoodPolicy(5)),
+        }[name]
+        for query in ([bad, 0.0], np.array([0.5, bad])):
+            with pytest.raises(ValueError, match=rf"^query must be finite, got \[.*{bad}.*\]$"):
+                call(query)
 
 
 class TestShepard:
