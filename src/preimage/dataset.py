@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -11,9 +12,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 _MAGIC = b"PCLD"
-_BLOCK_DISTANCES = 1 << 20  # _row_blocks' default cap: a query block holds at most 8 MB of float64 distances
+_BLOCK_DISTANCES = 1 << 20  # _row_blocks' default cap, for query blocks that feed a product: at most 8 MB of distances
 _ROW_GROUP = 4  # rows OpenBLAS's dgemm and dgemv kernels take at a time on x86-64 (see _row_blocks)
-_BLOCK_TEMPORARY = 1 << 16  # _row_blocks' cap where blocks bound only temporaries, never a product's bits
+_BLOCK_TEMPORARY = 1 << 16  # _row_blocks' cap where blocks bound only temporaries, never a product's bits: 512 KiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +125,15 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool 
 
     Rows list their points in increasing point index; equidistant points go to the lower index
     (_top_k). exclude_self means the queries are the points: row i leaves out point i but not
-    its duplicates. cdist runs on one block of queries at a time (_row_blocks).
+    its duplicates. cdist and _top_k run on one block of queries at a time, of at most
+    _BLOCK_TEMPORARY distances (_row_blocks), so the search holds its m x k table and O(n) more.
     """
     n, m = points.shape[0], queries.shape[0]
     if not 1 <= k <= n - exclude_self:
         raise ValueError(f"k must be in [1, {n - exclude_self}]")
     idx = np.empty((m, k), dtype=np.intp)
     dist = np.empty((m, k))
-    for rows in _row_blocks(m, n):
+    for rows in _row_blocks(m, n, _BLOCK_TEMPORARY):
         d = cdist(queries[rows], points)
         if exclude_self:
             d[np.arange(len(d)), np.arange(rows.start, rows.stop)] = np.inf
@@ -171,8 +173,10 @@ def _paired(nodes: PointCloud, values: PointCloud) -> None:
 def _row_blocks(m: int, n: int, cap: int | None = None) -> list:
     """The one row-block rule: the blocks in which m rows meet n columns, as consecutive slices of
     range(m), each of at most cap entries (one group of _ROW_GROUP rows at least), so memory grows
-    with n, not m x n. cap defaults to _BLOCK_DISTANCES (query blocks), read at each call; kernel
-    assembly and _top_k's tied rows, whose blocks bound only temporaries, pass _BLOCK_TEMPORARY.
+    with n, not m x n. Both caps are read at each call. cap defaults to _BLOCK_DISTANCES, which is
+    only for query blocks that feed a product (eval_rbf, the Nystrom sums). Blocks that bound only
+    temporaries pass _BLOCK_TEMPORARY: the neighbour search, _top_k's tied rows, kernel assembly,
+    refitted folds and Shepard gathers.
 
     Blocks are whole row groups, the last one excepted, and as equal in size as the cap allows,
     so a product taken block by block gives each row the bits of one unblocked product (README,
@@ -296,10 +300,12 @@ def _load_binary(path: Path) -> PointCloud:
         n, dim = struct.unpack("<QQ", header)
         if n < 1 or dim < 1:
             raise ValueError("no points")
-        data = np.frombuffer(f.read(), dtype="<f8")
-    if data.size != n * dim:
-        raise ValueError(f"truncated point-cloud file: expected {n * dim} values, found {data.size}")
-    return PointCloud(data.reshape(n, dim).copy())
+        found, need = os.fstat(f.fileno()).st_size - f.tell(), 8 * n * dim
+        if found != need:
+            kind = "truncated" if found < need else "overlong"
+            raise ValueError(f"{kind} point-cloud file: its {n} x {dim} header needs {need} payload bytes, found {found}")
+        data = np.fromfile(f, dtype="<f8", count=n * dim)
+    return PointCloud(data.reshape(n, dim))
 
 
 def _load_csv(path: Path) -> PointCloud:

@@ -200,10 +200,14 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
 
     Every pair is checked before any work: the cubic takes no multiple and the gaussian and shepard
     a finite positive one (_check_multiple), and the cubic (with the linear tail, its one solvable
-    tail) needs d+2 nodes per fold. One dataset.nearest table gives every fold of every pair its k
-    nodes (all the other points when n-1 <= max_neighbors) and gives h_local; gaussian and shepard
-    scales are multiples of 1/h_local (ValueError when h_local is 0). The cubic and the gaussian
-    (plain system) interpolate a fold's nodes, and shepard averages their values.
+    tail) needs d+2 nodes per fold. h_local is local_fill_distance's mean, from its k = 1 nearest
+    pass but without its duplicate warning; gaussian and shepard scales are multiples of 1/h_local
+    (ValueError when h_local is 0, before any fold). The cubic and the gaussian (plain system)
+    interpolate a fold's nodes, and shepard averages their values.
+
+    One dataset.nearest table gives every fold its k nodes (all the other points when
+    n-1 <= max_neighbors). It is built only when a shepard pair or a refitted pair needs it, so a
+    pass whose folds all come from Rippa's identity holds one full system at a time and no table.
 
     When every fold is global (k = n-1), a cubic or gaussian pair's folds come from one pivoted LU
     of the full system M, inverted in place, by Rippa's identity (Rippa 1999, Adv. Comput. Math.
@@ -242,22 +246,13 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
             raise ValueError(f"unknown method {method!r}")
         _check_multiple(method, multiple)
     y, x = coords.points, values.points
-    idx, dist = nearest(y, y, k, exclude_self=True)
-    h = float(dist.min(axis=1).mean())
+    h = float(nearest(y, y, 1, exclude_self=True)[1].mean())
+    specs = [cubic() if method == METHOD_CUBIC else gaussian(spacing_scale(multiple, h)) for method, multiple in pairs]
     folds, refits = {}, []
-    shepard = [pair for pair in pairs if pair[0] == METHOD_SHEPARD]
-    if shepard:
-        specs = [gaussian(spacing_scale(multiple, h)) for _, multiple in shepard]
-        for pair, avg in zip(shepard, _shepard_average(dist, idx, x, specs)):
-            r = x - avg  # per row, the sqrt of one ddot: np.linalg.norm's bits
-            folds[pair] = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]), np.full(n, np.nan)
-    for method, multiple in pairs:
-        if method == METHOD_CUBIC:
-            spec, tail = cubic(), TAIL_LINEAR
-        elif method == METHOD_GAUSSIAN:
-            spec, tail = gaussian(spacing_scale(multiple, h)), TAIL_NONE
-        else:
+    for (method, multiple), spec in zip(pairs, specs):
+        if method == METHOD_SHEPARD:
             continue
+        tail = TAIL_LINEAR if method == METHOD_CUBIC else TAIL_NONE
         if k == n - 1:
             try:
                 folds[method, multiple] = _global_folds(y, x, spec, tail)
@@ -266,6 +261,13 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
                 pass  # duplicate nodes or a singular full system: every fold is refitted below
         folds[method, multiple] = np.full(n, np.nan), np.full(n, np.nan)
         refits.append((spec, tail, *folds[method, multiple]))
+    shepard = {pair: spec for pair, spec in zip(pairs, specs) if pair[0] == METHOD_SHEPARD}
+    if shepard or refits:
+        idx, dist = nearest(y, y, k, exclude_self=True)
+    if shepard:
+        for pair, avg in zip(shepard, _shepard_average(dist, idx, x, list(shepard.values()))):
+            r = x - avg  # per row, the sqrt of one ddot: np.linalg.norm's bits
+            folds[pair] = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]), np.full(n, np.nan)
     if refits:
         _run_chunked(lambda chunk: _refit_folds(chunk, y, x, idx, dist, refits), n, _fold_workers())
     return LooFolds(values=values, coords=coords, policy=policy, h_local=h, pairs=folds)

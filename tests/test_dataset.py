@@ -28,7 +28,7 @@ from preimage.inverse import NeighborhoodPolicy, eval_rbf, fit_local_rbf, fit_rb
 from preimage.kernels import cubic, eval_kernel, gaussian
 from preimage.nystrom import nystrom_extend
 
-from conftest import _assert_within_cond, random_rotation
+from conftest import _assert_within_cond, random_rotation, traced_peak
 
 
 class TestPointCloud:
@@ -137,6 +137,13 @@ class TestRandomUnitaryEmbed:
             random_unitary_embed(PointCloud(np.eye(3)), 2, seed=0)
 
 
+def _cdist_blocks(call):
+    """call()'s result and the number of cdist calls dataset made in it, one per row block."""
+    with mock.patch.object(dataset, "cdist", wraps=cdist) as spy:
+        out = call()
+    return out, spy.call_count
+
+
 def _brute_nearest(points, queries, k, exclude_self=False):
     d = cdist(queries, points)
     if exclude_self:
@@ -149,20 +156,22 @@ class TestNearest:
     @pytest.mark.parametrize("k", [1, 3, 20])
     def test_matches_brute_force_across_blocks(self, rng, monkeypatch, k):
         # 100 distances per block of 20 points: one 4-row group per block, 23 = 4+4+4+4+4+3
-        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 100)
+        monkeypatch.setattr(dataset, "_BLOCK_TEMPORARY", 100)
         points = rng.normal(size=(20, 4))
         queries = rng.normal(size=(23, 4))
-        idx, dist = nearest(points, queries, k)
+        (idx, dist), blocks = _cdist_blocks(lambda: nearest(points, queries, k))
+        assert blocks == 6
         want_idx, want_dist = _brute_nearest(points, queries, k)
         assert idx.shape == dist.shape == (23, k)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(dist, want_dist)
 
     def test_exclude_self_across_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 70)  # blocks of one 4-row group (the least), the last of 3
+        monkeypatch.setattr(dataset, "_BLOCK_TEMPORARY", 70)  # blocks of one 4-row group (the least), the last of 3
         points = rng.normal(size=(23, 3))
         for k in (1, 4, 22):
-            idx, dist = nearest(points, points, k, exclude_self=True)
+            (idx, dist), blocks = _cdist_blocks(lambda: nearest(points, points, k, exclude_self=True))
+            assert blocks == 6
             want_idx, want_dist = _brute_nearest(points, points, k, exclude_self=True)
             assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
             assert not np.any(idx == np.arange(23)[:, None])
@@ -226,17 +235,20 @@ class TestNearest:
         block=st.sampled_from([1, 7, 30, 1 << 20]),
     )
     def test_nearest_is_the_stable_sort_set(self, points, queries, block):
-        # integer lattice coordinates make many exact distance ties; `block` varies the query blocking
+        # integer lattice coordinates make many exact distance ties; `block` varies the query
+        # blocking: under the small caps more than one 4-row group of queries spans several blocks
         n = points.shape[0]
-        with mock.patch.object(dataset, "_BLOCK_DISTANCES", block):
+        with mock.patch.object(dataset, "_BLOCK_TEMPORARY", block):
             for exclude_self in (False, True):
                 q = points if exclude_self else queries
                 d = cdist(q, points)
                 if exclude_self:
                     np.fill_diagonal(d, np.inf)
                 order = np.argsort(d, axis=1, kind="stable")
+                want_blocks = len(dataset._row_blocks(len(q), n, block))  # more than one unless q fits one
                 for k in range(1, n - exclude_self + 1):
-                    idx, dist = nearest(points, q, k, exclude_self=exclude_self)
+                    (idx, dist), blocks = _cdist_blocks(lambda: nearest(points, q, k, exclude_self=exclude_self))
+                    assert blocks == want_blocks
                     assert np.array_equal(idx, np.sort(order[:, :k], axis=1))
                     assert np.array_equal(dist, np.take_along_axis(d, idx, axis=1))
 
@@ -246,6 +258,15 @@ class TestNearest:
             nearest(points, points, 5, exclude_self=True)
         with pytest.raises(ValueError, match="k must be"):
             nearest(points, points, 0)
+
+
+class TestNearestMemory:
+    def test_search_holds_its_table_and_blocks(self):
+        # idx and dist (1000 x 200 each) plus one block of at most _BLOCK_TEMPORARY distances and
+        # its top-k temporaries; an 8 MB cdist block and its argpartition table would add 16 MB
+        points = np.random.default_rng(5).normal(size=(1000, 5))
+        peak = traced_peak(lambda: nearest(points, points, 200, exclude_self=True))
+        assert peak <= 1000 * 200 * 16 + 2 * 2**20
 
 
 class TestRowBlocks:
@@ -269,11 +290,13 @@ class TestRowBlocks:
 
 class TestLocalFillDistance:
     def test_equals_dense_matrix_value_across_blocks(self, rng, monkeypatch):
-        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", 500)  # blocks of 4 or 8 of the 57 rows
+        monkeypatch.setattr(dataset, "_BLOCK_TEMPORARY", 500)  # blocks of 4 or 8 of the 57 rows
         pts = rng.normal(size=(57, 5))
         d = squareform(pdist(pts))
         np.fill_diagonal(d, np.inf)
-        assert local_fill_distance(PointCloud(pts)) == float(d.min(axis=1).mean())
+        h, blocks = _cdist_blocks(lambda: local_fill_distance(PointCloud(pts)))
+        assert blocks == 8
+        assert h == float(d.min(axis=1).mean())
 
     def test_equispaced_line(self):
         assert local_fill_distance(PointCloud([[0.0], [1.0], [2.0]])) == 1.0
@@ -389,6 +412,29 @@ class TestCloudIO:
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_cloud(path)
+
+    @pytest.mark.parametrize("change,kind,found", [
+        (-8, "truncated", 24),  # one value short
+        (-3, "truncated", 29),  # cut mid-value
+        (8, "overlong", 40),  # one value too many
+        (3, "overlong", 35),  # a partial value too many
+    ])
+    def test_payload_must_match_its_header(self, tmp_path, change, kind, found):
+        path = tmp_path / "c.pcld"
+        save_cloud(PointCloud([[1.0, 2.0], [3.0, 4.0]]), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + b"\x01" * change)
+        message = f"{kind} point-cloud file: its 2 x 2 header needs 32 payload bytes, found {found}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_cloud(path)
+
+    def test_exact_payload_reads_every_bit(self, tmp_path):
+        path = tmp_path / "c.pcld"
+        pts = np.array([[1.0, -0.0], [np.pi, 5e-324], [-1e308, 2.0 / 3.0]])
+        save_cloud(PointCloud(pts), path)
+        got = load_cloud(path).points
+        assert got.tobytes() == pts.tobytes() and got.shape == (3, 2)
+        assert got.dtype == float and got.flags.writeable and got.flags.c_contiguous
 
 
 class TestWriteTable:

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from preimage import dataset, evaluation, inverse
-from preimage.dataset import PointCloud, _row_blocks, local_fill_distance, nearest, spacing_scale
+from preimage.dataset import (
+    PointCloud,
+    _row_blocks,
+    local_fill_distance,
+    nearest,
+    random_unitary_embed,
+    sample_sphere,
+    spacing_scale,
+)
+from preimage.embedding import laplacian_eigenmaps
 from preimage.evaluation import (
     ConditioningConfig,
     SphereConfig,
@@ -435,15 +444,64 @@ class TestLooFoldsContract:
                 loo_folds(values, coords, pairs, policy=NeighborhoodPolicy(max_neighbors=max_neighbors))
 
 
+class TestNeighbourTable:
+    """loo_folds builds the k-neighbour table only for shepard pairs and refitted folds, and takes
+    h_local from local_fill_distance's k = 1 pass in every case."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return nearest(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "nearest", counted)
+        return calls
+
+    def test_global_pairs_build_no_table(self, rng, searches):
+        coords, values = PointCloud(rng.normal(size=(30, 3))), PointCloud(rng.normal(size=(30, 2)))
+        folds = loo_folds(values, coords, [("cubic", None), ("gaussian", 1.0)], policy=NeighborhoodPolicy(29))
+        assert searches == [1]
+        assert folds.h_local == local_fill_distance(coords)
+
+    @pytest.mark.parametrize("pairs,max_neighbors", [
+        ([("shepard", 1.0)], 29),  # shepard averages the table's neighbours
+        ([("cubic", None)], 10),  # k < n-1: every fold is refitted
+        ([("gaussian", 1.0), ("shepard", 0.5), ("cubic", None)], 10),  # one table for every pair
+    ])
+    def test_shepard_and_refits_build_one_table(self, rng, searches, pairs, max_neighbors):
+        coords, values = PointCloud(rng.normal(size=(30, 3))), PointCloud(rng.normal(size=(30, 2)))
+        folds = loo_folds(values, coords, pairs, policy=NeighborhoodPolicy(max_neighbors))
+        assert searches == [1, min(29, max_neighbors)]
+        assert folds.h_local == local_fill_distance(coords)
+
+    def test_global_pair_that_falls_back_builds_the_table(self, rng, searches):
+        # duplicate nodes make the full system singular, so every fold is refitted from the table
+        pts = rng.normal(size=(30, 3))
+        pts[7] = pts[3]
+        coords, values = PointCloud(pts), PointCloud(rng.normal(size=(30, 2)))
+        with pytest.warns(UserWarning, match="duplicate"):
+            want = local_fill_distance(coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loo_folds takes h_local without the duplicate warning
+            folds = loo_folds(values, coords, [("cubic", None)], policy=NeighborhoodPolicy(29))
+        assert searches == [1, 29]
+        assert folds.h_local == want
+        errors, _ = folds.pairs["cubic", None]
+        assert np.flatnonzero(np.isfinite(errors)).tolist() == [3, 7]  # every other fold keeps both twins
+
+
 class TestShepardFoldMemory:
     def test_values_are_gathered_one_row_block_at_a_time(self):
-        # the neighbour table's cdist and argpartition blocks dominate; all of values[idx] at once
-        # (1000 x 200 x 40 floats, 61 MiB) would triple the peak
+        # the neighbour table (idx and dist, 1000 x 200 each) dominates, and the search and the
+        # gather add blocks of at most _BLOCK_TEMPORARY entries; all of values[idx] at once
+        # (1000 x 200 x 40 floats, 61 MiB) would be twenty times the table
         rng = np.random.default_rng(11)
         coords, values = PointCloud(rng.normal(size=(1000, 5))), PointCloud(rng.normal(size=(1000, 40)))
         policy = NeighborhoodPolicy(max_neighbors=200)
         peak = traced_peak(lambda: loo_error(values, coords, "shepard", 1.0, policy=policy))
-        assert peak < 21 * 2**20
+        assert peak <= 1000 * 200 * 16 + 2 * 2**20
 
 
 class TestRefittedFoldIsLocalFit:
@@ -704,6 +762,30 @@ class TestGlobalFoldMemory:
         size = n + 6 if tail == "linear" else n
         peak = traced_peak(lambda: evaluation._global_folds(y, x, spec, tail))
         assert peak <= size**2 * 8 + 2 * 2**20
+
+    @pytest.mark.parametrize("method,scale", [("cubic", None), ("gaussian", 1.0)])
+    def test_global_only_pass_holds_one_system(self, method, scale):
+        # h_local's blocked pass, then one full system per pair: no n x (n-1) neighbour table
+        n = 1500
+        coords = random_unitary_embed(sample_sphere(n, 4, seed=13), 5, seed=14)
+        values = PointCloud(np.random.default_rng(15).normal(size=(n, 10)))
+        reports = []
+        peak = traced_peak(lambda: reports.append(loo_error(values, coords, method, scale, policy=NeighborhoodPolicy(n))))
+        assert np.unique(reports[0].fold_condition).size == 1  # every fold from one factorization
+        size = n + 6 if method == "cubic" else n
+        assert peak <= size**2 * 8 + 2 * 2**20
+
+
+class TestSweepMemory:
+    def test_leave_one_out_stays_under_the_embedding(self):
+        # the embedding's kernel matrix is the sweep's one n x n array: h_local's passes, the
+        # neighbour table and the folds' buffers all fit in its shadow
+        config = SphereConfig()
+        ambient, _ = sphere_pipeline(1000, config, 0)
+        spec = gaussian(spacing_scale(config.affinity_multiple, local_fill_distance(ambient)))
+        embed = traced_peak(lambda: laplacian_eigenmaps(ambient, spec, d=config.embed_dim))
+        sweep = traced_peak(lambda: convergence_sweep([1000], config))
+        assert sweep <= embed + 2**20
 
 
 class TestConditioningSweep:
