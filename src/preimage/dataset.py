@@ -174,9 +174,9 @@ def _row_blocks(m: int, n: int, cap: int | None = None) -> list:
     """The one row-block rule: the blocks in which m rows meet n columns, as consecutive slices of
     range(m), each of at most cap entries (one group of _ROW_GROUP rows at least), so memory grows
     with n, not m x n. Both caps are read at each call. cap defaults to _BLOCK_DISTANCES, which is
-    only for query blocks that feed a product (eval_rbf, the Nystrom sums). Blocks that bound only
-    temporaries pass _BLOCK_TEMPORARY: the neighbour search, _top_k's tied rows, kernel assembly,
-    refitted folds and Shepard gathers.
+    only for row blocks that feed a product (eval_rbf, the Nystrom sums, global Shepard folds).
+    Blocks that bound only temporaries pass _BLOCK_TEMPORARY: the neighbour search, _top_k's tied
+    rows, kernel assembly, refitted folds and the gathers of table Shepard averages.
 
     Blocks are whole row groups, the last one excepted, and as equal in size as the cap allows,
     so a product taken block by block gives each row the bits of one unblocked product (README,

@@ -39,7 +39,7 @@ METHOD_CUBIC = "cubic"
 METHOD_GAUSSIAN = "gaussian"
 METHOD_SHEPARD = "shepard"
 
-LOO_CSV_COLUMNS = ["n", "seed", "h_local", "method", "scale_multiple", "e_avg", "failures"]
+LOO_CSV_COLUMNS = ["n", "seed", "h_local", "method", "scale_multiple", "e_avg", "failures", "valid"]
 COND_CSV_COLUMNS = ["parameter", "n", "h_local", "method", "cond"]
 
 # default gaussian and shepard scale multiples of a one-dataset scale table
@@ -205,18 +205,21 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
     (ValueError when h_local is 0, before any fold). The cubic and the gaussian (plain system)
     interpolate a fold's nodes, and shepard averages their values.
 
-    One dataset.nearest table gives every fold its k nodes (all the other points when
-    n-1 <= max_neighbors). It is built only when a shepard pair or a refitted pair needs it, so a
-    pass whose folds all come from Rippa's identity holds one full system at a time and no table.
+    One dataset.nearest table gives every refitted or local fold its k nodes. It is built only when
+    a refitted pair, or a shepard pair with k < n-1, needs it: a global pass (k = n-1) whose folds
+    all come from Rippa's identity or are shepard folds builds no table, and holds one full system
+    or two blocks of distances and weights at a time.
 
     When every fold is global (k = n-1), a cubic or gaussian pair's folds come from one pivoted LU
     of the full system M, inverted in place, by Rippa's identity (Rippa 1999, Adv. Comput. Math.
     11:193; Fasshauer 2007, Meshfree Approximation Methods with MATLAB, ch. 17): fold j's error is
     |c_j| / |(M^-1)_jj| with c = M^-1 [X; 0] (see _global_folds). A pair's folds are refitted when
     k < n-1, and when its full system has duplicate nodes or is singular. Shepard folds refit
-    nothing: one inverse._shepard_average call, shepard_eval's body, predicts the folds of every
-    shepard pair, gathering each block of neighbour values once for all their scales, NaN where
-    every weight underflowed.
+    nothing and take one of two paths, chosen by k, each once for every shepard scale: global folds
+    (k = n-1) are _global_shepard's (W @ X) / W.sum(1), in product blocks under
+    dataset._BLOCK_DISTANCES, and local folds are inverse._shepard_average (shepard_eval's body)
+    on the table. Either gives NaN where every weight underflowed; a global fold differs from
+    shepard_eval on the other points by rounding only.
 
     Every refitted pair goes through one pass over the folds (_refit_folds). A refitted fold j is
     inverse.fit_local_rbf on the other points at y_j, bit for bit: the same k nodes, the same
@@ -262,10 +265,12 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
         folds[method, multiple] = np.full(n, np.nan), np.full(n, np.nan)
         refits.append((spec, tail, *folds[method, multiple]))
     shepard = {pair: spec for pair, spec in zip(pairs, specs) if pair[0] == METHOD_SHEPARD}
-    if shepard or refits:
+    if refits or (shepard and k < n - 1):
         idx, dist = nearest(y, y, k, exclude_self=True)
     if shepard:
-        for pair, avg in zip(shepard, _shepard_average(dist, idx, x, list(shepard.values()))):
+        shepard_specs = list(shepard.values())
+        averages = _global_shepard(y, x, shepard_specs) if k == n - 1 else _shepard_average(dist, idx, x, shepard_specs)
+        for pair, avg in zip(shepard, averages):
             r = x - avg  # per row, the sqrt of one ddot: np.linalg.norm's bits
             folds[pair] = np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]), np.full(n, np.nan)
     if refits:
@@ -378,6 +383,33 @@ def _global_folds(y: np.ndarray, x: np.ndarray, spec, tail: str):
     if tail == TAIL_LINEAR:
         errors[~_folds_unisolvent(y)] = np.nan
     return errors, np.full(n, cond)
+
+
+def _global_shepard(y: np.ndarray, x: np.ndarray, specs) -> list:
+    """Every global Shepard fold's average, with no neighbour table: for each Gaussian kernel spec
+    of specs, (W @ x) / W.sum(axis=1), W the spec's weights (kernels._profile) at cdist(y, y) with a
+    zero diagonal, so row j averages every point but j; one (n, D) array per spec. A row whose
+    weights all underflowed to 0 is NaN (0/0).
+
+    Rows go in product blocks (_row_blocks(n, n), cap dataset._BLOCK_DISTANCES), so each row has
+    the unblocked formula's bits. Each block's distances are taken once for every spec, into one
+    reused buffer, with each row's own distance set to inf, where its weight is exactly 0.
+    """
+    n = y.shape[0]
+    outs = [np.empty(x.shape) for _ in specs]
+    blocks = _row_blocks(n, n)
+    r = np.empty((max(b.stop - b.start for b in blocks), n))
+    w = np.empty_like(r)
+    for rows in blocks:
+        m = rows.stop - rows.start
+        cdist(y[rows], y, out=r[:m])
+        r[np.arange(m), np.arange(rows.start, rows.stop)] = np.inf
+        for spec, out in zip(specs, outs):
+            _profile(spec, r[:m], out=w[:m])
+            np.matmul(w[:m], x, out=out[rows])
+            with np.errstate(invalid="ignore"):
+                out[rows] /= w[:m].sum(axis=1)[:, None]
+    return outs
 
 
 def _folds_unisolvent(y: np.ndarray) -> np.ndarray:
@@ -568,11 +600,12 @@ def scale_table(
 
 
 def sweep_to_csv(result: SweepResult, path) -> None:
-    """LOO sweep rows with the fixed schema n, seed, h_local, method, scale_multiple, e_avg, failures."""
+    """LOO sweep rows with the fixed schema n, seed, h_local, method, scale_multiple, e_avg, failures,
+    valid; valid is SweepRow.valid as 0 or 1, and only rows with 1 feed the fitted slope."""
     write_table(
         path,
         LOO_CSV_COLUMNS,
-        [[r.n, r.seed, r.h_local, r.method, r.scale_multiple, r.e_avg, r.failures] for r in result.rows],
+        [[r.n, r.seed, r.h_local, r.method, r.scale_multiple, r.e_avg, r.failures, int(r.valid)] for r in result.rows],
     )
 
 

@@ -256,9 +256,11 @@ def shepard_eval(
 
 
 def _shepard_average(dist: np.ndarray, idx: np.ndarray, values: np.ndarray, specs) -> list:
-    """The one Shepard body: for each Gaussian kernel spec of specs, and each of m rows of a neighbour
-    table (dist, idx, both m x k), the average of the values rows idx names, weighted by the spec at
-    dist (kernels._profile); one (m, D) array per spec. A row whose weights all underflowed to 0 is
+    """The Shepard average on a neighbour table: for each Gaussian kernel spec of specs, and each of m
+    rows of a table (dist, idx, both m x k), the average of the values rows idx names, weighted by the
+    spec at dist (kernels._profile); one (m, D) array per spec. shepard_eval and local leave-one-out
+    folds (k < n-1) run on it; global folds (k = n-1) need no table and take
+    evaluation._global_shepard instead. A row whose weights all underflowed to 0 is
     NaN (0/0). Rows go in _row_blocks of at most dataset._BLOCK_TEMPORARY gathered values, and each
     block of values[idx] is gathered once for every spec, so values[idx] is never built whole; each
     row has the bits of w @ values[idx[i]] / w.sum() (the batched matmul takes the same gemv per row)."""

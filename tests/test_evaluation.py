@@ -2,11 +2,13 @@ import dataclasses
 import os
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from preimage import dataset, evaluation, inverse
 from preimage.dataset import (
@@ -22,6 +24,7 @@ from preimage.embedding import laplacian_eigenmaps
 from preimage.evaluation import (
     ConditioningConfig,
     SphereConfig,
+    SweepResult,
     SweepRow,
     conditioning_sweep,
     conditioning_to_csv,
@@ -44,7 +47,7 @@ from preimage.inverse import (
     fit_rbf,
     shepard_eval,
 )
-from preimage.kernels import cubic, gaussian
+from preimage.kernels import _profile, cubic, gaussian
 
 from conftest import _assert_within_cond, traced_peak
 
@@ -180,6 +183,21 @@ def _reference_loo(values, coords, method, scale_multiple, policy):
     return h, errors, tuple(failures), conds
 
 
+def _dense_shepard_averages(x: np.ndarray, y: np.ndarray, spec) -> np.ndarray:
+    """Every global Shepard fold's average by the unblocked formula (W @ x) / W.sum(1), W the
+    spec's weights at every distance with a zero diagonal."""
+    w = _profile(spec, cdist(y, y))
+    np.fill_diagonal(w, 0.0)
+    with np.errstate(invalid="ignore"):
+        return (w @ x) / w.sum(axis=1)[:, None]
+
+
+def _dense_shepard_errors(values, coords, scale, h):
+    x = values.points
+    avg = _dense_shepard_averages(x, coords.points, gaussian(spacing_scale(scale, h)))
+    return np.array([np.linalg.norm(x[j] - avg[j]) for j in range(coords.n)])
+
+
 def _assert_same_report(got, want, case=None):
     """Every LooReport field bitwise equal, NaN where NaN."""
     for f in dataclasses.fields(want):
@@ -221,7 +239,13 @@ class TestFoldPathReference:
         h, errors, failures, conds = _reference_loo(values, coords, method, scale, policy)
         rep = loo_error(values, coords, method, scale, policy=policy)
         assert rep.h_local == h
-        if method == "shepard":
+        if method == "shepard" and max_neighbors >= coords.n - 1:
+            # global folds: the unblocked formula bit for bit, and shepard_eval's weighted sum in
+            # another order, within the rounding of n - 1 terms
+            assert np.array_equal(rep.per_point_errors, _dense_shepard_errors(values, coords, scale, h), equal_nan=True)
+            tol = 2 * (coords.n - 1) * np.finfo(float).eps * np.abs(values.points).max()
+            assert np.all(np.abs(rep.per_point_errors - errors) <= tol)
+        elif method == "shepard":
             assert np.array_equal(rep.per_point_errors, errors, equal_nan=True)
         else:
             # one factorization of the full system (Rippa's identity), or one solve per refitted fold
@@ -445,8 +469,8 @@ class TestLooFoldsContract:
 
 
 class TestNeighbourTable:
-    """loo_folds builds the k-neighbour table only for shepard pairs and refitted folds, and takes
-    h_local from local_fill_distance's k = 1 pass in every case."""
+    """loo_folds builds the k-neighbour table only for refitted folds and local (k < n-1) shepard
+    pairs, and takes h_local from local_fill_distance's k = 1 pass in every case."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -466,14 +490,14 @@ class TestNeighbourTable:
         assert folds.h_local == local_fill_distance(coords)
 
     @pytest.mark.parametrize("pairs,max_neighbors", [
-        ([("shepard", 1.0)], 29),  # shepard averages the table's neighbours
+        ([("shepard", 1.0)], 29),  # global shepard folds average every other point: no table
         ([("cubic", None)], 10),  # k < n-1: every fold is refitted
         ([("gaussian", 1.0), ("shepard", 0.5), ("cubic", None)], 10),  # one table for every pair
     ])
     def test_shepard_and_refits_build_one_table(self, rng, searches, pairs, max_neighbors):
         coords, values = PointCloud(rng.normal(size=(30, 3))), PointCloud(rng.normal(size=(30, 2)))
         folds = loo_folds(values, coords, pairs, policy=NeighborhoodPolicy(max_neighbors))
-        assert searches == [1, min(29, max_neighbors)]
+        assert searches == ([1] if max_neighbors >= 29 else [1, max_neighbors])
         assert folds.h_local == local_fill_distance(coords)
 
     def test_global_pair_that_falls_back_builds_the_table(self, rng, searches):
@@ -502,6 +526,85 @@ class TestShepardFoldMemory:
         policy = NeighborhoodPolicy(max_neighbors=200)
         peak = traced_peak(lambda: loo_error(values, coords, "shepard", 1.0, policy=policy))
         assert peak <= 1000 * 200 * 16 + 2 * 2**20
+
+
+class TestGlobalShepardFolds:
+    """Global shepard folds (k = n-1) come from product blocks of distances, with no neighbour table."""
+
+    @pytest.mark.parametrize("block", [1, 203 * 4 * 3, 203 * 4 * 13, 1 << 20])
+    def test_equal_the_unblocked_formula(self, monkeypatch, block):
+        rng = np.random.default_rng(16)
+        y, x = rng.normal(size=(203, 3)), rng.normal(size=(203, 4))
+        y[40] = y[41]  # a twin weighs 1 in the other's fold
+        y[7] += 50.0  # far from every other point: its fold underflows at the larger scales
+        specs = [gaussian(eps) for eps in (0.3, 2.0, 40.0)]
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", block)
+        blocks = len(_row_blocks(203, 203))
+        assert blocks == 1 if block == 1 << 20 else blocks > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            averages = evaluation._global_shepard(y, x, specs)
+        for spec, got in zip(specs, averages):
+            assert np.array_equal(got, _dense_shepard_averages(x, y, spec), equal_nan=True)
+        assert np.isnan(averages[2][7]).all() and np.isfinite(averages[0]).all()
+
+    def test_four_scales_hold_two_blocks(self):
+        # one block of distances and one of weights, each at most _BLOCK_DISTANCES floats (8 MiB),
+        # where the neighbour table (idx and dist, 1500 x 1499 each) took 35.8 MiB
+        n = 1500
+        coords = random_unitary_embed(sample_sphere(n, 4, seed=13), 5, seed=14)
+        values = PointCloud(np.random.default_rng(15).normal(size=(n, 10)))
+        pairs = [("shepard", m) for m in (0.25, 0.5, 1.0, 2.0)]
+        peak = traced_peak(lambda: loo_folds(values, coords, pairs, policy=NeighborhoodPolicy(n)))
+        assert peak <= 2 * 8 * 2**20 + 4 * 2**20
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 24),
+        d=st.integers(1, 3),
+        dim_out=st.integers(1, 3),
+        local=st.booleans(),
+        underflow=st.floats(20.0, 200.0),
+    )
+    def test_averages_lie_in_the_hull_and_fail_where_weights_underflow(self, seed, n, d, dim_out, local, underflow):
+        rng = np.random.default_rng(seed)
+        y, x = rng.uniform(-1.0, 1.0, size=(n, d)), rng.normal(size=(n, dim_out))
+        k = int(rng.integers(1, n - 1)) if local else n - 1
+        multiples = (0.5, underflow)  # exp(-(m r / h)^2) underflows to 0 once m r / h exceeds about 27
+        captured = []
+
+        def keep(path):
+            def run(*args):
+                captured.append(path(*args))
+                return captured[-1]
+            return run
+
+        with mock.patch.object(evaluation, "_global_shepard", keep(evaluation._global_shepard)), \
+                mock.patch.object(evaluation, "_shepard_average", keep(evaluation._shepard_average)):
+            folds = loo_folds(PointCloud(x), PointCloud(y), [("shepard", m) for m in multiples],
+                              policy=NeighborhoodPolicy(max_neighbors=k if local else n))
+        (averages,) = captured
+        if local:
+            idx, dist = nearest(y, y, k, exclude_self=True)
+        else:
+            idx = np.array([np.delete(np.arange(n), j) for j in range(n)])
+            dist = np.array([np.delete(row, j) for j, row in enumerate(cdist(y, y))])
+        eps = np.finfo(float).eps
+        for m, avg in zip(multiples, averages):
+            w = _profile(gaussian(spacing_scale(m, folds.h_local)), dist)
+            underflowed = w.sum(axis=1) == 0.0
+            assert np.array_equal(np.isnan(avg).any(axis=1), underflowed)
+            assert np.array_equal(np.isnan(avg).all(axis=1), underflowed)
+            assert np.array_equal(~np.isfinite(folds.pairs["shepard", m][0]), underflowed)
+            # a fold whose weights sum to a subnormal number keeps only the few bits its weights
+            # carry, and can leave the hull (two nodes valued 0.7 and 0.3, one weight of 5e-324,
+            # average 1.0), so the hull is checked where the sum is a normal number
+            for j in np.flatnonzero(w.sum(axis=1) >= np.finfo(float).tiny):
+                near = x[idx[j]]
+                # rounding of k products and sums, and of products that fall to the subnormal range
+                tol = 4 * k * eps * np.abs(near).max() + k * 2.0**-1074 / w[j].sum()
+                assert np.all(avg[j] >= near.min(axis=0) - tol) and np.all(avg[j] <= near.max(axis=0) + tol)
 
 
 class TestRefittedFoldIsLocalFit:
@@ -878,8 +981,17 @@ class TestCsvWriters:
         path = tmp_path / "rows.csv"
         sweep_to_csv(res, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,seed,h_local,method,scale_multiple,e_avg,failures"
-        assert len(lines) == 2
+        assert lines[0] == "n,seed,h_local,method,scale_multiple,e_avg,failures,valid"
+        assert len(lines) == 2 and lines[1].endswith(",0,1")
+
+    def test_sweep_writes_an_invalid_row(self, tmp_path):
+        rows = [SweepRow(n=100, seed=3, h_local=0.25, method="gaussian", scale_multiple=0.5, e_avg=0.125, failures=2,
+                         valid=False),
+                SweepRow(n=100, seed=3, h_local=0.25, method="cubic", scale_multiple=None, e_avg=0.0625, failures=1,
+                         valid=True)]
+        path = tmp_path / "rows.csv"
+        sweep_to_csv(SweepResult(rows=rows), path)
+        assert path.read_text().splitlines()[1:] == ["100,3,0.25,gaussian,0.5,0.125,2,0", "100,3,0.25,cubic,,0.0625,1,1"]
 
     def test_conditioning_schema(self, tmp_path):
         res = conditioning_sweep("vs_epsilon", ConditioningConfig(n=30, epsilon_values=(0.5, 2.0)))

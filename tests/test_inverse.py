@@ -535,7 +535,7 @@ class TestShepard:
 
 
 class TestShepardAverage:
-    """inverse._shepard_average is the one Shepard body, for one query row or many."""
+    """inverse._shepard_average is the Shepard average on a neighbour table, for one query row or many."""
 
     @pytest.mark.parametrize("m", [1, 4, 33, 1000])
     def test_rows_match_the_per_row_average(self, m):
