@@ -1,4 +1,4 @@
-"""Point clouds: synthetic manifold samples, the one nearest-node lookup, node spacing, and every file format."""
+"""Point clouds: synthetic samples, the one distance layer and neighbour lookup, node spacing, and every file format."""
 
 import csv
 import json
@@ -125,21 +125,34 @@ def nearest(points: np.ndarray, queries: np.ndarray, k: int, exclude_self: bool 
 
     Rows list their points in increasing point index; equidistant points go to the lower index
     (_top_k). exclude_self means the queries are the points: row i leaves out point i but not
-    its duplicates. cdist and _top_k run on one block of queries at a time, of at most
-    _BLOCK_TEMPORARY distances (_row_blocks), so the search holds its m x k table and O(n) more.
+    its duplicates. _top_k runs on one block of queries at a time, of at most _BLOCK_TEMPORARY
+    distances (_distances), so the search holds its m x k table and O(n) more.
     """
     n, m = points.shape[0], queries.shape[0]
     if not 1 <= k <= n - exclude_self:
         raise ValueError(f"k must be in [1, {n - exclude_self}]")
     idx = np.empty((m, k), dtype=np.intp)
     dist = np.empty((m, k))
-    for rows in _row_blocks(m, n, _BLOCK_TEMPORARY):
-        d = cdist(queries[rows], points)
-        if exclude_self:
-            d[np.arange(len(d)), np.arange(rows.start, rows.stop)] = np.inf
+    for rows, d in _distances(queries, points, _BLOCK_TEMPORARY, exclude_self):
         idx[rows] = _top_k(d, k)
         dist[rows] = np.take_along_axis(d, idx[rows], axis=1)
     return idx, dist
+
+
+def _distances(queries: np.ndarray, points: np.ndarray, cap: int | None = None, exclude_self: bool = False):
+    """The one distance layer: yields (rows, r) for each block of _row_blocks(m, n, cap), r the cdist
+    distances of queries[rows] to every point. r is a view of one buffer sized to the largest block,
+    which the next block overwrites. exclude_self means the queries are the points: row i's own
+    distance is set to inf, here and nowhere else in the package.
+    """
+    m, n = queries.shape[0], points.shape[0]
+    blocks = _row_blocks(m, n, cap)
+    buffer = np.empty((max((b.stop - b.start for b in blocks), default=0), n))
+    for rows in blocks:
+        r = cdist(queries[rows], points, out=buffer[: rows.stop - rows.start])
+        if exclude_self:
+            r[np.arange(len(r)), np.arange(rows.start, rows.stop)] = np.inf
+        yield rows, r
 
 
 def _is_int(value) -> bool:
@@ -175,8 +188,8 @@ def _row_blocks(m: int, n: int, cap: int | None = None) -> list:
     range(m), each of at most cap entries (one group of _ROW_GROUP rows at least), so memory grows
     with n, not m x n. Both caps are read at each call. cap defaults to _BLOCK_DISTANCES, which is
     only for row blocks that feed a product (eval_rbf, the Nystrom sums, global Shepard folds).
-    Blocks that bound only temporaries pass _BLOCK_TEMPORARY: the neighbour search, _top_k's tied
-    rows, kernel assembly, refitted folds and the gathers of table Shepard averages.
+    Blocks that bound only temporaries pass _BLOCK_TEMPORARY: _distances for the neighbour search,
+    kernel_matrix and inverse._system, _top_k's tied rows and the gathers of table Shepard averages.
 
     Blocks are whole row groups, the last one excepted, and as equal in size as the cap allows,
     so a product taken block by block gives each row the bits of one unblocked product (README,

@@ -185,10 +185,15 @@ def save_embedding(emb: Embedding, directory) -> None:
 
 def load_embedding(directory) -> Embedding:
     """Read an embedding written by save_embedding; with n = len(degrees) and d+1 = len(eigvals)
-    in embedding.json, coords must be n x d and eigvecs n x (d+1), and coords must equal
-    eigvecs[:, 1:]. A sidecar written before solver was recorded came from the full eigh."""
+    in embedding.json, the eigvals must be finite and the degrees finite and > 0, as degree_vector
+    leaves them, coords must be n x d and eigvecs n x (d+1), and coords must equal eigvecs[:, 1:].
+    A sidecar written before solver was recorded came from the full eigh."""
     meta = json.loads((Path(directory) / "embedding.json").read_text())
-    eigvals, degrees = np.array(meta["eigvals"]), np.array(meta["degrees"])
+    eigvals, degrees = np.array(meta["eigvals"], dtype=float), np.array(meta["degrees"], dtype=float)
+    if not np.isfinite(eigvals).all():
+        raise ValueError("embedding.json: eigvals must be finite")
+    if not (np.isfinite(degrees) & (degrees > 0)).all():
+        raise ValueError("embedding.json: degrees must be finite and > 0")
     n, d = degrees.size, eigvals.size - 1
     spec = KernelSpec.from_dict(meta["spec"]) if meta["spec"] is not None else None
     coords, eigvecs = load_block(directory, "coords", (n, d)), load_block(directory, "eigvecs", (n, d + 1))

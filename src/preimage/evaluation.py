@@ -8,9 +8,9 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist
 
-from . import dataset
 from .dataset import (
     PointCloud,
+    _distances,
     _paired,
     _row_blocks,
     local_fill_distance,
@@ -27,7 +27,6 @@ from .inverse import (
     InterpolationError,
     NeighborhoodPolicy,
     SingularSystemError,
-    _border,
     _factor,
     _lagrange_predict,
     _shepard_average,
@@ -218,15 +217,16 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
     nothing and take one of two paths, chosen by k, each once for every shepard scale: global folds
     (k = n-1) are _global_shepard's (W @ X) / W.sum(1), in product blocks under
     dataset._BLOCK_DISTANCES, and local folds are inverse._shepard_average (shepard_eval's body)
-    on the table. Either gives NaN where every weight underflowed; a global fold differs from
-    shepard_eval on the other points by rounding only.
+    on the table. Either gives NaN where the weights underflowed (their sum is below the smallest
+    normal float); a global fold differs from shepard_eval on the other points by rounding only.
 
-    Every refitted pair goes through one pass over the folds (_refit_folds). A refitted fold j is
-    inverse.fit_local_rbf on the other points at y_j, bit for bit: the same k nodes, the same
-    system and the same one solve for the left-out point (inverse._lagrange_predict). Both differ
-    from fit_rbf then eval_rbf on the fold's nodes by rounding only, within 64 eps cond. A fold
-    whose system is singular, or whose nodes are duplicated or, with the linear tail, fail
-    unisolvency_rank, keeps a NaN error.
+    Every refitted pair goes through one pass over the folds (_refit_folds). A refitted fold j
+    makes fit_local_rbf's two calls on the other points at y_j, so it is fit_local_rbf there, bit
+    for bit: inverse._system on the same k nodes and one solve for the left-out point
+    (inverse._lagrange_predict). Both differ from fit_rbf then eval_rbf on the fold's nodes by
+    rounding only, within 64 eps cond. A fold keeps a NaN error exactly where either call raises
+    InterpolationError: duplicate nodes, a singular system or, with the linear tail, nodes that
+    fail unisolvency_rank.
 
     The refitted folds run in w contiguous chunks, one per thread (_run_chunked), where w is the
     CPU count divided by the BLAS thread count (_fold_workers), and w = 1, the serial loop, when no
@@ -280,35 +280,24 @@ def loo_folds(values: PointCloud, coords: PointCloud, pairs, *, policy: Neighbor
 
 def _refit_folds(chunk, y: np.ndarray, x: np.ndarray, idx: np.ndarray, dist: np.ndarray, refits) -> None:
     """Refit every fold j of chunk for each (spec, tail, errors, conds) of refits, filling slot j of
-    its errors and conds; a fold that fails keeps its NaN.
+    its errors and conds; a fold fails, and keeps its NaN, exactly where inverse._system or
+    _lagrange_predict raises InterpolationError.
 
-    Each fold is fit_local_rbf on the other points at y_j, bit for bit, sharing per fold: the
-    nodes' distances (the cdist row blocks of kernels._assemble, hence its bits), the duplicate
-    check (a second zero among them fails every pair) and unisolvency_rank (the linear tail's
-    pairs). Each pair's system is filled from them, as inverse._system fills it, into one buffer
-    the chunk reuses, and _lagrange_predict solves it for y_j from the table's distances dist[j].
+    Each fold is fit_local_rbf on the other points at y_j by construction: inverse._system builds
+    each pair's matrix on the fold's k nodes, and _lagrange_predict solves it for y_j from the
+    table's distances dist[j]. The fold's node distances come from one cdist into a k x k buffer,
+    the bits of dataset._distances' blocks, and each pair's matrix goes into one system buffer; the
+    chunk reuses both.
     """
     k, d = idx.shape[1], y.shape[1]
-    linear = any(tail == TAIL_LINEAR for _, tail, _, _ in refits)
     r = np.empty((k, k))
-    system = np.empty((k + d + 1) ** 2 if linear else k * k)  # every pair's system, in turn
-    blocks = _row_blocks(k, k, dataset._BLOCK_TEMPORARY)
+    system = np.empty((k + d + 1) ** 2)  # every pair's system, in turn
     for j in chunk:
         nodes, node_values = y[idx[j]], x[idx[j]]
-        for rows in blocks:
-            cdist(nodes[rows], nodes, out=r[rows])
-        if np.count_nonzero(r == 0.0) > k:
-            continue
-        unisolvent = linear and unisolvency_rank(nodes) == d + 1
+        cdist(nodes, nodes, out=r)
         for spec, tail, errors, conds in refits:
-            if tail == TAIL_LINEAR and not unisolvent:
-                continue
-            size = k + d + 1 if tail == TAIL_LINEAR else k
-            m = system[: size * size].reshape(size, size)
-            _profile(spec, r, out=m[:k, :k])
-            if tail == TAIL_LINEAR:
-                _border(m, nodes)
             try:
+                m = _system(nodes, spec, tail, [(slice(0, k), r)], out=system)
                 pred, cond = _lagrange_predict(m, spec, tail, dist[j], y[j], node_values)
             except InterpolationError:
                 continue
@@ -389,26 +378,26 @@ def _global_shepard(y: np.ndarray, x: np.ndarray, specs) -> list:
     """Every global Shepard fold's average, with no neighbour table: for each Gaussian kernel spec
     of specs, (W @ x) / W.sum(axis=1), W the spec's weights (kernels._profile) at cdist(y, y) with a
     zero diagonal, so row j averages every point but j; one (n, D) array per spec. A row whose
-    weights all underflowed to 0 is NaN (0/0).
+    weights underflowed, summing to less than the smallest normal float, is NaN, as in
+    inverse._shepard_average.
 
-    Rows go in product blocks (_row_blocks(n, n), cap dataset._BLOCK_DISTANCES), so each row has
-    the unblocked formula's bits. Each block's distances are taken once for every spec, into one
-    reused buffer, with each row's own distance set to inf, where its weight is exactly 0.
+    Rows go in product blocks (dataset._distances with its default cap, dataset._BLOCK_DISTANCES),
+    so every other row has the unblocked formula's bits. Each block's distances are taken once for
+    every spec, with each row's own distance at inf, where its weight is exactly 0, and each spec's
+    weights go into one reused buffer.
     """
     n = y.shape[0]
     outs = [np.empty(x.shape) for _ in specs]
-    blocks = _row_blocks(n, n)
-    r = np.empty((max(b.stop - b.start for b in blocks), n))
-    w = np.empty_like(r)
-    for rows in blocks:
-        m = rows.stop - rows.start
-        cdist(y[rows], y, out=r[:m])
-        r[np.arange(m), np.arange(rows.start, rows.stop)] = np.inf
+    w = np.empty((max(b.stop - b.start for b in _row_blocks(n, n)), n))
+    for rows, r in _distances(y, y, exclude_self=True):
+        wr = w[: len(r)]
         for spec, out in zip(specs, outs):
-            _profile(spec, r[:m], out=w[:m])
-            np.matmul(w[:m], x, out=out[rows])
+            _profile(spec, r, out=wr)
+            np.matmul(wr, x, out=out[rows])
+            total = wr.sum(axis=1)
             with np.errstate(invalid="ignore"):
-                out[rows] /= w[:m].sum(axis=1)[:, None]
+                out[rows] /= total[:, None]
+            out[rows][total < np.finfo(float).tiny] = np.nan
     return outs
 
 

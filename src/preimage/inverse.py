@@ -10,9 +10,9 @@ from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist
 
 from . import dataset
-from .dataset import PointCloud, _check_int, _paired, _query, _row_blocks, load_block, nearest, save_bundle
+from .dataset import PointCloud, _check_int, _distances, _paired, _query, _row_blocks, load_block, nearest, save_bundle
 from .embedding import unisolvency_rank
-from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _assemble, _profile, gaussian
+from .kernels import GAUSSIAN, RADIAL_POWER, THIN_PLATE, KernelSpec, _profile, gaussian
 
 TAIL_NONE = "none"
 TAIL_LINEAR = "linear"
@@ -115,31 +115,34 @@ def _solve_with_cond(m: np.ndarray, rhs: np.ndarray):
     return sol, cond
 
 
-def _system(y: np.ndarray, spec: KernelSpec, tail: str) -> np.ndarray:
-    """Interpolation matrix of the nodes y (n x d), exactly symmetric: the kernel matrix K for
-    tail="none", the bordered [[K, P], [P^T, 0]] with P rows (1, y^(j)) for tail="linear".
-    Allocated once at its final size (kernels._assemble writes K into it).
+def _system(y: np.ndarray, spec: KernelSpec, tail: str, distances=None, out: np.ndarray | None = None) -> np.ndarray:
+    """The one system builder: the exactly symmetric interpolation matrix of the nodes y (n x d), the
+    kernel matrix K for tail="none" and the bordered [[K, P], [P^T, 0]] with P rows (1, y^(j)) for
+    tail="linear". The matrix is allocated at its final size, or is a view of the first entries of
+    the flat buffer out. K is filled from distances, (rows, r) blocks of y's distances to every node
+    in row order, which default to dataset._distances(y, y) under dataset._BLOCK_TEMPORARY; cdist
+    gives |y_i - y_j| and |y_j - y_i| the same bits and a zero diagonal, so K is exactly symmetric.
 
-    Raises SingularSystemError on duplicate nodes and UnisolvencyError when the nodes do not
-    determine a degree-1 polynomial.
+    Raises SingularSystemError naming the first pair (i, j), i < j, of equal nodes in row-major
+    order, and UnisolvencyError when the nodes do not determine a degree-1 polynomial.
     """
     n, d = y.shape
-    if tail == TAIL_NONE:
-        return _assemble(spec, y, n, SingularSystemError)
-    m = _assemble(spec, y, n + d + 1, SingularSystemError)
-    if unisolvency_rank(y) != d + 1:
-        raise UnisolvencyError("unisolvency failure: nodes do not determine a degree-1 polynomial")
-    return _border(m, y)
-
-
-def _border(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fill the linear tail's border of the (n+d+1) x (n+d+1) m around its kernel block: P with rows
-    (1, y^(j)), P^T and the zero corner. Returns m."""
-    n = y.shape[0]
-    m[:n, n] = 1.0
-    m[:n, n + 1 :] = y
-    m[n:, :n] = m[:n, n:].T
-    m[n:, n:] = 0.0
+    size = n + d + 1 if tail == TAIL_LINEAR else n
+    m = np.empty((size, size)) if out is None else out[: size * size].reshape(size, size)
+    for rows, r in _distances(y, y, dataset._BLOCK_TEMPORARY) if distances is None else distances:
+        equal = r == 0.0
+        if np.count_nonzero(equal) > len(r):  # a zero besides each row's own distance
+            equal[np.arange(len(r)), np.arange(rows.start, rows.stop)] = False
+            i, j = np.argwhere(equal)[0]  # rows come in order, so the first True names the first pair
+            raise SingularSystemError(f"duplicate nodes at indices {rows.start + i} and {j}")
+        _profile(spec, r, out=m[rows, :n])
+    if tail == TAIL_LINEAR:
+        if unisolvency_rank(y) != d + 1:
+            raise UnisolvencyError("unisolvency failure: nodes do not determine a degree-1 polynomial")
+        m[:n, n] = 1.0
+        m[:n, n + 1 :] = y
+        m[n:, :n] = m[:n, n:].T
+        m[n:, n:] = 0.0
     return m
 
 
@@ -217,8 +220,9 @@ def fit_local_rbf(
 ) -> np.ndarray:
     """The interpolant of the policy-capped nearest nodes to the query (dataset.nearest) at the query:
     _system on those rows, solved once for it from the table's distances (_lagrange_predict). A
-    refitted fold of evaluation.loo_folds is fit_local_rbf on the other points, bit for bit; both
-    differ from fit_rbf then eval_rbf on the same rows by rounding only, within 64 eps cond.
+    refitted fold of evaluation.loo_folds makes the same two calls on the other points, so it is
+    fit_local_rbf there, bit for bit; both differ from fit_rbf then eval_rbf on the same rows by
+    rounding only, within 64 eps cond.
     Inputs are checked as fit_rbf and _local_query check them, before the neighbour search; the fit
     raises as fit_rbf does (duplicate nodes, a singular system, lost unisolvency)."""
     _check_tail(spec, tail)
@@ -240,10 +244,11 @@ def shepard_eval(
 ) -> np.ndarray:
     """Moving average of the neighborhood's values at one point (dataset._query), weighted by gaussian(epsilon):
     _shepard_average with that one spec on the one row of the query's nearest nodes. The query is checked as
-    _local_query checks it, before the neighbour search. Raises ScaleUnderflowError where every weight underflowed to 0.
+    _local_query checks it, before the neighbour search. Raises ScaleUnderflowError where the weights underflowed
+    (their sum is below the smallest normal float).
 
-    The output is a convex combination of neighbor values, so it always lies
-    in their coordinatewise hull.
+    The output is a convex combination of neighbor values, so it lies in
+    their coordinatewise hull up to rounding.
     """
     spec = gaussian(epsilon)
     _paired(nodes, values)
@@ -251,7 +256,7 @@ def shepard_eval(
     idx, dist = nearest(nodes.points, q, min(nodes.n, policy.max_neighbors))
     pred = _shepard_average(dist, idx, values.points, [spec])[0][0]
     if np.isnan(pred).any():
-        raise ScaleUnderflowError("scale too large for spacing: all weights underflowed to 0")
+        raise ScaleUnderflowError("scale too large for spacing: the weights underflowed")
     return pred
 
 
@@ -260,17 +265,20 @@ def _shepard_average(dist: np.ndarray, idx: np.ndarray, values: np.ndarray, spec
     rows of a table (dist, idx, both m x k), the average of the values rows idx names, weighted by the
     spec at dist (kernels._profile); one (m, D) array per spec. shepard_eval and local leave-one-out
     folds (k < n-1) run on it; global folds (k = n-1) need no table and take
-    evaluation._global_shepard instead. A row whose weights all underflowed to 0 is
-    NaN (0/0). Rows go in _row_blocks of at most dataset._BLOCK_TEMPORARY gathered values, and each
-    block of values[idx] is gathered once for every spec, so values[idx] is never built whole; each
+    evaluation._global_shepard instead. A row whose weights underflowed, summing to less than the
+    smallest normal float (where the few bits they keep can leave the hull of the values), is NaN.
+    Rows go in _row_blocks of at most dataset._BLOCK_TEMPORARY gathered values, and each block of
+    values[idx] is gathered once for every spec, so values[idx] is never built whole; every other
     row has the bits of w @ values[idx[i]] / w.sum() (the batched matmul takes the same gemv per row)."""
     outs = [np.empty((idx.shape[0], values.shape[1])) for _ in specs]
     for rows in _row_blocks(idx.shape[0], idx.shape[1] * values.shape[1], dataset._BLOCK_TEMPORARY):
         gathered = values[idx[rows]]
         for spec, out in zip(specs, outs):
             w = _profile(spec, dist[rows])
+            total = w.sum(axis=1)
             with np.errstate(invalid="ignore"):
-                out[rows] = np.matmul(w[:, None, :], gathered)[:, 0] / w.sum(axis=1)[:, None]
+                out[rows] = np.matmul(w[:, None, :], gathered)[:, 0] / total[:, None]
+            out[rows][total < np.finfo(float).tiny] = np.nan
     return outs
 
 

@@ -5,10 +5,9 @@ from numbers import Real
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.spatial.distance import cdist
 
 from . import dataset
-from .dataset import PointCloud, _check_int, _row_blocks, _top_k
+from .dataset import PointCloud, _check_int, _distances, _top_k
 
 GAUSSIAN = "gaussian"
 RADIAL_POWER = "radial_power"
@@ -113,40 +112,14 @@ def _profile(spec: KernelSpec, r: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def _assemble(spec: KernelSpec, points: np.ndarray, size: int | None = None, duplicates=None) -> np.ndarray:
-    """A new size x size matrix (size defaults to n) whose top-left n x n block is the exactly
-    symmetric kernel matrix g(|x_i - x_j|) of the n rows of points; the caller fills the rest.
-
-    The matrix is the only n x n array: cdist fills one row block (_row_blocks with the cap
-    dataset._BLOCK_TEMPORARY) at a time into one buffer the size of the largest block, and its
-    kernel values go straight into the matrix rows. cdist gives |x_i - x_j| and |x_j - x_i| the
-    same bits and a zero diagonal, so the block is exactly symmetric.
-
-    duplicates, an exception class, is raised naming the first pair (i, j), i < j, of equal points in
-    row-major order.
-    """
-    n = points.shape[0]
-    size = n if size is None else size
-    m = np.empty((size, size))
-    blocks = _row_blocks(n, n, dataset._BLOCK_TEMPORARY)
-    buffer = np.empty((max(b.stop - b.start for b in blocks), n))  # the one block of distances, reused
-    for rows in blocks:
-        r = cdist(points[rows], points, out=buffer[: rows.stop - rows.start])
-        if duplicates is not None:
-            equal = r == 0.0
-            equal[np.arange(len(r)), np.arange(rows.start, rows.stop)] = False
-            if equal.any():
-                # rows are taken in order, so the first True names the first pair
-                i, j = np.argwhere(equal)[0]
-                raise duplicates(f"duplicate nodes at indices {rows.start + i} and {j}")
-        _profile(spec, r, out=m[rows, :n])
-    return m
-
-
 def kernel_matrix(spec: KernelSpec, cloud: PointCloud) -> np.ndarray:
-    """The exactly symmetric node matrix k(x_i, x_j) of one cloud: the matrix itself plus one buffer
-    of at most dataset._BLOCK_TEMPORARY distances (see _assemble)."""
-    return _assemble(spec, cloud.points)
+    """The exactly symmetric node matrix k(x_i, x_j) of one cloud, filled from dataset._distances'
+    blocks (cap dataset._BLOCK_TEMPORARY): the matrix itself plus one buffer of distances. cdist gives
+    |x_i - x_j| and |x_j - x_i| the same bits and a zero diagonal, so the matrix is exactly symmetric."""
+    m = np.empty((cloud.n, cloud.n))
+    for rows, r in _distances(cloud.points, cloud.points, dataset._BLOCK_TEMPORARY):
+        _profile(spec, r, out=m[rows])
+    return m
 
 
 def _square(m, name: str) -> np.ndarray:

@@ -260,6 +260,31 @@ class TestNearest:
             nearest(points, points, 0)
 
 
+class TestDistances:
+    """dataset._distances, the one distance layer: its blocks join to one unblocked cdist, bit for bit."""
+
+    @pytest.mark.parametrize("cap", [1, 70, 500, 2**20])
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_blocks_join_to_one_cdist(self, monkeypatch, cap, exclude_self):
+        rng = np.random.default_rng(21)
+        points = rng.normal(size=(57, 3))
+        points[9] = points[30]  # a duplicate keeps its zero distance under exclude_self
+        queries = points if exclude_self else rng.normal(size=(23, 3))
+        want = cdist(queries, points)
+        if exclude_self:
+            np.fill_diagonal(want, np.inf)
+        monkeypatch.setattr(dataset, "_BLOCK_DISTANCES", cap)  # the default cap is read at each call
+        for given in (cap, None):
+            blocks, bases = [], []
+            for rows, r in dataset._distances(queries, points, given, exclude_self):
+                blocks.append((rows, r.copy()))
+                bases.append(r.base)
+            assert [rows for rows, _ in blocks] == dataset._row_blocks(len(queries), len(points), cap)
+            assert (len(blocks) == 1) == (cap == 2**20)
+            assert all(base is bases[0] for base in bases)  # one buffer, reused
+            assert np.array_equal(np.vstack([r for _, r in blocks]), want)
+
+
 class TestNearestMemory:
     def test_search_holds_its_table_and_blocks(self):
         # idx and dist (1000 x 200 each) plus one block of at most _BLOCK_TEMPORARY distances and

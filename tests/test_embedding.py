@@ -398,6 +398,22 @@ class TestSerialization:
         (tmp_path / "embedding.json").write_text(json.dumps(meta))
         assert load_embedding(tmp_path).solver == "eigh"
 
+    @pytest.mark.parametrize("field,index,bad", [
+        ("eigvals", 1, float("nan")),
+        ("eigvals", 0, float("inf")),
+        ("degrees", 3, -1.0),  # unchecked, nystrom_extend returned NaN with a RuntimeWarning
+        ("degrees", 0, 0.0),
+        ("degrees", 5, float("nan")),
+    ])
+    def test_sidecar_numbers_are_checked(self, rng, tmp_path, field, index, bad):
+        emb = laplacian_eigenmaps(PointCloud(rng.normal(size=(14, 3))), gaussian(0.8), d=3)
+        save_embedding(emb, tmp_path)
+        meta = json.loads((tmp_path / "embedding.json").read_text())
+        meta[field][index] = bad
+        (tmp_path / "embedding.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"embedding.json: {field} must be finite"):
+            load_embedding(tmp_path)
+
     @pytest.mark.parametrize("block", ["coords", "eigvecs"])
     def test_coords_must_be_the_nontrivial_eigenvectors(self, rng, tmp_path, block):
         # each block rewritten with its right shape but other values than the other implies

@@ -185,11 +185,15 @@ def _reference_loo(values, coords, method, scale_multiple, policy):
 
 def _dense_shepard_averages(x: np.ndarray, y: np.ndarray, spec) -> np.ndarray:
     """Every global Shepard fold's average by the unblocked formula (W @ x) / W.sum(1), W the
-    spec's weights at every distance with a zero diagonal."""
+    spec's weights at every distance with a zero diagonal; NaN where W.sum(1) is below the
+    smallest normal float."""
     w = _profile(spec, cdist(y, y))
     np.fill_diagonal(w, 0.0)
+    total = w.sum(axis=1)
     with np.errstate(invalid="ignore"):
-        return (w @ x) / w.sum(axis=1)[:, None]
+        averages = (w @ x) / total[:, None]
+    averages[total < np.finfo(float).tiny] = np.nan
+    return averages
 
 
 def _dense_shepard_errors(values, coords, scale, h):
@@ -281,7 +285,8 @@ class TestFoldPathReference:
 
     def test_fold_systems_at_400_neighbours(self, monkeypatch):
         # 400 neighbours: 160,000 distances per fold, more than _BLOCK_TEMPORARY (2^16), so
-        # kernels._assemble takes them in several row blocks, and so does each fold
+        # inverse._system takes them from several blocks of dataset._distances, while each fold
+        # takes them from one cdist into its k x k buffer
         rng = np.random.default_rng(7)
         coords, values = PointCloud(rng.normal(size=(402, 3))), PointCloud(rng.normal(size=(402, 2)))
         assert len(_row_blocks(400, 400, dataset._BLOCK_TEMPORARY)) > 1
@@ -547,6 +552,16 @@ class TestGlobalShepardFolds:
         for spec, got in zip(specs, averages):
             assert np.array_equal(got, _dense_shepard_averages(x, y, spec), equal_nan=True)
         assert np.isnan(averages[2][7]).all() and np.isfinite(averages[0]).all()
+        assert np.isnan(averages[2][46]).all()  # its weights sum to 1.4e-318, a subnormal number
+
+    def test_subnormal_weight_sums_fail_on_both_paths(self):
+        # points 0 and 1 weigh each other exp(-27.28^2) = 5e-324 and every other point 0: each
+        # average would keep one bit of weight and could leave the hull of the values
+        y, x = np.array([[0.0], [27.28], [100.0], [100.5]]), np.array([[0.7], [0.3], [0.1], [0.9]])
+        idx, dist = nearest(y, y, 3, exclude_self=True)
+        for averages in (evaluation._global_shepard(y, x, [gaussian(1.0)]),
+                         evaluation._shepard_average(dist, idx, x, [gaussian(1.0)])):
+            assert np.isnan(averages[0][:2]).all() and np.isfinite(averages[0][2:]).all()
 
     def test_four_scales_hold_two_blocks(self):
         # one block of distances and one of weights, each at most _BLOCK_DISTANCES floats (8 MiB),
@@ -593,14 +608,13 @@ class TestGlobalShepardFolds:
         eps = np.finfo(float).eps
         for m, avg in zip(multiples, averages):
             w = _profile(gaussian(spacing_scale(m, folds.h_local)), dist)
-            underflowed = w.sum(axis=1) == 0.0
+            # weights summing to a subnormal number keep only the few bits they carry and could
+            # leave the hull, so such a fold fails as one whose weights are all 0 does
+            underflowed = w.sum(axis=1) < np.finfo(float).tiny
             assert np.array_equal(np.isnan(avg).any(axis=1), underflowed)
             assert np.array_equal(np.isnan(avg).all(axis=1), underflowed)
             assert np.array_equal(~np.isfinite(folds.pairs["shepard", m][0]), underflowed)
-            # a fold whose weights sum to a subnormal number keeps only the few bits its weights
-            # carry, and can leave the hull (two nodes valued 0.7 and 0.3, one weight of 5e-324,
-            # average 1.0), so the hull is checked where the sum is a normal number
-            for j in np.flatnonzero(w.sum(axis=1) >= np.finfo(float).tiny):
+            for j in np.flatnonzero(np.isfinite(avg).all(axis=1)):
                 near = x[idx[j]]
                 # rounding of k products and sums, and of products that fall to the subnormal range
                 tol = 4 * k * eps * np.abs(near).max() + k * 2.0**-1074 / w[j].sum()

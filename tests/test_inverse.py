@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from preimage import dataset, inverse, kernels
+from preimage import dataset, inverse
 from preimage.dataset import PointCloud, load_cloud, random_unitary_embed, sample_sphere, save_cloud
 from preimage.inverse import (
     NeighborhoodPolicy,
@@ -37,6 +37,7 @@ from preimage.kernels import (
     cubic,
     eval_kernel,
     gaussian,
+    kernel_matrix,
     radial_power,
     thin_plate,
 )
@@ -247,7 +248,7 @@ class TestSolveWithCond:
         a = rng.normal(size=shape) * rng.uniform(1e-3, 1e3, size=shape)
         n = shape[0]
         y = rng.normal(size=(n, 3)) * rng.uniform(1e-2, 1e2, size=(n, 1))
-        for m in (a + a.T, kernels._assemble(cubic(), y), kernels._assemble(gaussian(0.3), y)):
+        for m in (a + a.T, kernel_matrix(cubic(), PointCloud(y)), kernel_matrix(gaussian(0.3), PointCloud(y))):
             assert lange_1(m) == np.linalg.norm(m, 1)
 
     def test_norm_1_same_bits_at_the_real_cap(self, rng):
@@ -356,6 +357,42 @@ class TestEvalRbfRowBlocks:
             extra[m] = traced_peak(lambda: eval_rbf(model, q)) - m * model.dim_out * 8  # beyond the result
         # unblocked, 3,800 more queries would take 12 MB more of distances alone
         assert extra[4000] - extra[200] < block * 8
+
+
+class TestSystemBuilder:
+    """inverse._system filled from one block of distances and into a given buffer is _system with its
+    own blocks of dataset._distances, bit for bit, and raises the same errors."""
+
+    @pytest.fixture(autouse=True)
+    def several_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_BLOCK_TEMPORARY", 500)  # 60 nodes fill in blocks of 4 or 8 rows
+        assert len(dataset._row_blocks(60, 60, dataset._BLOCK_TEMPORARY)) > 1
+
+    @pytest.mark.parametrize("spec,tail", [(cubic(), "linear"), (gaussian(0.7), "none"), (gaussian(0.7), "linear")])
+    def test_one_block_equals_its_own_blocks(self, rng, spec, tail):
+        y = rng.normal(size=(60, 3))
+        out = np.full(64 * 64 + 5, np.nan)  # larger than any of the three systems
+        got = inverse._system(y, spec, tail, [(slice(0, 60), cdist(y, y))], out=out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, inverse._system(y, spec, tail))
+
+    @pytest.mark.parametrize("pairs,named", [([(3, 30)], (3, 30)), ([(30, 8), (50, 51)], (8, 30))])
+    def test_the_same_duplicate_pair_is_named(self, rng, pairs, named):
+        y = rng.normal(size=(60, 3))
+        for i, j in pairs:
+            y[j] = y[i]
+        for distances in (None, [(slice(0, 60), cdist(y, y))]):
+            for spec, tail in ((cubic(), "linear"), (gaussian(0.7), "none")):
+                with pytest.raises(SingularSystemError) as got:
+                    inverse._system(y, spec, tail, distances, out=np.empty(64 * 64))
+                assert str(got.value) == f"duplicate nodes at indices {named[0]} and {named[1]}"
+
+    def test_unisolvency_is_checked(self, rng):
+        y = rng.normal(size=(60, 3))
+        y[:, 2] = 0.5  # one plane: the nodes do not determine a degree-1 polynomial in R^3
+        for distances in (None, [(slice(0, 60), cdist(y, y))]):
+            with pytest.raises(UnisolvencyError):
+                inverse._system(y, cubic(), "linear", distances, out=np.empty(64 * 64))
 
 
 class TestSystemMemory:
@@ -522,6 +559,12 @@ class TestShepard:
         values = PointCloud([[5.0], [6.0]])
         with pytest.raises(ScaleUnderflowError, match="scale too large"):
             shepard_eval(nodes, values, np.array([50.0]), epsilon=10.0)
+
+    def test_subnormal_weights_underflow(self):
+        # weights exp(-27.28^2) = 5e-324 and 0: unchecked, the average was 1.0, outside [0.3, 0.7]
+        nodes, values = PointCloud([[0.0], [100.0]]), PointCloud([[0.7], [0.3]])
+        with pytest.raises(ScaleUnderflowError, match="scale too large"):
+            shepard_eval(nodes, values, np.array([27.28]), epsilon=1.0)
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
